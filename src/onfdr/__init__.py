@@ -2,7 +2,7 @@
 offline baselines, and a seeded Monte Carlo harness."""
 
 from .baselines import BatchResult, MetricsAccumulator, bh, bh_adjusted, \
-    bonferroni_levels, score, uncorrected
+    score, uncorrected
 from .procedures import (
     ConfigError,
     DecisionRecord,

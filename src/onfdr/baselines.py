@@ -1,5 +1,5 @@
-"""Offline comparators and scoring: step-up procedure, per-index error-rate
-splits, uncorrected testing, and the false-discovery/power metrics."""
+"""Offline comparators and scoring: step-up procedure, uncorrected testing,
+and the false-discovery/power metrics."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .sequences import Normalization, SequenceSpec, build_table
 
 
 @dataclass(frozen=True)
@@ -23,14 +21,24 @@ class BatchResult:
         return len(self.rejected_indices)
 
 
+def _pvalue_array(pvalues) -> np.ndarray:
+    """``pvalues`` as a float array; NaN or a value outside [0, 1] raises
+    ValueError, as it does in the online rules' ``observe``."""
+    p = np.asarray(list(pvalues), dtype=float)
+    valid = (p >= 0) & (p <= 1)   # False for NaN
+    if not valid.all():
+        k = int(np.argmin(valid))
+        raise ValueError(f"p-value must lie in [0, 1], got {float(p[k])!r} "
+                         f"at index {k + 1}")
+    return p
+
+
 def bh(pvalues, alpha: float) -> BatchResult:
     """Step-up procedure: find the largest i with p_(i) <= i * alpha / N and
     reject every hypothesis with p <= p_(i)."""
-    p = np.asarray(list(pvalues), dtype=float)
+    p = _pvalue_array(pvalues)
     if p.size == 0:
         return BatchResult(frozenset(), 0.0)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("p-values must lie in [0, 1]")
     n = p.size
     ordered = np.sort(p)
     ranks = np.arange(1, n + 1)
@@ -53,27 +61,9 @@ def bh_adjusted(pvalues, alpha: float) -> BatchResult:
     return bh(p, alpha / harmonic)
 
 
-def bonferroni_levels(spec: SequenceSpec | None, alpha: float,
-                      N: int | None = None) -> list[float]:
-    """Per-index familywise levels: ``alpha * gamma_i`` for a SUM_ONE spec,
-    or the flat ``alpha / N`` split when only a horizon is given."""
-    if spec is None and N is None:
-        raise ValueError("provide a sequence spec or a horizon N")
-    if spec is None:
-        return [alpha / N] * N
-    table = build_table(spec, length_hint=N or 1024)
-    n = spec.bound if spec.bound is not None else (N or 1024)
-    coeffs = table.head(n)
-    if spec.normalization is Normalization.SUM_ONE:
-        # exact sum-one split even for shapes whose published scaling
-        # constant leaves the series slightly below 1
-        return (alpha * coeffs / table.constraint_sum()).tolist()
-    return coeffs.tolist()
-
-
 def uncorrected(pvalues, alpha: float) -> BatchResult:
     """Reject every p strictly below alpha (no multiplicity correction)."""
-    p = np.asarray(list(pvalues), dtype=float)
+    p = _pvalue_array(pvalues)
     rejected = frozenset((np.nonzero(p < alpha)[0] + 1).tolist())
     return BatchResult(rejected, alpha)
 

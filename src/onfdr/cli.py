@@ -10,6 +10,7 @@ stdout or ``--output``; diagnostics go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 
@@ -46,8 +47,18 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _out_stream(path: str | None):
-    return open(path, "w", newline="") if path else sys.stdout
+@contextlib.contextmanager
+def _csv_out(path: str | None, header: list[str]):
+    """CSV writer on ``path`` (default stdout) with ``header`` written; the
+    file is closed on exit, stdout is left open."""
+    out = open(path, "w", newline="") if path else sys.stdout
+    try:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        yield writer
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _sequence_spec(args, alpha: float) -> SequenceSpec:
@@ -66,13 +77,8 @@ def _sequence_spec(args, alpha: float) -> SequenceSpec:
 
 def _procedure_config(args) -> ProcedureConfig:
     kind = ProcedureKind(args.procedure)
-    overrides = {}
-    if args.w0 is not None:
-        overrides["w0"] = args.w0
-    if args.b0 is not None:
-        overrides["b0"] = args.b0
-    if args.lam is not None:
-        overrides["lam"] = args.lam
+    overrides = {key: getattr(args, key) for key in ("w0", "b0", "lam")
+                 if getattr(args, key) is not None}
     if args.sequence is not None:
         overrides["sequence"] = _sequence_spec(args, args.alpha)
     if args.lond_original:
@@ -83,6 +89,7 @@ def _procedure_config(args) -> ProcedureConfig:
 def cmd_run(args) -> int:
     try:
         config = _procedure_config(args)
+        state = make_stream(config)
     except (ConfigError, SequenceError, ValueError) as exc:
         return _fail(EXIT_BAD_CONFIG, f"invalid configuration: {exc}")
     rebound_at = rebound_to = None
@@ -94,15 +101,13 @@ def cmd_run(args) -> int:
             return _fail(EXIT_BAD_CONFIG, "--rebound expects n:NPRIME")
 
     try:
-        infile = open(args.input, newline="") if args.input else sys.stdin
+        infile = open(args.input, newline="") if args.input \
+            else contextlib.nullcontext(sys.stdin)
     except OSError as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
-    state = make_stream(config)
-    out = _out_stream(args.output)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "index", "pvalue", "alpha_i", "rejected", "wealth"])
-    try:
-        reader = csv.reader(infile)
+    columns = ["id", "index", "pvalue", "alpha_i", "rejected", "wealth"]
+    with infile as fh, _csv_out(args.output, columns) as writer:
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["id", "pvalue"]:
             return _fail(EXIT_BAD_INPUT, "input must start with header 'id,pvalue'")
@@ -116,10 +121,12 @@ def cmd_run(args) -> int:
             except ValueError:
                 return _fail(EXIT_BAD_INPUT,
                              f"line {lineno}: unparseable p-value {row[1]!r}")
-            if rebound_at is not None and state.i == rebound_at:
-                rebound_stream(state, config, rebound_to)
             try:
+                if rebound_at is not None and state.i == rebound_at:
+                    rebound_stream(state, config, rebound_to)
                 rec = observe(state, p, config)
+            except ConfigError as exc:
+                return _fail(EXIT_BAD_CONFIG, str(exc))
             except ValueError as exc:
                 return _fail(EXIT_BAD_INPUT, f"line {lineno}: {exc}")
             except HorizonExhaustedError as exc:
@@ -127,13 +134,6 @@ def cmd_run(args) -> int:
             wealth = "" if rec.wealth_after is None else repr(rec.wealth_after)
             writer.writerow([row[0], rec.index, repr(rec.p), repr(rec.level),
                              "true" if rec.rejected else "false", wealth])
-    except ConfigError as exc:
-        return _fail(EXIT_BAD_CONFIG, str(exc))
-    finally:
-        if infile is not sys.stdin:
-            infile.close()
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -152,21 +152,10 @@ def cmd_simulate(args) -> int:
     if unknown:
         return _fail(EXIT_BAD_CONFIG, f"unknown procedures: {', '.join(unknown)}")
 
-    out = _out_stream(args.output)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["scenario", "procedure", "pi1", "N", "reps",
-                     "fdr", "fdr_se", "power", "power_se", "seed"])
-    try:
-        for pi1 in pi1_grid:
-            if args.scenario == "platform":
-                scenario = PlatformTrialScenario(K=args.n, pi=pi1,
-                                                 alpha=args.alpha)
-                n_label = args.n
-            else:
-                scenario = MixtureScenario(
-                    N=args.n, pi1=pi1, rho=args.rho,
-                    alternative=MixtureAlternative(args.scenario))
-                n_label = args.n
+    columns = ["scenario", "procedure", "pi1", "N", "reps",
+               "fdr", "fdr_se", "power", "power_se", "seed"]
+    with _csv_out(args.output, columns) as writer:
+        try:
             bound = args.n if args.bounded else None
             procs = []
             for name in proc_names:
@@ -174,25 +163,26 @@ def cmd_simulate(args) -> int:
                     procs.append((name, name))
                 else:
                     label = f"{name}-bounded" if args.bounded else name
-                    cfg = default_config(ProcedureKind(name),
-                                         alpha=scenario.alpha
-                                         if args.scenario == "platform"
-                                         else args.alpha,
-                                         bound=bound)
-                    procs.append((label, cfg))
-            for res in estimate_many(procs, scenario, args.reps, args.seed):
-                writer.writerow([
-                    args.scenario, res.label, pi1, n_label, args.reps,
-                    repr(res.fdr), repr(res.fdr_se),
-                    "" if res.power is None else repr(res.power),
-                    "" if res.power_se is None else repr(res.power_se),
-                    args.seed,
-                ])
-    except (ConfigError, SequenceError, ValueError) as exc:
-        return _fail(EXIT_BAD_CONFIG, str(exc))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+                    procs.append((label, default_config(
+                        ProcedureKind(name), alpha=args.alpha, bound=bound)))
+            for pi1 in pi1_grid:
+                if args.scenario == "platform":
+                    scenario = PlatformTrialScenario(K=args.n, pi=pi1,
+                                                     alpha=args.alpha)
+                else:
+                    scenario = MixtureScenario(
+                        N=args.n, pi1=pi1, rho=args.rho,
+                        alternative=MixtureAlternative(args.scenario))
+                for res in estimate_many(procs, scenario, args.reps, args.seed):
+                    writer.writerow([
+                        args.scenario, res.label, pi1, args.n, args.reps,
+                        repr(res.fdr), repr(res.fdr_se),
+                        "" if res.power is None else repr(res.power),
+                        "" if res.power_se is None else repr(res.power_se),
+                        args.seed,
+                    ])
+        except (ConfigError, SequenceError, ValueError) as exc:
+            return _fail(EXIT_BAD_CONFIG, str(exc))
     return EXIT_OK
 
 
@@ -204,14 +194,10 @@ def cmd_sequence(args) -> int:
         return _fail(EXIT_BAD_CONFIG, f"invalid sequence spec: {exc}")
     n = min(args.n, table.bound) if table.bound is not None else args.n
     coeffs = table.head(n)
-    out = _out_stream(args.output)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["index", "coefficient", "cumulative"])
-    for i in range(n):
-        writer.writerow([i + 1, repr(float(coeffs[i])),
-                         repr(table.cumulative_sum(i + 1))])
-    if out is not sys.stdout:
-        out.close()
+    with _csv_out(args.output, ["index", "coefficient", "cumulative"]) as writer:
+        for i in range(n):
+            writer.writerow([i + 1, repr(float(coeffs[i])),
+                             repr(table.cumulative_sum(i + 1))])
     return EXIT_OK
 
 
@@ -219,7 +205,9 @@ def cmd_kidney(args) -> int:
     scenario = KidneyTrialScenario(alpha=args.alpha)
     if args.scenario is not None:
         realisations = {args.scenario: KIDNEY_REALISATIONS[args.scenario]}
-    elif args.y0 is not None and args.y is not None:
+    elif args.y0 is not None or args.y is not None:
+        if args.y0 is None or args.y is None:
+            return _fail(EXIT_BAD_CONFIG, "--y0 and --y must be given together")
         try:
             y = tuple(int(tok) for tok in args.y.split(","))
         except ValueError:
@@ -228,19 +216,14 @@ def cmd_kidney(args) -> int:
     else:
         realisations = dict(KIDNEY_REALISATIONS)
 
-    out = _out_stream(args.output)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["scenario", "procedure", "fdr", "power"])
-    try:
-        for label, (y0, y) in realisations.items():
-            cells = eval_kidney(scenario, y0, y, procedures=KIDNEY_PROCEDURES)
-            for name, cell in cells.items():
-                writer.writerow([label, name, cell.fdr, cell.power])
-    except (ConfigError, ValueError) as exc:
-        return _fail(EXIT_BAD_CONFIG, str(exc))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _csv_out(args.output, ["scenario", "procedure", "fdr", "power"]) as writer:
+        try:
+            for label, (y0, y) in realisations.items():
+                cells = eval_kidney(scenario, y0, y, procedures=KIDNEY_PROCEDURES)
+                for name, cell in cells.items():
+                    writer.writerow([label, name, cell.fdr, cell.power])
+        except (ConfigError, ValueError) as exc:
+            return _fail(EXIT_BAD_CONFIG, str(exc))
     return EXIT_OK
 
 

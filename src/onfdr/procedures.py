@@ -72,12 +72,13 @@ class ProcedureConfig:
         if self.sequence is None:
             raise ConfigError("a coefficient sequence is required")
         k = self.kind
-        if k in (ProcedureKind.LORD2, ProcedureKind.LORD3):
+        if k in (ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORD_DEP):
             if self.w0 < 0:
                 raise ConfigError("w0 >= 0 is required")
             if self.b0 <= 0:
                 raise ConfigError("b0 > 0 is required")
-            if self.w0 + self.b0 > self.alpha + 1e-12:
+            # dependent LORD's budget is the xi inequality (make_stream)
+            if k is not ProcedureKind.LORD_DEP and self.w0 + self.b0 > self.alpha + 1e-12:
                 raise ConfigError("w0 + b0 <= alpha is required")
         elif k is ProcedureKind.LORDPP:
             if not 0 <= self.w0 <= self.alpha:
@@ -87,11 +88,6 @@ class ProcedureConfig:
                 raise ConfigError("lambda must lie in (0, 1)")
             if not 0 <= self.w0 < (1 - self.lam) * self.alpha:
                 raise ConfigError("w0 < (1 - lambda) * alpha is required")
-        elif k is ProcedureKind.LORD_DEP:
-            if self.w0 < 0:
-                raise ConfigError("w0 >= 0 is required")
-            if self.b0 <= 0:
-                raise ConfigError("b0 > 0 is required")
 
 
 @dataclass(frozen=True)
@@ -186,21 +182,17 @@ def _table_cache(spec: SequenceSpec) -> SequenceTable:
 
 
 def _cached_table(spec: SequenceSpec, length_hint: int) -> SequenceTable:
-    """One shared table per spec; infinite tables are grown in place."""
+    """The shared table for ``spec``; an infinite one is extended to
+    ``length_hint`` terms as a new value, leaving the cached one as it is."""
     table = _table_cache(spec)
-    if spec.bound is None and length_hint > len(table):
-        table._extend_to(length_hint)
-    return table
+    return table if spec.bound is not None else table.extended(length_hint)
 
 
-def make_stream(config: ProcedureConfig, length_hint: int = 1024) -> StreamState:
-    """Validate ``config`` and initialize its stream state.
-
-    Tables are cached per spec and shared between streams; lazy extension is
-    internally synchronized.
-    """
-    spec = config.sequence
-    table = _cached_table(spec, length_hint)
+@lru_cache(maxsize=256)
+def _check_config(config: ProcedureConfig) -> None:
+    """Checks of ``config`` against its table; cached, so a config that
+    passes is checked once, not once per stream."""
+    table = _table_cache(config.sequence)
     if config.kind is ProcedureKind.LORD_DEP:
         if not validate_xi(table, config.w0, config.b0, config.alpha):
             raise ConfigError(
@@ -211,7 +203,18 @@ def make_stream(config: ProcedureConfig, length_hint: int = 1024) -> StreamState
         if first > 1 + 1e-12:
             raise ConfigError("leading coefficient must be <= 1 to keep wealth "
                               "nonnegative")
-    state = StreamState(table=table, bound=spec.bound)
+
+
+def make_stream(config: ProcedureConfig, length_hint: int = 1024) -> StreamState:
+    """Validate ``config`` and initialize its stream state.
+
+    Tables are immutable and cached per spec, so streams share them; an
+    unbounded stream swaps in a longer table when it reaches the end of
+    its own.
+    """
+    _check_config(config)
+    spec = config.sequence
+    state = StreamState(table=_cached_table(spec, length_hint), bound=spec.bound)
     if config.kind in _WEALTH_KINDS:
         state.wealth = config.w0
         state.wealth_at_discovery = config.w0
@@ -219,10 +222,8 @@ def make_stream(config: ProcedureConfig, length_hint: int = 1024) -> StreamState
 
 
 def _payout_sum(table: SequenceTable, gaps: np.ndarray) -> float:
-    """Sum of coefficients at the given 1-based index gaps."""
-    if len(gaps) == 0:
-        return 0.0
-    coeffs = table.head(int(gaps.max()))
+    """Sum of coefficients at the given (non-empty) 1-based index gaps."""
+    coeffs = table.coefficients
     if len(gaps) < 24:
         return float(sum(coeffs[g - 1] for g in gaps.tolist()))
     return float(coeffs[gaps - 1].sum())
@@ -312,6 +313,8 @@ def observe(state: StreamState, p: float, config: ProcedureConfig) -> DecisionRe
     if kind is ProcedureKind.LOND_DEP:
         state._harmonic += 1.0 / i
     state.i = i
+    if state.bound is None and i >= len(state.table):
+        state.table = state.table.extended(i + 1)
     return DecisionRecord(
         index=i,
         p=float(p),

@@ -196,6 +196,9 @@ def gen_platform(scenario: PlatformTrialScenario, seed) -> tuple[np.ndarray, np.
 # the binary-endpoint platform (exact tests, exact integer fractions)
 # ---------------------------------------------------------------------------
 
+_OFFLINE = {"bh": baselines.bh, "bh-adjusted": baselines.bh_adjusted,
+            "uncorrected": baselines.uncorrected}
+
 KIDNEY_PROCEDURES = ("uncorrected", "bonferroni", "lord2", "lord3",
                      "lord++", "saffron", "lond", "bh")
 
@@ -245,11 +248,8 @@ def eval_kidney(scenario: KidneyTrialScenario, Y0: int, Y,
     K, alpha = scenario.K, scenario.alpha
     out: dict[str, KidneyCell] = {}
     for name in procedures:
-        if name == "uncorrected":
-            res = baselines.uncorrected(p, alpha)
-            decisions = [j + 1 in res.rejected_indices for j in range(K)]
-        elif name == "bh":
-            res = baselines.bh(p, alpha)
+        if name in _OFFLINE:
+            res = _OFFLINE[name](p, alpha)
             decisions = [j + 1 in res.rejected_indices for j in range(K)]
         else:
             kind = ProcedureKind(name)
@@ -276,10 +276,6 @@ class EstimateResult:
     power_se: float | None
     reps: int
     power_reps: int
-
-
-_OFFLINE = {"bh": baselines.bh, "bh-adjusted": baselines.bh_adjusted,
-            "uncorrected": baselines.uncorrected}
 
 
 def _one_replicate(scenario, procs, seed, rep):
@@ -322,10 +318,14 @@ def _replicate_chunk(args):
 
 
 def worker_count() -> int:
+    """Process-pool size: ``ONFDR_THREADS`` if set, else min(cpu_count, 8)."""
     env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        return max(1, int(env))
-    return max(1, min(os.cpu_count() or 1, 8))
+    if env is None:
+        return max(1, min(os.cpu_count() or 1, 8))
+    value = env.strip()
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
+    return int(value)
 
 
 def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]:
@@ -349,7 +349,7 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
         chunk = max(32, math.ceil(reps / (workers * 8)))
         tasks = [(scenario, procs, seed, lo, min(lo + chunk, reps))
                  for lo in range(0, reps, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             for lo, f, w in pool.map(_replicate_chunk, tasks):
                 fdps[lo:lo + len(f)] = f
                 powers[lo:lo + len(w)] = w

@@ -18,8 +18,7 @@ the published six-figure constants to well below 1e-10.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -79,12 +78,10 @@ class SequenceSpec:
         if self.kind is SequenceKind.LOG_POWER:
             if self.shape_param is None or self.shape_param <= 2:
                 raise SequenceError("LOG_POWER requires shape_param nu > 2")
-        if self.normalization is Normalization.SUM_ALPHA:
+        if self.normalization is not Normalization.SUM_ONE:
             if self.alpha is None or not 0 < self.alpha < 1:
-                raise SequenceError("SUM_ALPHA requires alpha in (0, 1)")
+                raise SequenceError(f"{self.normalization.name} requires alpha in (0, 1)")
         if self.normalization is Normalization.XI_WEIGHTED:
-            if self.alpha is None or not 0 < self.alpha < 1:
-                raise SequenceError("XI_WEIGHTED requires alpha in (0, 1)")
             if self.w0 is None or self.w0 < 0:
                 raise SequenceError("XI_WEIGHTED requires w0 >= 0")
             if self.b0 is None or self.b0 <= 0:
@@ -144,43 +141,53 @@ def _tail_integral(spec: SequenceSpec, x: float, log_weight: bool) -> float:
     raise SequenceError(f"{kind.value} has no infinite-horizon tail")
 
 
-def _weights(spec: SequenceSpec, idx: np.ndarray) -> np.ndarray:
-    """Constraint weight per index for the spec's normalization."""
-    j = np.asarray(idx, dtype=np.float64)
-    if spec.normalization is not Normalization.XI_WEIGHTED:
-        return np.ones_like(j)
-    if spec.w0 <= spec.b0:
-        return 1.0 + np.log(j)
-    return spec.w0 + spec.b0 * np.log(j)
-
-
-def _budget(spec: SequenceSpec) -> float:
-    """Value the constraint sum must reach."""
+def _constraint(spec: SequenceSpec):
+    """Weights ``(a, b)`` and budget of the spec's normalization constraint
+    ``sum_j c_j (a + b log j) = budget``."""
     if spec.normalization is Normalization.SUM_ONE:
-        return 1.0
+        return (1.0, 0.0), 1.0
     if spec.normalization is Normalization.SUM_ALPHA:
-        return float(spec.alpha)
+        return (1.0, 0.0), float(spec.alpha)
     if spec.w0 <= spec.b0:
-        return spec.alpha / spec.b0
-    return float(spec.alpha)
+        return (1.0, 1.0), spec.alpha / spec.b0
+    return (spec.w0, spec.b0), float(spec.alpha)
 
 
-def _constraint_shape_sum(spec: SequenceSpec) -> float:
-    """``sum_j shape(j) * weight(j)`` over the spec's horizon."""
-    if spec.bound is not None:
-        j = np.arange(1, spec.bound + 1)
-        return float(np.sum(_shape(spec, j) * _weights(spec, j)))
-    j = np.arange(1, _TRUNC_TERMS + 1)
-    direct = float(np.sum(_shape(spec, j) * _weights(spec, j)))
-    x = _TRUNC_TERMS + 0.5
-    if spec.normalization is Normalization.XI_WEIGHTED and spec.w0 > spec.b0:
-        tail = spec.w0 * _tail_integral(spec, x, False)
-        tail += spec.b0 * _tail_integral(spec, x, True)
-    elif spec.normalization is Normalization.XI_WEIGHTED:
-        tail = _tail_integral(spec, x, False) + _tail_integral(spec, x, True)
-    else:
-        tail = _tail_integral(spec, x, False)
-    return direct + tail
+def _weighted(values: np.ndarray, first: int, weights) -> np.ndarray:
+    """``values[k] * (a + b log j)`` with ``j = first + k``, for
+    ``weights = (a, b)``."""
+    a, b = weights
+    if not b:
+        return values * a
+    return values * (a + b * np.log(np.arange(first, first + len(values))))
+
+
+def _constraint_sum(spec: SequenceSpec, scale: float, prefix: np.ndarray,
+                    weights, upto: int | None = None,
+                    terms: int = _VALIDATE_TERMS) -> float:
+    """``sum_{j <= upto} c_j (a + b log j)``, where ``c_j`` is ``prefix[j-1]``
+    inside the materialized prefix and ``scale * shape(j)`` past it.
+
+    ``upto=None`` means the bounded horizon, or for an infinite horizon
+    ``max(len(prefix), terms)`` terms plus ``scale`` times the analytic tail.
+    """
+    tail = upto is None and spec.bound is None
+    if upto is None:
+        upto = spec.bound if spec.bound is not None else max(len(prefix), terms)
+    elif spec.bound is not None and upto > spec.bound:
+        raise SequenceError(f"index {upto} beyond bounded horizon N={spec.bound}")
+    coeffs = prefix[:upto]
+    if upto > len(coeffs):
+        fresh = scale * _shape(spec, np.arange(len(coeffs) + 1, upto + 1))
+        coeffs = np.concatenate([coeffs, fresh]) if len(coeffs) else fresh
+    total = float(np.sum(_weighted(coeffs, 1, weights)))
+    if tail:
+        a, b = weights
+        rest = a * _tail_integral(spec, upto + 0.5, False)
+        if b:
+            rest += b * _tail_integral(spec, upto + 0.5, True)
+        total += scale * rest
+    return total
 
 
 def _scale_constant(spec: SequenceSpec) -> float:
@@ -192,7 +199,9 @@ def _scale_constant(spec: SequenceSpec) -> float:
             return JM_C
         if spec.normalization is Normalization.SUM_ALPHA:
             return spec.alpha * JM_C
-    return _budget(spec) / _constraint_shape_sum(spec)
+    weights, budget = _constraint(spec)
+    return budget / _constraint_sum(spec, 1.0, np.empty(0), weights,
+                                    terms=_TRUNC_TERMS)
 
 
 def xi_constant_bounded(N: int, w0: float, b0: float, alpha: float) -> float:
@@ -212,20 +221,26 @@ def xi_constant_bounded(N: int, w0: float, b0: float, alpha: float) -> float:
 # materialized tables
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SequenceTable:
-    """Materialized coefficients with running partial sums.
+    """Materialized coefficients with running partial sums; an immutable
+    value with read-only arrays, safe to share between streams and threads.
 
-    Bounded tables are fully materialized at construction and never grow.
-    Infinite-horizon tables extend lazily (in geometric chunks) under an
-    internal lock, so read-only sharing across threads is safe.
+    Bounded tables hold all N terms.  Infinite-horizon tables hold a prefix;
+    reading past it raises :class:`SequenceError`, and :meth:`extended`
+    builds a longer table from this one.
     """
 
     spec: SequenceSpec
     scale_constant: float
     coefficients: np.ndarray
     cumulative: np.ndarray
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("coefficients", "cumulative"):
+            frozen = np.array(getattr(self, name), dtype=np.float64)
+            frozen.flags.writeable = False
+            object.__setattr__(self, name, frozen)
 
     @property
     def bound(self) -> int | None:
@@ -234,70 +249,63 @@ class SequenceTable:
     def __len__(self) -> int:
         return len(self.coefficients)
 
-    def _extend_to(self, n: int) -> None:
-        if n <= len(self.coefficients):
-            return
+    def _past_end(self, n: int) -> SequenceError:
         if self.bound is not None:
-            raise SequenceError(
-                f"index {n} beyond bounded horizon N={self.bound}"
-            )
-        with self._lock:
-            have = len(self.coefficients)
-            if n <= have:
-                return
-            new_len = max(n, 2 * have)
-            idx = np.arange(have + 1, new_len + 1)
-            fresh = self.scale_constant * _shape(self.spec, idx)
-            coeffs = np.concatenate([self.coefficients, fresh])
-            base = self.cumulative[-1] if have else 0.0
-            cum = np.concatenate([self.cumulative, base + np.cumsum(fresh)])
-            self.coefficients = coeffs
-            self.cumulative = cum
+            return SequenceError(f"index {n} beyond bounded horizon N={self.bound}")
+        return SequenceError(f"index {n} beyond the {len(self)} materialized "
+                             f"terms; use extended()")
+
+    def extended(self, n: int) -> SequenceTable:
+        """This table if it holds ``n`` terms, else a longer infinite table
+        (at least double the length) with the same scale constant."""
+        have = len(self)
+        if n <= have:
+            return self
+        if self.bound is not None:
+            raise self._past_end(n)
+        new_len = max(n, 2 * have)
+        fresh = self.scale_constant * _shape(self.spec,
+                                             np.arange(have + 1, new_len + 1))
+        base = self.cumulative[-1] if have else 0.0
+        return SequenceTable(
+            spec=self.spec,
+            scale_constant=self.scale_constant,
+            coefficients=np.concatenate([self.coefficients, fresh]),
+            cumulative=np.concatenate([self.cumulative, base + np.cumsum(fresh)]),
+        )
 
     def coefficient(self, i: int) -> float:
-        """1-based coefficient, extending infinite tables on demand."""
+        """1-based coefficient."""
         if i < 1:
             raise ValueError("index must be >= 1")
-        self._extend_to(i)
+        if i > len(self.coefficients):
+            raise self._past_end(i)
         return float(self.coefficients[i - 1])
 
     def head(self, n: int) -> np.ndarray:
-        """View of the first ``n`` coefficients."""
-        self._extend_to(n)
+        """Read-only view of the first ``n`` coefficients."""
+        if n > len(self.coefficients):
+            raise self._past_end(n)
         return self.coefficients[:n]
 
     def cumulative_sum(self, i: int) -> float:
         """Partial sum of coefficients 1..i (0 for i=0)."""
         if i <= 0:
             return 0.0
-        self._extend_to(i)
+        if i > len(self.cumulative):
+            raise self._past_end(i)
         return float(self.cumulative[i - 1])
 
     def constraint_sum(self, upto: int | None = None) -> float:
         """Constraint-weighted sum of the coefficients.
 
         With ``upto=None`` a bounded table sums all N terms; an infinite
-        table sums the materialized prefix and adds the analytic tail.
+        table sums at least its materialized prefix and adds the analytic
+        tail.  Terms past the prefix are computed, not stored.
         """
-        if upto is None and self.bound is not None:
-            upto = self.bound
-        if upto is not None:
-            self._extend_to(upto)
-            j = np.arange(1, upto + 1)
-            return float(np.sum(self.coefficients[:upto] * _weights(self.spec, j)))
-        self._extend_to(max(len(self.coefficients), _VALIDATE_TERMS))
-        n = len(self.coefficients)
-        j = np.arange(1, n + 1)
-        direct = float(np.sum(self.coefficients * _weights(self.spec, j)))
-        x = n + 0.5
-        if self.spec.normalization is Normalization.XI_WEIGHTED and self.spec.w0 > self.spec.b0:
-            tail = self.spec.w0 * _tail_integral(self.spec, x, False)
-            tail += self.spec.b0 * _tail_integral(self.spec, x, True)
-        elif self.spec.normalization is Normalization.XI_WEIGHTED:
-            tail = _tail_integral(self.spec, x, False) + _tail_integral(self.spec, x, True)
-        else:
-            tail = _tail_integral(self.spec, x, False)
-        return direct + self.scale_constant * tail
+        weights, _ = _constraint(self.spec)
+        return _constraint_sum(self.spec, self.scale_constant,
+                               self.coefficients, weights, upto)
 
 
 def build_table(spec: SequenceSpec, length_hint: int = 1024) -> SequenceTable:
@@ -322,30 +330,13 @@ def validate_xi(table: SequenceTable, w0: float, b0: float, alpha: float) -> boo
     ``sum xi_j (1 + log j) <= alpha/b0`` when ``w0 <= b0``, otherwise
     ``sum xi_j (w0 + b0 log j) <= alpha``, to absolute tolerance 1e-10.
     Infinite tables add the analytic tail for the unmaterialized part.
+    Raises SequenceError unless b0 > 0, w0 >= 0 and 0 < alpha < 1.
     """
-    if b0 <= 0:
-        raise ValueError("b0 must be > 0")
-    if table.bound is not None:
-        n = table.bound
-    else:
-        n = max(len(table.coefficients), _VALIDATE_TERMS)
-    table._extend_to(n)
-    j = np.arange(1, n + 1)
-    if w0 <= b0:
-        weights = 1.0 + np.log(j)
-        budget = alpha / b0
-    else:
-        weights = w0 + b0 * np.log(j)
-        budget = alpha
-    total = float(np.sum(table.coefficients[:n] * weights))
-    if table.bound is None:
-        x = n + 0.5
-        plain = _tail_integral(table.spec, x, False)
-        logw = _tail_integral(table.spec, x, True)
-        if w0 <= b0:
-            total += table.scale_constant * (plain + logw)
-        else:
-            total += table.scale_constant * (w0 * plain + b0 * logw)
+    weights, budget = _constraint(replace(
+        table.spec, normalization=Normalization.XI_WEIGHTED,
+        alpha=alpha, w0=w0, b0=b0))
+    total = _constraint_sum(table.spec, table.scale_constant,
+                            table.coefficients, weights)
     return total <= budget + _TOL
 
 
@@ -363,15 +354,13 @@ def rebound(table: SequenceTable, n: int, new_bound: int) -> SequenceTable:
     if n > table.bound:
         raise SequenceError(f"cannot have consumed {n} of {table.bound} terms")
     spec = table.spec
-    budget = _budget(spec)
-    spent_idx = np.arange(1, n + 1)
-    spent = float(np.sum(table.coefficients[:n] * _weights(spec, spent_idx)))
-    remaining = budget - spent
+    weights, budget = _constraint(spec)
+    remaining = budget - table.constraint_sum(upto=n)
     if remaining < -_TOL:
         raise SequenceError("already-spent mass exceeds the budget")
     tail_idx = np.arange(n + 1, new_bound + 1)
     tail_shape = _shape(spec, tail_idx)
-    tail_norm = float(np.sum(tail_shape * _weights(spec, tail_idx)))
+    tail_norm = float(np.sum(_weighted(tail_shape, n + 1, weights)))
     tail_scale = max(remaining, 0.0) / tail_norm
     coeffs = np.concatenate([table.coefficients[:n], tail_scale * tail_shape])
     new_spec = replace(spec, bound=new_bound)

@@ -7,11 +7,9 @@ from onfdr.baselines import (
     MetricsAccumulator,
     bh,
     bh_adjusted,
-    bonferroni_levels,
     score,
     uncorrected,
 )
-from onfdr.sequences import Normalization, SequenceKind, SequenceSpec
 
 grid_pvalues = st.lists(
     st.integers(0, 100).map(lambda k: k / 100), min_size=1, max_size=8)
@@ -90,28 +88,17 @@ class TestBHAdjusted:
         assert bh_adjusted(p, 0.05).rejected_indices <= bh(p, 0.05).rejected_indices
 
 
-class TestBonferroniLevels:
-    def test_bounded_flat(self):
-        levels = bonferroni_levels(None, 0.05, N=20)
-        assert levels == [0.0025] * 20
-
-    def test_unbounded_sequence(self):
-        spec = SequenceSpec(SequenceKind.JM_OPTIMAL, Normalization.SUM_ONE)
-        levels = bonferroni_levels(spec, 0.05, N=50)
-        # alpha * gamma_1 / (truncated-sum-with-tail normalization)
-        assert levels[0] == pytest.approx(0.05 * 0.0535167709 / 0.9763082938,
-                                          rel=1e-9)
-
-    def test_bounded_spec_levels(self):
-        spec = SequenceSpec(SequenceKind.INVERSE_SQUARE, Normalization.SUM_ONE,
-                            bound=10)
-        levels = bonferroni_levels(spec, 0.05)
-        assert sum(levels) == pytest.approx(0.05, abs=1e-12)
-        assert levels[0] > levels[-1]
-
-    def test_requires_spec_or_n(self):
-        with pytest.raises(ValueError):
-            bonferroni_levels(None, 0.05)
+@pytest.mark.parametrize("rule", [bh, bh_adjusted, uncorrected])
+@pytest.mark.parametrize("pvalues,bad", [
+    ([float("nan"), 0.01], "nan"),
+    ([0.01, 2.0], "2.0"),
+    ([0.2, 0.3, -1.0], "-1.0"),
+    ([float("nan"), 2.0, -1.0], "nan"),
+    (np.array([0.5, np.inf]), "inf"),
+])
+def test_offline_rules_reject_invalid_pvalues(rule, pvalues, bad):
+    with pytest.raises(ValueError, match=f"got {bad} at index"):
+        rule(pvalues, 0.05)
 
 
 class TestUncorrected:

@@ -96,6 +96,14 @@ class TestRun:
             "run", "--input", path, "--procedure", "saffron", "--w0", "0.03"])
         assert code == 3 and "invalid configuration" in err
 
+    def test_rejected_xi_sequence_exits_3(self, tmp_path, capsys):
+        path = write_pvalues(tmp_path, [("h", 0.5)])
+        code, out, err = run_cli(capsys, [
+            "run", "--input", path, "--procedure", "lord-dep",
+            "--sequence", "power-law", "--seq-param", "1.5"])
+        assert code == 3 and out == ""
+        assert "invalid configuration" in err and "budget inequality" in err
+
     def test_horizon_exhaustion_exits_3(self, tmp_path, capsys):
         path = write_pvalues(tmp_path, [(f"h{i}", 0.9) for i in range(4)])
         code, _, err = run_cli(capsys, [
@@ -162,6 +170,12 @@ class TestKidney:
                                         "--y", "0,0,0,0,0,0,0,0,0,0"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [["--y0", "13"],
+                                      ["--y", "0,0,0,0,0,0,0,0,0,0"]])
+    def test_counts_need_both_flags(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["kidney"] + argv)
+        assert code == 3 and out == "" and "--y0 and --y" in err
+
     def test_all_five_by_default(self, capsys):
         code, out, _ = run_cli(capsys, ["kidney"])
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -202,6 +216,15 @@ class TestSimulate:
             "--pi1-grid", "0.2,nope", "--reps", "10", "--seed", "1",
             "--procedures", "lond"])
         assert code == 3 and "invalid grid" in err
+
+    @pytest.mark.parametrize("threads", ["two", "0"])
+    def test_bad_thread_setting_exits_3(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("ONFDR_THREADS", threads)
+        code, _, err = run_cli(capsys, [
+            "simulate", "--scenario", "gaussian", "--n", "10",
+            "--pi1-grid", "0.2", "--reps", "10", "--seed", "1",
+            "--procedures", "lond"])
+        assert code == 3 and "ONFDR_THREADS" in err
 
     def test_unknown_procedure_exits_3(self, capsys):
         code, _, err = run_cli(capsys, [

@@ -19,7 +19,8 @@ from onfdr.procedures import (
     rebound_stream,
     run_stream,
 )
-from onfdr.sequences import Normalization, SequenceKind, SequenceSpec
+from onfdr.sequences import Normalization, SequenceKind, SequenceSpec, \
+    build_table
 
 ALL_KINDS = list(ProcedureKind)
 LIMIT_KINDS = [ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORDPP,
@@ -66,6 +67,8 @@ class TestConfigValidation:
                               w0=0.01, b0=0.04, sequence=seq)
         with pytest.raises(ConfigError, match="budget inequality"):
             make_stream(cfg)
+        with pytest.raises(ConfigError, match="budget inequality"):
+            make_stream(cfg)   # a failed check is not cached as a pass
 
 
 class TestNextLevel:
@@ -163,6 +166,21 @@ class TestRunStream:
         for r in recs:
             assert r.level == pytest.approx(
                 table.coefficient(r.index) * 0.025, abs=1e-15)
+
+    def test_long_stream_swaps_tables(self):
+        cfg = default_config(ProcedureKind.LORDPP, alpha=0.05)
+        state = make_stream(cfg, length_hint=4)
+        start = state.table
+        recs = run_stream(cfg, [1.0] * 5000, state=state)
+        gamma = build_table(cfg.sequence, length_hint=5000)
+        assert recs[-1].index == 5000
+        assert recs[-1].level == cfg.w0 * gamma.coefficient(5000)
+        # the cached table the stream started from is unchanged
+        assert state.table is not start
+        assert make_stream(cfg, length_hint=4).table is start
+        assert len(start) == 1024
+        assert not start.coefficients.flags.writeable
+        assert not start.cumulative.flags.writeable
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_equals_fold_of_observe(self, kind):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from onfdr import scenarios
 from onfdr.procedures import ProcedureKind, default_config
 from onfdr.scenarios import (
     KIDNEY_REALISATIONS,
@@ -20,6 +21,7 @@ from onfdr.scenarios import (
     gen_mixture,
     gen_platform,
     kidney_pvalues,
+    worker_count,
 )
 from onfdr.stattests import TwoByTwoTable, fisher_exact_greater
 
@@ -188,6 +190,31 @@ class TestEstimate:
                 os.environ["ONFDR_THREADS"] = old
         assert serial == parallel
 
+    def test_pool_capped_at_chunks(self, monkeypatch):
+        class RecordingPool:
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("ONFDR_THREADS", "16")
+        sc = MixtureScenario(N=20, pi1=0.2, rho=0.5)
+        cfg = default_config(ProcedureKind.LOND_INDEP, alpha=0.05)
+        pooled = estimate(cfg, sc, reps=64, seed=3)   # two chunks of 32
+        assert RecordingPool.sizes == [2]
+        monkeypatch.setenv("ONFDR_THREADS", "1")
+        assert estimate(cfg, sc, reps=64, seed=3) == pooled
+
     def test_global_null(self):
         sc = MixtureScenario(N=100, pi1=0.0, rho=0.5)
         cfg = default_config(ProcedureKind.LORDPP, alpha=0.05)
@@ -210,6 +237,18 @@ class TestEstimate:
         res = estimate_many([("bh", "bh"), ("adj", "bh-adjusted")],
                             sc, reps=40, seed=2)
         assert res[0].power >= res[1].power  # adjusted BH is more conservative
+
+    @pytest.mark.parametrize("value,expected", [("3", 3), (" 2 ", 2),
+                                                ("64", 64)])
+    def test_worker_count_from_env(self, monkeypatch, value, expected):
+        monkeypatch.setenv("ONFDR_THREADS", value)
+        assert worker_count() == expected
+
+    @pytest.mark.parametrize("value", ["", "abc", "0", "-2", "1.5", "2x"])
+    def test_worker_count_rejects_bad_env(self, monkeypatch, value):
+        monkeypatch.setenv("ONFDR_THREADS", value)
+        with pytest.raises(ValueError, match="ONFDR_THREADS"):
+            worker_count()
 
     def test_rejects_bad_reps(self):
         sc = MixtureScenario(N=10, pi1=0.1)

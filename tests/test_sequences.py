@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from onfdr.sequences import (
     SequenceError,
     SequenceKind,
     SequenceSpec,
+    SequenceTable,
     build_table,
     gamma_jm,
     rebound,
@@ -103,10 +105,16 @@ class TestBuildTable:
 
     def test_lazy_extension(self):
         spec = SequenceSpec(SequenceKind.INVERSE_SQUARE, Normalization.SUM_ONE)
-        table = build_table(spec, length_hint=4)
+        table = build_table(spec, length_hint=5000)
         assert table.coefficient(5000) == pytest.approx(
             (6 / math.pi**2) / 5000**2, rel=1e-12)
-        assert len(table) >= 5000
+        short = build_table(spec, length_hint=4)
+        with pytest.raises(SequenceError, match="materialized"):
+            short.coefficient(5000)
+        longer = short.extended(5000)
+        assert len(short) == 4 and len(longer) == 5000
+        assert np.array_equal(longer.coefficients, table.coefficients)
+        assert longer.scale_constant == short.scale_constant
 
     def test_bounded_extension_refused(self):
         spec = SequenceSpec(SequenceKind.UNIFORM, Normalization.SUM_ONE, bound=5)
@@ -125,6 +133,61 @@ class TestBuildTable:
             partials = [table.constraint_sum(upto=n) for n in (1, 10, 100, 2000)]
             assert all(a < b for a, b in zip(partials, partials[1:]))
             assert partials[-1] <= budget + 1e-10
+
+
+class TestImmutableTable:
+    def table(self, length_hint=16):
+        spec = SequenceSpec(SequenceKind.JM_OPTIMAL, Normalization.SUM_ONE)
+        return build_table(spec, length_hint=length_hint)
+
+    def test_arrays_read_only(self):
+        table = self.table()
+        for arr in (table.coefficients, table.cumulative, table.head(4)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_fields_frozen(self):
+        table = self.table()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.coefficients = np.zeros(16)
+
+    def test_constructor_copies(self):
+        coeffs = np.full(3, 0.1)
+        table = SequenceTable(
+            spec=SequenceSpec(SequenceKind.UNIFORM, Normalization.SUM_ONE, bound=3),
+            scale_constant=0.1, coefficients=coeffs, cumulative=np.cumsum(coeffs))
+        coeffs[0] = 9.0
+        assert table.coefficient(1) == 0.1 and coeffs.flags.writeable
+
+    def test_reads_past_prefix_raise(self):
+        table = self.table()
+        for read in (table.coefficient, table.head, table.cumulative_sum):
+            with pytest.raises(SequenceError):
+                read(17)
+
+    def test_extended_grows_by_doubling(self):
+        table = self.table()
+        assert table.extended(16) is table
+        longer = table.extended(17)
+        assert len(longer) == 32 and len(table) == 16
+        assert np.array_equal(longer.coefficients,
+                              self.table(32).coefficients)
+        assert np.array_equal(longer.cumulative[:16], table.cumulative)
+
+    def test_bounded_table_does_not_extend(self):
+        spec = SequenceSpec(SequenceKind.UNIFORM, Normalization.SUM_ONE, bound=5)
+        with pytest.raises(SequenceError, match="bounded horizon"):
+            build_table(spec).extended(6)
+
+    def test_sums_past_prefix_leave_table_alone(self):
+        table = self.table()
+        assert table.constraint_sum(upto=100) == pytest.approx(
+            float(np.sum(self.table(100).coefficients)), rel=1e-15)
+        spec = xi_spec(SequenceKind.LOG_POWER, shape_param=3.0)
+        xi = build_table(spec)
+        assert validate_xi(xi, spec.w0, spec.b0, spec.alpha)
+        assert len(table) == 16 and len(xi) == 1024
 
 
 class TestSpecValidation:
