@@ -6,10 +6,12 @@ from .baselines import BatchResult, MetricsAccumulator, bh, bh_adjusted, \
 from .procedures import (
     ConfigError,
     DecisionRecord,
+    Decisions,
     HorizonExhaustedError,
     ProcedureConfig,
     ProcedureKind,
     StreamState,
+    decide,
     default_config,
     default_sequence,
     limit_level,

@@ -20,11 +20,20 @@ class BatchResult:
     def n_rejected(self) -> int:
         return len(self.rejected_indices)
 
+    def mask(self, n: int) -> np.ndarray:
+        """Rejection flags of hypotheses 1..n as a boolean array."""
+        flags = np.zeros(n, dtype=bool)
+        flags[np.fromiter(self.rejected_indices, np.intp,
+                          self.n_rejected) - 1] = True
+        return flags
+
 
 def _pvalue_array(pvalues) -> np.ndarray:
     """``pvalues`` as a float array; NaN or a value outside [0, 1] raises
     ValueError, as it does in the online rules' ``observe``."""
-    p = np.asarray(list(pvalues), dtype=float)
+    if not isinstance(pvalues, np.ndarray):
+        pvalues = list(pvalues)
+    p = np.asarray(pvalues, dtype=float)
     valid = (p >= 0) & (p <= 1)   # False for NaN
     if not valid.all():
         k = int(np.argmin(valid))
@@ -116,21 +125,26 @@ class MetricsAccumulator:
         return self._mean_se(self.powers)[1]
 
 
+def _flags(values) -> np.ndarray:
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    return np.asarray(values, dtype=bool)
+
+
 def score(decisions, truth) -> tuple[float, float | None]:
     """False discovery proportion and power of one batch of decisions.
 
     FDP is V / max(R, 1); power is the fraction of non-null hypotheses
-    rejected, or None when there are no non-nulls.
+    rejected, or None when there are no non-nulls.  Both arguments may be
+    boolean arrays or sequences of truth values.
     """
-    decisions = list(decisions)
-    truth = list(truth)
-    if len(decisions) != len(truth):
+    decisions, truth = _flags(decisions), _flags(truth)
+    if decisions.shape != truth.shape:
         raise ValueError("decisions and truth must have equal length")
-    r = sum(bool(d) for d in decisions)
-    v = sum(1 for d, t in zip(decisions, truth) if d and not t)
-    m1 = sum(bool(t) for t in truth)
+    r = int(np.count_nonzero(decisions))
+    v = int(np.count_nonzero(decisions & ~truth))
+    m1 = int(np.count_nonzero(truth))
     fdp = v / max(r, 1)
     if m1 == 0:
         return fdp, None
-    tp = sum(1 for d, t in zip(decisions, truth) if d and t)
-    return fdp, tp / m1
+    return fdp, (r - v) / m1

@@ -33,6 +33,7 @@ from .scenarios import (
     PlatformTrialScenario,
     estimate_many,
     eval_kidney,
+    worker_count,
 )
 from .sequences import Normalization, SequenceError, SequenceKind, SequenceSpec, \
     build_table
@@ -106,34 +107,35 @@ def cmd_run(args) -> int:
     except OSError as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
     columns = ["id", "index", "pvalue", "alpha_i", "rejected", "wealth"]
-    with infile as fh, _csv_out(args.output, columns) as writer:
+    with infile as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["id", "pvalue"]:
             return _fail(EXIT_BAD_INPUT, "input must start with header 'id,pvalue'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                return _fail(EXIT_BAD_INPUT, f"line {lineno}: expected id,pvalue")
-            try:
-                p = float(row[1])
-            except ValueError:
-                return _fail(EXIT_BAD_INPUT,
-                             f"line {lineno}: unparseable p-value {row[1]!r}")
-            try:
-                if rebound_at is not None and state.i == rebound_at:
-                    rebound_stream(state, config, rebound_to)
-                rec = observe(state, p, config)
-            except ConfigError as exc:
-                return _fail(EXIT_BAD_CONFIG, str(exc))
-            except ValueError as exc:
-                return _fail(EXIT_BAD_INPUT, f"line {lineno}: {exc}")
-            except HorizonExhaustedError as exc:
-                return _fail(EXIT_BAD_CONFIG, f"line {lineno}: {exc}")
-            wealth = "" if rec.wealth_after is None else repr(rec.wealth_after)
-            writer.writerow([row[0], rec.index, repr(rec.p), repr(rec.level),
-                             "true" if rec.rejected else "false", wealth])
+        with _csv_out(args.output, columns) as writer:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) < 2:
+                    return _fail(EXIT_BAD_INPUT, f"line {lineno}: expected id,pvalue")
+                try:
+                    p = float(row[1])
+                except ValueError:
+                    return _fail(EXIT_BAD_INPUT,
+                                 f"line {lineno}: unparseable p-value {row[1]!r}")
+                try:
+                    if rebound_at is not None and state.i == rebound_at:
+                        rebound_stream(state, config, rebound_to)
+                    rec = observe(state, p, config)
+                except ConfigError as exc:
+                    return _fail(EXIT_BAD_CONFIG, str(exc))
+                except ValueError as exc:
+                    return _fail(EXIT_BAD_INPUT, f"line {lineno}: {exc}")
+                except HorizonExhaustedError as exc:
+                    return _fail(EXIT_BAD_CONFIG, f"line {lineno}: {exc}")
+                wealth = "" if rec.wealth_after is None else repr(rec.wealth_after)
+                writer.writerow([row[0], rec.index, repr(rec.p), repr(rec.level),
+                                 "true" if rec.rejected else "false", wealth])
     return EXIT_OK
 
 
@@ -152,27 +154,33 @@ def cmd_simulate(args) -> int:
     if unknown:
         return _fail(EXIT_BAD_CONFIG, f"unknown procedures: {', '.join(unknown)}")
 
-    columns = ["scenario", "procedure", "pi1", "N", "reps",
-               "fdr", "fdr_se", "power", "power_se", "seed"]
-    with _csv_out(args.output, columns) as writer:
-        try:
-            bound = args.n if args.bounded else None
-            procs = []
-            for name in proc_names:
-                if name in ("bh", "bh-adjusted", "uncorrected"):
-                    procs.append((name, name))
-                else:
-                    label = f"{name}-bounded" if args.bounded else name
-                    procs.append((label, default_config(
-                        ProcedureKind(name), alpha=args.alpha, bound=bound)))
-            for pi1 in pi1_grid:
-                if args.scenario == "platform":
-                    scenario = PlatformTrialScenario(K=args.n, pi=pi1,
-                                                     alpha=args.alpha)
-                else:
-                    scenario = MixtureScenario(
-                        N=args.n, pi1=pi1, rho=args.rho,
-                        alternative=MixtureAlternative(args.scenario))
+    # everything that can be refused is built before the header is written
+    try:
+        bound = args.n if args.bounded else None
+        procs = []
+        for name in proc_names:
+            if name in ("bh", "bh-adjusted", "uncorrected"):
+                procs.append((name, name))
+            else:
+                label = f"{name}-bounded" if args.bounded else name
+                procs.append((label, default_config(
+                    ProcedureKind(name), alpha=args.alpha, bound=bound)))
+        scenarios = []
+        for pi1 in pi1_grid:
+            if args.scenario == "platform":
+                scenarios.append(PlatformTrialScenario(K=args.n, pi=pi1,
+                                                       alpha=args.alpha))
+            else:
+                scenarios.append(MixtureScenario(
+                    N=args.n, pi1=pi1, rho=args.rho,
+                    alternative=MixtureAlternative(args.scenario)))
+        worker_count()
+        if args.reps < 1:
+            raise ValueError("reps must be >= 1")
+        columns = ["scenario", "procedure", "pi1", "N", "reps",
+                   "fdr", "fdr_se", "power", "power_se", "seed"]
+        with _csv_out(args.output, columns) as writer:
+            for pi1, scenario in zip(pi1_grid, scenarios):
                 for res in estimate_many(procs, scenario, args.reps, args.seed):
                     writer.writerow([
                         args.scenario, res.label, pi1, args.n, args.reps,
@@ -181,8 +189,8 @@ def cmd_simulate(args) -> int:
                         "" if res.power_se is None else repr(res.power_se),
                         args.seed,
                     ])
-        except (ConfigError, SequenceError, ValueError) as exc:
-            return _fail(EXIT_BAD_CONFIG, str(exc))
+    except (ConfigError, SequenceError, ValueError) as exc:
+        return _fail(EXIT_BAD_CONFIG, str(exc))
     return EXIT_OK
 
 
@@ -203,9 +211,12 @@ def cmd_sequence(args) -> int:
 
 def cmd_kidney(args) -> int:
     scenario = KidneyTrialScenario(alpha=args.alpha)
+    counts = args.y0 is not None or args.y is not None
+    if args.scenario is not None and counts:
+        return _fail(EXIT_BAD_CONFIG, "--scenario excludes --y0 and --y")
     if args.scenario is not None:
         realisations = {args.scenario: KIDNEY_REALISATIONS[args.scenario]}
-    elif args.y0 is not None or args.y is not None:
+    elif counts:
         if args.y0 is None or args.y is None:
             return _fail(EXIT_BAD_CONFIG, "--y0 and --y must be given together")
         try:
@@ -216,14 +227,15 @@ def cmd_kidney(args) -> int:
     else:
         realisations = dict(KIDNEY_REALISATIONS)
 
+    try:
+        results = {label: eval_kidney(scenario, y0, y, procedures=KIDNEY_PROCEDURES)
+                   for label, (y0, y) in realisations.items()}
+    except (ConfigError, ValueError) as exc:
+        return _fail(EXIT_BAD_CONFIG, str(exc))
     with _csv_out(args.output, ["scenario", "procedure", "fdr", "power"]) as writer:
-        try:
-            for label, (y0, y) in realisations.items():
-                cells = eval_kidney(scenario, y0, y, procedures=KIDNEY_PROCEDURES)
-                for name, cell in cells.items():
-                    writer.writerow([label, name, cell.fdr, cell.power])
-        except (ConfigError, ValueError) as exc:
-            return _fail(EXIT_BAD_CONFIG, str(exc))
+        for label, cells in results.items():
+            for name, cell in cells.items():
+                writer.writerow([label, name, cell.fdr, cell.power])
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -338,6 +339,163 @@ def run_stream(config: ProcedureConfig, pvalues, length_hint: int | None = None,
         except (ValueError, HorizonExhaustedError) as exc:
             raise type(exc)(f"at stream index {state.i + 1}: {exc}") from exc
     return records
+
+
+class Decisions(NamedTuple):
+    """Levels, rejection flags and (LORD3, dependent LORD) wealth after
+    each test of one stream, as arrays."""
+
+    levels: np.ndarray
+    rejected: np.ndarray
+    wealth: np.ndarray | None
+
+
+def _checked_pvalues(pvalues, bound: int | None) -> np.ndarray:
+    """``pvalues`` as a float array; the first bad value or the first index
+    past ``bound`` raises what :func:`run_stream` raises there."""
+    if not isinstance(pvalues, np.ndarray):
+        pvalues = list(pvalues)
+    p = np.asarray(pvalues)
+    if p.dtype.kind not in "biuf":   # strings, None, mixed objects
+        p = np.array([v if isinstance(v, (int, float)) else np.nan
+                      for v in pvalues])
+    if p.ndim != 1:
+        raise ValueError("p-values must form a one-dimensional sequence")
+    p = p.astype(np.float64, copy=False)
+    valid = (p >= 0.0) & (p <= 1.0)   # False for NaN
+    stop = len(p) if bound is None else min(len(p), bound + 1)
+    if not valid[:stop].all():
+        i = int(np.argmin(valid)) + 1
+        raise ValueError(f"at stream index {i}: p-value must lie in [0, 1], "
+                         f"got {pvalues[i - 1]!r}")
+    if stop < len(p):
+        raise HorizonExhaustedError(
+            f"at stream index {stop}: horizon N={bound} exhausted at index "
+            f"{stop}; rebound to continue")
+    return p
+
+
+def _scan(p: np.ndarray, fill, on_discovery):
+    """Levels and rejections of a stream whose levels change only at
+    discoveries: ``fill(s, out)`` writes the levels of hypotheses ``s..``
+    (0-based) under the discoveries so far into ``out``, the first
+    ``p <= level`` among them is the next discovery, and
+    ``on_discovery(t, levels)`` records it."""
+    n = len(p)
+    levels = np.empty(n)
+    start = 0
+    while start < n:
+        fill(start, levels[start:])
+        hits = p[start:] <= levels[start:]
+        k = int(hits.argmax())
+        if not hits[k]:
+            break
+        on_discovery(start + k, levels)
+        start += k + 1
+    return levels, np.less_equal(p, levels)
+
+
+def decide(config: ProcedureConfig, pvalues) -> Decisions:
+    """Every decision of one stream at once, equal to folding :func:`observe`
+    over ``pvalues`` from a fresh stream.
+
+    Between two discoveries every rule's levels are a closed-form vector, so
+    the work is one vector search per discovery instead of one ``observe``
+    call per hypothesis.  Decisions and wealth equal the fold's; payout
+    levels (LORD2, LORD++, SAFFRON) after 24 or more discoveries are summed
+    in another order and agree to rounding.  Use it when the whole batch is
+    known; use :func:`observe` for a true stream or to rebound.
+    """
+    _check_config(config)
+    spec = config.sequence
+    p = _checked_pvalues(pvalues, spec.bound)
+    n = len(p)
+    gamma = _cached_table(spec, max(n, 1)).coefficients[:n]
+    kind = config.kind
+
+    if kind is ProcedureKind.BONFERRONI:
+        levels = gamma * config.alpha \
+            if spec.normalization is Normalization.SUM_ONE else gamma.copy()
+        return Decisions(levels, p <= levels, None)
+
+    if kind in _LOND_KINDS:
+        beta = gamma
+        if kind is ProcedureKind.LOND_DEP:
+            # add.accumulate is sequential: the fold's running harmonic sum
+            beta = gamma / np.cumsum(1.0 / np.arange(1, n + 1))
+        found = 0
+
+        def lond_fill(s, out):
+            mult = max(found, 1) if config.lond_original else found + 1
+            np.multiply(beta[s:], mult, out=out)
+
+        def lond_found(t, levels):
+            nonlocal found
+            found += 1
+
+        return Decisions(*_scan(p, lond_fill, lond_found), None)
+
+    if kind in _WEALTH_KINDS:
+        # levels gamma_{i - tau} W(tau) (LORD3) or xi_i W(tau) (dependent
+        # LORD), W(tau) the wealth after the last discovery tau; run[i + 1]
+        # is the wealth after hypothesis i, spent by the sequential fold
+        run = np.empty(n + 1)
+        run[0] = config.w0
+        segment = 0   # first hypothesis after the last discovery
+
+        def spend(t, levels):
+            s = segment
+            run[s + 1:t + 2] = levels[s:t + 1]
+            np.subtract.accumulate(run[s:t + 2], out=run[s:t + 2])
+
+        def wealth_fill(s, out):
+            shift = s if kind is ProcedureKind.LORD3 else 0
+            np.multiply(gamma[s - shift:n - shift], float(run[s]), out=out)
+
+        def wealth_found(t, levels):
+            nonlocal segment
+            spend(t, levels)
+            run[t + 1] += config.b0
+            segment = t + 1
+
+        levels, rejected = _scan(p, wealth_fill, wealth_found)
+        spend(n - 1, levels)
+        return Decisions(levels, rejected, run[1:])
+
+    # LORD2, LORD++ and SAFFRON: w0 gamma(clock) plus payouts gamma shifted
+    # to each discovery; SAFFRON's clock skips candidates (p <= lambda)
+    index = np.arange(n)   # clock - 1
+    if kind is ProcedureKind.SAFFRON:
+        candidates = np.cumsum(p <= config.lam)
+        index[1:] -= candidates[:-1]
+        first, later = (1 - config.lam) * config.alpha - config.w0, \
+            (1 - config.lam) * config.alpha
+    elif kind is ProcedureKind.LORDPP:
+        first, later = config.alpha - config.w0, config.alpha
+    else:   # LORD2 pays b0 for every discovery, summed as one payout
+        first, later = None, config.b0
+    base = gamma[index] * config.w0
+    payout = np.zeros(n)
+
+    def payout_fill(s, out):
+        np.multiply(payout[s:], later, out=out)
+        np.add(base[s:], out, out=out)
+        if kind is ProcedureKind.SAFFRON:
+            np.minimum(out, config.lam, out=out)
+
+    def payout_found(t, levels):
+        nonlocal first
+        if kind is ProcedureKind.SAFFRON:
+            shifted = gamma[index[t + 1:] - (t + 1 - int(candidates[t]))]
+        else:
+            shifted = gamma[:n - t - 1]
+        if first is None:
+            payout[t + 1:] += shifted
+        else:   # the first discovery's payout joins the base term
+            base[t + 1:] += first * shifted
+            first = None
+
+    return Decisions(*_scan(p, payout_fill, payout_found), None)
 
 
 def rebound_stream(state: StreamState, config: ProcedureConfig,

@@ -20,8 +20,8 @@ from . import baselines
 from .procedures import (
     ProcedureConfig,
     ProcedureKind,
+    decide,
     default_config,
-    run_stream,
 )
 from .stattests import TwoByTwoTable, fisher_exact_greater, pvalue_one_sided, \
     pvalue_two_sided
@@ -243,22 +243,26 @@ def eval_kidney(scenario: KidneyTrialScenario, Y0: int, Y,
                 procedures=KIDNEY_PROCEDURES) -> dict[str, KidneyCell]:
     """Run the bounded procedures plus offline comparators on one realisation
     and score against the scenario's true effect signs."""
-    p = kidney_pvalues(scenario, Y0, Y)
-    truth = list(scenario.truth)
-    K, alpha = scenario.K, scenario.alpha
+    p = np.array(kidney_pvalues(scenario, Y0, Y))
+    truth = np.array(scenario.truth)
+    m1 = int(np.count_nonzero(truth))
     out: dict[str, KidneyCell] = {}
     for name in procedures:
-        if name in _OFFLINE:
-            res = _OFFLINE[name](p, alpha)
-            decisions = [j + 1 in res.rejected_indices for j in range(K)]
-        else:
-            kind = ProcedureKind(name)
-            config = default_config(kind, alpha=alpha, bound=K)
-            decisions = [r.rejected for r in run_stream(config, p)]
-        v = sum(1 for d, t in zip(decisions, truth) if d and not t)
-        tp = sum(1 for d, t in zip(decisions, truth) if d and t)
-        out[name] = KidneyCell(v, int(sum(decisions)), tp, sum(truth))
+        proc = name if name in _OFFLINE else default_config(
+            ProcedureKind(name), alpha=scenario.alpha, bound=scenario.K)
+        decisions = _decisions(proc, p, scenario.alpha)
+        r = int(np.count_nonzero(decisions))
+        v = int(np.count_nonzero(decisions & ~truth))
+        out[name] = KidneyCell(v, r, r - v, m1)
     return out
+
+
+def _decisions(proc, p: np.ndarray, alpha: float) -> np.ndarray:
+    """Rejection flags on ``p`` of a ProcedureConfig or of the offline rule
+    named ``proc``."""
+    if isinstance(proc, str):
+        return _OFFLINE[proc](p, alpha).mask(len(p))
+    return decide(proc, p).rejected
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +284,11 @@ class EstimateResult:
 
 def _one_replicate(scenario, procs, seed, rep):
     p, truth = _generate(scenario, np.random.SeedSequence((seed, rep)))
-    truth_list = truth.tolist()
     fdps = np.empty(len(procs))
     powers = np.full(len(procs), np.nan)
     for c, (label, proc) in enumerate(procs):
-        if isinstance(proc, str):
-            res = _OFFLINE[proc](p, _scenario_alpha(scenario))
-            decisions = [j + 1 in res.rejected_indices for j in range(len(p))]
-        else:
-            decisions = [r.rejected for r in run_stream(proc, p)]
-        fdp, power = baselines.score(decisions, truth_list)
+        decisions = _decisions(proc, p, _scenario_alpha(scenario))
+        fdp, power = baselines.score(decisions, truth)
         fdps[c] = fdp
         if power is not None:
             powers[c] = power

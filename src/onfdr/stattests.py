@@ -50,8 +50,19 @@ class TwoByTwoTable:
                 or self.a + self.c == 0 or self.b + self.d == 0)
 
 
-def _log_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+# log(m!) for m < len(_LOG_FACTORIAL); replaced by a longer list, never
+# changed in place, when a table needs more
+_LOG_FACTORIAL = [math.lgamma(m + 1) for m in range(256)]
+
+
+def _log_factorials(n: int) -> list[float]:
+    """A list of ``log(m!)`` for at least ``m = 0..n``."""
+    global _LOG_FACTORIAL
+    table = _LOG_FACTORIAL
+    if n >= len(table):
+        table = [math.lgamma(m + 1) for m in range(max(n + 1, 2 * len(table)))]
+        _LOG_FACTORIAL = table
+    return table
 
 
 def fisher_exact_greater(table: TwoByTwoTable) -> float:
@@ -71,10 +82,12 @@ def fisher_exact_greater(table: TwoByTwoTable) -> float:
         return 0.0
     if table.a <= lo:
         return 1.0
-    support = np.arange(table.a, hi + 1)
+    lf = _log_factorials(n)
+    log_total = lf[n] - lf[k] - lf[n - k]
     log_masses = np.array([
-        _log_binom(r1, x) + _log_binom(r2, k - x) - _log_binom(n, k)
-        for x in support
+        (lf[r1] - lf[x] - lf[r1 - x]) + (lf[r2] - lf[k - x] - lf[r2 - k + x])
+        - log_total
+        for x in range(table.a, hi + 1)
     ])
     shift = log_masses.max()
     p = math.exp(shift) * float(np.exp(log_masses - shift).sum())

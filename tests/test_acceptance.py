@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion.
 
 Criteria 4-6 share one seeded Monte Carlo grid (2000 replicates per cell)
-computed once per session; expect a few minutes of wall time.  Each test
+computed once per session; expect about a minute of wall time.  Each test
 prints a single PASS line; failures carry the criterion number in the
 message.
 """

@@ -149,6 +149,30 @@ class TestScore:
         shuffled = score([decisions[i] for i in perm], [truth[i] for i in perm])
         assert base == shuffled
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_arrays_equal_lists(self, data):
+        n = data.draw(st.integers(0, 40))
+        decisions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        truth = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        as_lists = score(decisions, truth)
+        assert score(np.array(decisions, dtype=bool),
+                     np.array(truth, dtype=bool)) == as_lists
+        assert score(iter(decisions), (t for t in truth)) == as_lists
+        v = sum(d and not t for d, t in zip(decisions, truth))
+        r, m1 = sum(decisions), sum(truth)
+        assert as_lists == (v / max(r, 1), (r - v) / m1 if m1 else None)
+
+
+class TestMask:
+    @settings(max_examples=100, deadline=None)
+    @given(p=grid_pvalues, rule=st.sampled_from([bh, bh_adjusted, uncorrected]))
+    def test_flags_the_rejected_indices(self, p, rule):
+        res = rule(p, 0.2)
+        mask = res.mask(len(p))
+        assert mask.dtype == bool and len(mask) == len(p)
+        assert set((np.flatnonzero(mask) + 1).tolist()) == res.rejected_indices
+
 
 class TestMetricsAccumulator:
     def test_running_means_and_ses(self):

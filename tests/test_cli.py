@@ -78,6 +78,23 @@ class TestRun:
         code, _, err = run_cli(capsys, ["run", "--input", str(path)])
         assert code == 2 and "header" in err
 
+    def test_malformed_header_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("identifier,p\nh1,0.2\n")
+        out_path = tmp_path / "out.csv"
+        code, out, _ = run_cli(capsys, ["run", "--input", str(path)])
+        assert code == 2 and out == ""
+        code, _, _ = run_cli(capsys, ["run", "--input", str(path),
+                                      "--output", str(out_path)])
+        assert code == 2 and not out_path.exists()
+
+    def test_bad_pvalue_keeps_rows_already_written(self, tmp_path, capsys):
+        path = write_pvalues(tmp_path, [("h1", 0.5), ("h2", 0.2), ("h3", 1.7)])
+        code, out, err = run_cli(capsys, ["run", "--input", path])
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 2 and "line 4" in err
+        assert [r["id"] for r in rows] == ["h1", "h2"]
+
     def test_unparseable_pvalue_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("id,pvalue\nh1,hello\n")
@@ -176,6 +193,18 @@ class TestKidney:
         code, out, err = run_cli(capsys, ["kidney"] + argv)
         assert code == 3 and out == "" and "--y0 and --y" in err
 
+    def test_scenario_excludes_counts(self, capsys):
+        code, out, err = run_cli(capsys, ["kidney", "--scenario", "3",
+                                          "--y0", "13",
+                                          "--y", "5,13,10,15,10,15,5,11,5,3"])
+        assert code == 3 and out == "" and "--scenario" in err
+
+    @pytest.mark.parametrize("argv", [["--y0", "64", "--y", "0,0,0,0,0,0,0,0,0,0"],
+                                      ["--alpha", "1.5"]])
+    def test_refused_analysis_writes_nothing(self, capsys, argv):
+        code, out, _ = run_cli(capsys, ["kidney"] + argv)
+        assert code == 3 and out == ""
+
     def test_all_five_by_default(self, capsys):
         code, out, _ = run_cli(capsys, ["kidney"])
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -225,6 +254,19 @@ class TestSimulate:
             "--pi1-grid", "0.2", "--reps", "10", "--seed", "1",
             "--procedures", "lond"])
         assert code == 3 and "ONFDR_THREADS" in err
+
+    @pytest.mark.parametrize("extra,threads", [
+        (["--alpha", "1.5"], None), (["--rho", "1.5"], None),
+        (["--reps", "0"], None), ([], "0")])
+    def test_refused_run_writes_nothing(self, capsys, monkeypatch, extra,
+                                        threads):
+        if threads is not None:
+            monkeypatch.setenv("ONFDR_THREADS", threads)
+        code, out, _ = run_cli(capsys, [
+            "simulate", "--scenario", "gaussian", "--n", "10",
+            "--pi1-grid", "0.2", "--reps", "10", "--seed", "1",
+            "--procedures", "lond"] + extra)
+        assert code == 3 and out == ""
 
     def test_unknown_procedure_exits_3(self, capsys):
         code, _, err = run_cli(capsys, [

@@ -10,6 +10,7 @@ from onfdr.procedures import (
     HorizonExhaustedError,
     ProcedureConfig,
     ProcedureKind,
+    decide,
     default_config,
     default_sequence,
     limit_level,
@@ -379,3 +380,133 @@ class TestStateInvariants:
         assert times == sorted(set(times))
         assert state.discoveries == len(times)
         assert all(1 <= t <= state.i for t in times)
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel against the fold of observe
+# ---------------------------------------------------------------------------
+
+LAMBDAS = (0.2, 0.5, 0.8)
+
+
+@st.composite
+def kernel_configs(draw, bounded):
+    """A config of any kind with drawn parameters (few distinct sequences,
+    so cached tables are reused); ``bounded`` is the horizon or None."""
+    kind = draw(st.sampled_from(ALL_KINDS))
+    alpha = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    share = draw(st.sampled_from([0.0, 0.25, 0.5, 0.9]))
+    if kind in (ProcedureKind.LORD2, ProcedureKind.LORD3):
+        w0 = share * alpha
+        b0 = draw(st.sampled_from([0.3, 1.0])) * (alpha - w0)
+        return default_config(kind, alpha=alpha, bound=bounded, w0=w0, b0=b0)
+    if kind is ProcedureKind.LORD_DEP:
+        w0, b0 = share * alpha, draw(st.sampled_from([0.5, 1.0])) * alpha
+        if bounded is None:
+            shape = dict(kind=SequenceKind.LOG_POWER, shape_param=3.0)
+        else:
+            shape = dict(kind=SequenceKind.CONSTANT_BOUNDED, bound=bounded)
+        spec = SequenceSpec(normalization=Normalization.XI_WEIGHTED,
+                            alpha=alpha, w0=w0, b0=b0, **shape)
+        return ProcedureConfig(kind=kind, alpha=alpha, w0=w0, b0=b0, sequence=spec)
+    if kind is ProcedureKind.LORDPP:
+        return default_config(kind, alpha=alpha, bound=bounded, w0=share * alpha)
+    if kind is ProcedureKind.SAFFRON:
+        lam = draw(st.sampled_from(LAMBDAS))
+        return default_config(kind, alpha=alpha, bound=bounded, lam=lam,
+                              w0=share * (1 - lam) * alpha)
+    if kind in (ProcedureKind.LOND_INDEP, ProcedureKind.LOND_DEP):
+        return default_config(kind, alpha=alpha, bound=bounded,
+                              lond_original=draw(st.booleans()))
+    if draw(st.booleans()):   # Bonferroni on a sum-one sequence: alpha * gamma
+        spec = SequenceSpec(SequenceKind.JM_OPTIMAL, Normalization.SUM_ONE,
+                            bound=bounded)
+        return default_config(kind, alpha=alpha, sequence=spec)
+    return default_config(kind, alpha=alpha, bound=bounded)
+
+
+kernel_pvalues = st.lists(
+    st.one_of(st.sampled_from((0.0, 1.0) + LAMBDAS),
+              st.floats(0.0, 1e-3), st.floats(0.0, 1.0)),
+    min_size=0, max_size=200)
+
+
+def assert_kernel_equals_fold(cfg, p):
+    recs = run_stream(cfg, p)
+    got = decide(cfg, np.asarray(p, dtype=float))
+    assert got.rejected.tolist() == [r.rejected for r in recs]
+    assert np.allclose(got.levels, [r.level for r in recs], rtol=1e-12, atol=0)
+    if cfg.kind in (ProcedureKind.LORD3, ProcedureKind.LORD_DEP):
+        assert got.wealth.tolist() == [r.wealth_after for r in recs]
+    else:
+        assert got.wealth is None
+
+
+def raised(fn, *args):
+    with pytest.raises((ValueError, HorizonExhaustedError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestDecide:
+    @settings(max_examples=150, deadline=None)
+    @given(p=kernel_pvalues, data=st.data())
+    def test_equals_fold_of_observe(self, p, data):
+        bound = data.draw(st.one_of(st.none(),
+                                    st.integers(max(len(p), 1), len(p) + 5)),
+                          label="bound")
+        assert_kernel_equals_fold(data.draw(kernel_configs(bound)), p)
+
+    @settings(max_examples=16, deadline=None)
+    @given(data=st.data(), n=st.integers(1025, 2500),
+           seed=st.integers(0, 2**32 - 1), pi1=st.sampled_from([0.05, 0.3]))
+    def test_long_unbounded_streams(self, data, n, seed, pi1):
+        # past the 1024 cached terms the stream and the kernel both need a
+        # longer table
+        rng = np.random.default_rng(seed)
+        p = np.where(rng.random(n) < pi1, rng.random(n) * 1e-3, rng.random(n))
+        assert_kernel_equals_fold(data.draw(kernel_configs(None)), p.tolist())
+
+    def test_many_discoveries_reorder_payout_sums(self):
+        # more than 24 discoveries: the fold sums payouts pairwise, the
+        # kernel in discovery order; decisions still agree exactly
+        p = [0.0] * 40 + [1e-4, 0.3, 2e-3] * 100
+        for kind in (ProcedureKind.LORD2, ProcedureKind.LORDPP,
+                     ProcedureKind.SAFFRON):
+            assert_kernel_equals_fold(default_config(kind, alpha=0.05), p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30),
+           bad=st.sampled_from([float("nan"), -0.5, 1.5, "0.5", None]),
+           as_array=st.booleans())
+    def test_bad_pvalue_raises_as_run_stream(self, data, n, bad, as_array):
+        k = data.draw(st.integers(0, n - 1), label="k")
+        bound = data.draw(st.one_of(st.none(), st.integers(1, n + 2)),
+                          label="bound")
+        cfg = data.draw(kernel_configs(bound))
+        p = [0.01 * j for j in range(n)]
+        p[k] = bad
+        if as_array and isinstance(bad, float):
+            p = np.array(p)
+        want = raised(run_stream, cfg, p)
+        assert raised(decide, cfg, p) == want
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_past_the_horizon_raises_as_run_stream(self, kind):
+        cfg = default_config(kind, alpha=0.05, bound=5)
+        p = [0.5] * 7
+        want = raised(run_stream, cfg, p)
+        assert want[0] is HorizonExhaustedError
+        assert raised(decide, cfg, p) == want
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_empty_stream(self, kind):
+        got = decide(default_config(kind, alpha=0.05), [])
+        assert len(got.levels) == len(got.rejected) == 0
+
+    def test_rejected_config_raises(self):
+        seq = default_sequence(ProcedureKind.LORD_DEP, alpha=0.05)
+        cfg = ProcedureConfig(kind=ProcedureKind.LORD_DEP, alpha=0.05,
+                              w0=0.01, b0=0.04, sequence=seq)
+        with pytest.raises(ConfigError, match="budget inequality"):
+            decide(cfg, [0.5])
