@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: ``run`` (stream a CSV of p-values through one procedure),
+Subcommands: ``run`` (stream a CSV of p-values through one procedure, in
+chunks of ``CHUNK_ROWS`` records),
 ``simulate`` (Monte Carlo grids), ``sequence`` (dump a coefficient table)
 and ``kidney`` (binary-endpoint platform realisations).  Data goes to
 stdout or ``--output``; diagnostics go to stderr.  Exit codes: 0 success,
@@ -12,13 +13,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import sys
+
+import numpy as np
 
 from .procedures import (
     ConfigError,
     HorizonExhaustedError,
     ProcedureConfig,
     ProcedureKind,
+    decide,
     default_config,
     make_stream,
     observe,
@@ -87,6 +92,78 @@ def _procedure_config(args) -> ProcedureConfig:
     return default_config(kind, alpha=args.alpha, bound=args.bound, **overrides)
 
 
+# CSV records read, decided and written at a time by ``onfdr run``
+CHUNK_ROWS = 8192
+
+
+def _parse_rows(rows, first_line: int):
+    """Ids, p-values and line numbers of ``rows`` up to the first malformed
+    one, and that line's failure (exit code and message) or None."""
+    ids, pvalues, lines = [], [], []
+    for lineno, row in enumerate(rows, start=first_line):
+        if not row:
+            continue
+        if len(row) < 2:
+            return ids, pvalues, lines, (EXIT_BAD_INPUT,
+                                         f"line {lineno}: expected id,pvalue")
+        try:
+            pvalues.append(float(row[1]))
+        except ValueError:
+            return ids, pvalues, lines, (
+                EXIT_BAD_INPUT, f"line {lineno}: unparseable p-value {row[1]!r}")
+        ids.append(row[0])
+        lines.append(lineno)
+    return ids, pvalues, lines, None
+
+
+def _decide_rows(state, config, pvalues, lines, rebound_at, rebound_to):
+    """Decide ``pvalues`` on ``state`` through :func:`decide`, in as few
+    calls as the rebound after ``rebound_at`` hypotheses, the horizon and
+    the first bad p-value allow.  Returns the decisions made and the
+    failure (exit code and message) that stopped the rows after them, or
+    None."""
+    p = np.array(pvalues, dtype=np.float64)
+    valid = (p >= 0.0) & (p <= 1.0)   # False for NaN
+    good = len(p) if valid.all() else int(valid.argmin())
+    runs, done = [], 0
+    try:
+        while done < len(p):
+            if state.i == rebound_at:
+                rebound_stream(state, config, rebound_to)
+            stop = good
+            if rebound_at is not None and state.i < rebound_at:
+                stop = min(stop, done + rebound_at - state.i)
+            if state.bound is not None:
+                stop = min(stop, done + state.bound - state.i)
+            if stop == done:
+                # out of range or past the horizon: the fold's step raises
+                # its error for this row
+                observe(state, pvalues[done], config)
+            runs.append(decide(config, p[done:stop], state))
+            done = stop
+    except ConfigError as exc:
+        return runs, (EXIT_BAD_CONFIG, str(exc))
+    except ValueError as exc:
+        return runs, (EXIT_BAD_INPUT, f"line {lines[done]}: {exc}")
+    except HorizonExhaustedError as exc:
+        return runs, (EXIT_BAD_CONFIG, f"line {lines[done]}: {exc}")
+    return runs, None
+
+
+def _write_rows(writer, ids, first: int, pvalues, runs) -> None:
+    """One CSV row per decision in ``runs``, indexed from ``first``."""
+    if not runs:
+        return
+    # csv writes a Python float as its repr
+    levels = np.concatenate([r.levels for r in runs]).tolist()
+    flags = ["true" if f else "false"
+             for f in np.concatenate([r.rejected for r in runs]).tolist()]
+    wealth = [""] * len(levels) if runs[0].wealth is None else \
+        np.concatenate([r.wealth for r in runs]).tolist()
+    writer.writerows(zip(ids, range(first, first + len(levels)), pvalues,
+                         levels, flags, wealth))
+
+
 def cmd_run(args) -> int:
     try:
         config = _procedure_config(args)
@@ -113,29 +190,17 @@ def cmd_run(args) -> int:
         if header is None or [h.strip() for h in header[:2]] != ["id", "pvalue"]:
             return _fail(EXIT_BAD_INPUT, "input must start with header 'id,pvalue'")
         with _csv_out(args.output, columns) as writer:
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) < 2:
-                    return _fail(EXIT_BAD_INPUT, f"line {lineno}: expected id,pvalue")
-                try:
-                    p = float(row[1])
-                except ValueError:
-                    return _fail(EXIT_BAD_INPUT,
-                                 f"line {lineno}: unparseable p-value {row[1]!r}")
-                try:
-                    if rebound_at is not None and state.i == rebound_at:
-                        rebound_stream(state, config, rebound_to)
-                    rec = observe(state, p, config)
-                except ConfigError as exc:
-                    return _fail(EXIT_BAD_CONFIG, str(exc))
-                except ValueError as exc:
-                    return _fail(EXIT_BAD_INPUT, f"line {lineno}: {exc}")
-                except HorizonExhaustedError as exc:
-                    return _fail(EXIT_BAD_CONFIG, f"line {lineno}: {exc}")
-                wealth = "" if rec.wealth_after is None else repr(rec.wealth_after)
-                writer.writerow([row[0], rec.index, repr(rec.p), repr(rec.level),
-                                 "true" if rec.rejected else "false", wealth])
+            lineno = 2
+            while rows := list(itertools.islice(reader, CHUNK_ROWS)):
+                ids, pvalues, lines, bad_line = _parse_rows(rows, lineno)
+                lineno += len(rows)
+                first = state.i + 1
+                runs, failure = _decide_rows(state, config, pvalues, lines,
+                                             rebound_at, rebound_to)
+                _write_rows(writer, ids, first, pvalues, runs)
+                failure = failure or bad_line   # the earlier line first
+                if failure is not None:
+                    return _fail(*failure)
     return EXIT_OK
 
 

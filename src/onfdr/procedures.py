@@ -5,6 +5,11 @@ Every procedure is driven through the same three operations:
 :class:`ProcedureConfig`, ``next_level`` computes the upcoming test level
 without mutating the state, and ``observe`` consumes one p-value.  A stream
 is strictly sequential; distinct streams are independent.
+
+``decide`` consumes a run of p-values at once with one vector search per
+discovery, and equals the fold of ``observe`` over them.  Given a state it
+resumes that stream and advances it in place, so a long stream can be
+decided in chunks, with ``observe`` and ``rebound_stream`` between them.
 """
 
 from __future__ import annotations
@@ -122,16 +127,19 @@ class StreamState:
     def rejection_times(self) -> list[int]:
         return self._tau[: self.discoveries].tolist()
 
-    def _push_rejection(self, time: int, cand_count: int) -> None:
+    def _push_rejections(self, times, cand_counts) -> None:
+        """Append one rejection (scalars) or several (arrays)."""
         k = self.discoveries
-        if k == len(self._tau):
-            self._tau = np.concatenate([self._tau, np.zeros(k, dtype=np.int64)])
+        end = k + np.size(times)
+        if end > len(self._tau):
+            grow = max(end, 2 * len(self._tau)) - len(self._tau)
+            self._tau = np.concatenate([self._tau, np.zeros(grow, dtype=np.int64)])
             self._cand_at_tau = np.concatenate(
-                [self._cand_at_tau, np.zeros(k, dtype=np.int64)]
+                [self._cand_at_tau, np.zeros(grow, dtype=np.int64)]
             )
-        self._tau[k] = time
-        self._cand_at_tau[k] = cand_count
-        self.discoveries = k + 1
+        self._tau[k:end] = times
+        self._cand_at_tau[k:end] = cand_counts
+        self.discoveries = end
 
 
 # defaults mirror the simulation-study specification: w0 = alpha/2 and
@@ -291,10 +299,18 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
     return beta
 
 
+# what a p-value may be: a Python or numpy real number (or bool), the kinds
+# of number `decide` accepts in an array ("biuf")
+_REAL_TYPES = (int, float, np.integer, np.floating, np.bool_)
+
+
 def observe(state: StreamState, p: float, config: ProcedureConfig) -> DecisionRecord:
     """Consume one p-value: decide, update wealth/history, advance the stream."""
-    if not isinstance(p, (int, float)) or math.isnan(p) or not 0.0 <= p <= 1.0:
+    value = p if type(p) is float else \
+        float(p) if isinstance(p, _REAL_TYPES) else math.nan
+    if not 0.0 <= value <= 1.0:   # False for NaN
         raise ValueError(f"p-value must lie in [0, 1], got {p!r}")
+    p = value
     level = next_level(state, config)
     rejected = p <= level
     i = state.i + 1
@@ -307,10 +323,10 @@ def observe(state: StreamState, p: float, config: ProcedureConfig) -> DecisionRe
     if kind is ProcedureKind.SAFFRON:
         is_candidate = p <= config.lam
         if rejected:
-            state._push_rejection(i, state.candidates_total + int(is_candidate))
+            state._push_rejections(i, state.candidates_total + int(is_candidate))
         state.candidates_total += int(is_candidate)
     elif rejected:
-        state._push_rejection(i, 0)
+        state._push_rejections(i, 0)
     if kind is ProcedureKind.LOND_DEP:
         state._harmonic += 1.0 / i
     state.i = i
@@ -318,7 +334,7 @@ def observe(state: StreamState, p: float, config: ProcedureConfig) -> DecisionRe
         state.table = state.table.extended(i + 1)
     return DecisionRecord(
         index=i,
-        p=float(p),
+        p=p,
         level=level,
         rejected=rejected,
         wealth_after=state.wealth,
@@ -350,98 +366,132 @@ class Decisions(NamedTuple):
     wealth: np.ndarray | None
 
 
-def _checked_pvalues(pvalues, bound: int | None) -> np.ndarray:
+def _checked_pvalues(pvalues, state: StreamState) -> np.ndarray:
     """``pvalues`` as a float array; the first bad value or the first index
-    past ``bound`` raises what :func:`run_stream` raises there."""
+    past the stream's horizon raises what :func:`run_stream` raises there."""
     if not isinstance(pvalues, np.ndarray):
         pvalues = list(pvalues)
     p = np.asarray(pvalues)
     if p.dtype.kind not in "biuf":   # strings, None, mixed objects
-        p = np.array([v if isinstance(v, (int, float)) else np.nan
+        p = np.array([v if isinstance(v, _REAL_TYPES) else np.nan
                       for v in pvalues])
     if p.ndim != 1:
         raise ValueError("p-values must form a one-dimensional sequence")
     p = p.astype(np.float64, copy=False)
     valid = (p >= 0.0) & (p <= 1.0)   # False for NaN
-    stop = len(p) if bound is None else min(len(p), bound + 1)
+    bound = state.bound
+    stop = len(p) if bound is None else min(len(p), bound - state.i + 1)
     if not valid[:stop].all():
-        i = int(np.argmin(valid)) + 1
-        raise ValueError(f"at stream index {i}: p-value must lie in [0, 1], "
-                         f"got {pvalues[i - 1]!r}")
+        k = int(np.argmin(valid))
+        raise ValueError(f"at stream index {state.i + k + 1}: p-value must lie "
+                         f"in [0, 1], got {pvalues[k]!r}")
     if stop < len(p):
         raise HorizonExhaustedError(
-            f"at stream index {stop}: horizon N={bound} exhausted at index "
-            f"{stop}; rebound to continue")
+            f"at stream index {bound + 1}: horizon N={bound} exhausted at index "
+            f"{bound + 1}; rebound to continue")
     return p
+
+
+# rows filled and searched at once after a discovery; the window doubles
+# while it holds no discovery
+_WINDOW = 64
 
 
 def _scan(p: np.ndarray, fill, on_discovery):
     """Levels and rejections of a stream whose levels change only at
-    discoveries: ``fill(s, out)`` writes the levels of hypotheses ``s..``
-    (0-based) under the discoveries so far into ``out``, the first
-    ``p <= level`` among them is the next discovery, and
-    ``on_discovery(t, levels)`` records it."""
+    discoveries: ``fill(s, out)`` writes the levels of hypotheses
+    ``s, s + 1, ...`` (0-based) under the discoveries so far into ``out``,
+    the first ``p <= level`` among them is the next discovery, and
+    ``on_discovery(t, levels)`` records it.  Only a window after the last
+    discovery is filled and searched."""
     n = len(p)
     levels = np.empty(n)
-    start = 0
+    start, width = 0, _WINDOW
     while start < n:
-        fill(start, levels[start:])
-        hits = p[start:] <= levels[start:]
+        stop = min(start + width, n)
+        fill(start, levels[start:stop])
+        hits = p[start:stop] <= levels[start:stop]
         k = int(hits.argmax())
-        if not hits[k]:
-            break
-        on_discovery(start + k, levels)
-        start += k + 1
+        if hits[k]:
+            on_discovery(start + k, levels)
+            start, width = start + k + 1, _WINDOW
+        else:
+            start, width = stop, 2 * width
     return levels, np.less_equal(p, levels)
 
 
-def decide(config: ProcedureConfig, pvalues) -> Decisions:
-    """Every decision of one stream at once, equal to folding :func:`observe`
-    over ``pvalues`` from a fresh stream.
+def decide(config: ProcedureConfig, pvalues,
+           state: StreamState | None = None) -> Decisions:
+    """Every decision of a run of ``pvalues`` at once, equal to folding
+    :func:`observe` over them.
+
+    Without ``state`` the run is a fresh stream.  Given a ``state`` (from
+    :func:`make_stream`, :func:`observe`, :func:`rebound_stream` or an
+    earlier call), the run continues it and advances it in place as the
+    fold would, so a stream may be decided in pieces and interleaved with
+    ``observe`` and ``rebound_stream``; a split stream gets the same
+    levels, decisions and wealth as one call, bit for bit.  A refused
+    value or index raises what :func:`run_stream` raises there and leaves
+    ``state`` as it was.
 
     Between two discoveries every rule's levels are a closed-form vector, so
     the work is one vector search per discovery instead of one ``observe``
     call per hypothesis.  Decisions and wealth equal the fold's; payout
     levels (LORD2, LORD++, SAFFRON) after 24 or more discoveries are summed
-    in another order and agree to rounding.  Use it when the whole batch is
-    known; use :func:`observe` for a true stream or to rebound.
+    in another order and agree to rounding.
     """
-    _check_config(config)
-    spec = config.sequence
-    p = _checked_pvalues(pvalues, spec.bound)
+    fresh = state is None
+    state = make_stream(config, length_hint=1) if fresh else state
+    p = _checked_pvalues(pvalues, state)
     n = len(p)
-    gamma = _cached_table(spec, max(n, 1)).coefficients[:n]
+    i0 = state.i
+    if state.bound is None:   # the fold keeps one term past the last index
+        state.table = state.table.extended(i0 + n + 1)
+    g = state.table.coefficients
+    gamma = g[i0:i0 + n]
     kind = config.kind
+    wealth = None
 
     if kind is ProcedureKind.BONFERRONI:
         levels = gamma * config.alpha \
-            if spec.normalization is Normalization.SUM_ONE else gamma.copy()
-        return Decisions(levels, p <= levels, None)
+            if config.sequence.normalization is Normalization.SUM_ONE \
+            else gamma.copy()
+        rejected = p <= levels
 
-    if kind in _LOND_KINDS:
+    elif kind in _LOND_KINDS:
         beta = gamma
         if kind is ProcedureKind.LOND_DEP:
             # add.accumulate is sequential: the fold's running harmonic sum
-            beta = gamma / np.cumsum(1.0 / np.arange(1, n + 1))
-        found = 0
+            harmonic = np.cumsum(np.concatenate(
+                ([state._harmonic], 1.0 / np.arange(i0 + 1, i0 + n + 1))))
+            state._harmonic = float(harmonic[-1])
+            beta = gamma / harmonic[1:]
+        found = state.discoveries
 
         def lond_fill(s, out):
             mult = max(found, 1) if config.lond_original else found + 1
-            np.multiply(beta[s:], mult, out=out)
+            np.multiply(beta[s:s + len(out)], mult, out=out)
 
         def lond_found(t, levels):
             nonlocal found
             found += 1
 
-        return Decisions(*_scan(p, lond_fill, lond_found), None)
+        levels, rejected = _scan(p, lond_fill, lond_found)
 
-    if kind in _WEALTH_KINDS:
+    elif kind in _WEALTH_KINDS:
         # levels gamma_{i - tau} W(tau) (LORD3) or xi_i W(tau) (dependent
         # LORD), W(tau) the wealth after the last discovery tau; run[i + 1]
         # is the wealth after hypothesis i, spent by the sequential fold
         run = np.empty(n + 1)
-        run[0] = config.w0
+        run[0] = state.wealth
+        at_discovery = state.wealth_at_discovery
         segment = 0   # first hypothesis after the last discovery
+        # g[i + shift] is the coefficient of hypothesis i
+        if kind is ProcedureKind.LORD3:
+            shift = i0 - (int(state._tau[state.discoveries - 1])
+                          if state.discoveries else 0)
+        else:
+            shift = i0
 
         def spend(t, levels):
             s = segment
@@ -449,53 +499,105 @@ def decide(config: ProcedureConfig, pvalues) -> Decisions:
             np.subtract.accumulate(run[s:t + 2], out=run[s:t + 2])
 
         def wealth_fill(s, out):
-            shift = s if kind is ProcedureKind.LORD3 else 0
-            np.multiply(gamma[s - shift:n - shift], float(run[s]), out=out)
+            np.multiply(g[s + shift:s + shift + len(out)], at_discovery, out=out)
 
         def wealth_found(t, levels):
-            nonlocal segment
+            nonlocal segment, at_discovery, shift
             spend(t, levels)
             run[t + 1] += config.b0
             segment = t + 1
+            at_discovery = float(run[t + 1])
+            if kind is ProcedureKind.LORD3:
+                shift = -segment
 
         levels, rejected = _scan(p, wealth_fill, wealth_found)
         spend(n - 1, levels)
-        return Decisions(levels, rejected, run[1:])
+        wealth = run[1:]
+        state.wealth, state.wealth_at_discovery = float(run[n]), at_discovery
 
-    # LORD2, LORD++ and SAFFRON: w0 gamma(clock) plus payouts gamma shifted
-    # to each discovery; SAFFRON's clock skips candidates (p <= lambda)
-    index = np.arange(n)   # clock - 1
+    else:
+        candidates = np.cumsum(p <= config.lam) \
+            if kind is ProcedureKind.SAFFRON else None
+        levels, rejected = _payout_scan(config, state, p, g, candidates)
+
+    if fresh:   # nobody holds the state
+        return Decisions(levels, rejected, wealth)
+    times = np.flatnonzero(rejected)
     if kind is ProcedureKind.SAFFRON:
-        candidates = np.cumsum(p <= config.lam)
-        index[1:] -= candidates[:-1]
-        first, later = (1 - config.lam) * config.alpha - config.w0, \
-            (1 - config.lam) * config.alpha
-    elif kind is ProcedureKind.LORDPP:
-        first, later = config.alpha - config.w0, config.alpha
-    else:   # LORD2 pays b0 for every discovery, summed as one payout
-        first, later = None, config.b0
-    base = gamma[index] * config.w0
-    payout = np.zeros(n)
+        state._push_rejections(i0 + 1 + times,
+                               state.candidates_total + candidates[times])
+        state.candidates_total += int(candidates[-1]) if n else 0
+    else:
+        state._push_rejections(i0 + 1 + times, 0)
+    state.i = i0 + n
+    return Decisions(levels, rejected, wealth)
 
-    def payout_fill(s, out):
-        np.multiply(payout[s:], later, out=out)
-        np.add(base[s:], out, out=out)
-        if kind is ProcedureKind.SAFFRON:
-            np.minimum(out, config.lam, out=out)
 
-    def payout_found(t, levels):
+def _payout_scan(config: ProcedureConfig, state: StreamState, p: np.ndarray,
+                 g: np.ndarray, candidates: np.ndarray | None):
+    """:func:`_scan` of LORD2, LORD++ and SAFFRON, whose levels are
+    ``w0 gamma(c)`` plus a payout ``gamma(c - d)`` for each discovery, ``c``
+    the clock of the hypothesis and ``d`` the clock of the discovery.
+
+    The clock is the hypothesis index, or for SAFFRON the index less the
+    candidates (``p <= lambda``) up to it; ``candidates`` counts them
+    through each hypothesis of the run (None for LORD2 and LORD++).  Base
+    and payout are kept per clock value of the run, so each discovery is
+    one contiguous add and each fill one gather.  The payout of the
+    stream's earlier discoveries is added first, in discovery order, as
+    one call over the whole stream adds it.
+    """
+    n = len(p)
+    alpha, w0 = config.alpha, config.w0
+    origin = state.i - state.candidates_total   # clock before the run
+    if candidates is not None:
+        clock = np.arange(n)   # clock - origin - 1
+        clock[1:] -= candidates[:-1]
+        span = int(clock[-1]) + 1 if n else 0
+        first, later = (1 - config.lam) * alpha - w0, (1 - config.lam) * alpha
+    else:
+        clock, span = None, n
+        if config.kind is ProcedureKind.LORDPP:
+            first, later = alpha - w0, alpha
+        else:   # LORD2 pays b0 for every discovery, summed as one payout
+            first, later = None, config.b0
+    base = g[origin:origin + span] * w0
+    payout = np.zeros(span)
+
+    def pay(q):
+        """Add the payout of a discovery whose gamma(1) falls on clock
+        ``origin + 1 + q``."""
         nonlocal first
-        if kind is ProcedureKind.SAFFRON:
-            shifted = gamma[index[t + 1:] - (t + 1 - int(candidates[t]))]
-        else:
-            shifted = gamma[:n - t - 1]
+        s = max(q, 0)
+        shifted = g[s - q:span - q]
         if first is None:
-            payout[t + 1:] += shifted
-        else:   # the first discovery's payout joins the base term
-            base[t + 1:] += first * shifted
+            payout[s:] += shifted
+        else:   # the stream's first discovery joins the base term
+            base[s:] += first * shifted
             first = None
 
-    return Decisions(*_scan(p, payout_fill, payout_found), None)
+    k = state.discoveries
+    for d in (state._tau[:k] - state._cand_at_tau[:k]).tolist():
+        pay(d - origin)
+
+    if clock is None:
+        def fill(s, out):
+            np.multiply(payout[s:s + len(out)], later, out=out)
+            np.add(base[s:s + len(out)], out, out=out)
+
+        def found(t, levels):
+            pay(t + 1)
+    else:
+        def fill(s, out):
+            at = clock[s:s + len(out)]
+            np.multiply(payout[at], later, out=out)
+            np.add(base[at], out, out=out)
+            np.minimum(out, config.lam, out=out)
+
+        def found(t, levels):
+            pay(t + 1 - int(candidates[t]))
+
+    return _scan(p, fill, found)
 
 
 def rebound_stream(state: StreamState, config: ProcedureConfig,

@@ -266,12 +266,14 @@ class SequenceTable:
         new_len = max(n, 2 * have)
         fresh = self.scale_constant * _shape(self.spec,
                                              np.arange(have + 1, new_len + 1))
-        base = self.cumulative[-1] if have else 0.0
+        # the running sum carried on from the last partial sum adds in the
+        # order of a cold build, so the sums do not depend on how it grew
+        tail = np.cumsum(np.concatenate([self.cumulative[-1:], fresh]))
         return SequenceTable(
             spec=self.spec,
             scale_constant=self.scale_constant,
             coefficients=np.concatenate([self.coefficients, fresh]),
-            cumulative=np.concatenate([self.cumulative, base + np.cumsum(fresh)]),
+            cumulative=np.concatenate([self.cumulative[:-1], tail]),
         )
 
     def coefficient(self, i: int) -> float:

@@ -3,10 +3,12 @@ import io
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from onfdr.cli import main
-from onfdr.procedures import ProcedureKind, default_config, run_stream
+from onfdr.cli import CHUNK_ROWS, main
+from onfdr.procedures import ProcedureKind, default_config, make_stream, \
+    rebound_stream, run_stream
 from onfdr.scenarios import KIDNEY_REALISATIONS, KidneyTrialScenario, eval_kidney
 
 
@@ -126,6 +128,84 @@ class TestRun:
         code, _, err = run_cli(capsys, [
             "run", "--input", path, "--procedure", "lord2", "--bound", "3"])
         assert code == 3 and "rebound" in err
+
+
+LONG_ROWS = 20_000   # three chunks
+
+
+@pytest.fixture(scope="module")
+def long_stream(tmp_path_factory):
+    """A 20 000-row CSV with discoveries for every rule: a burst of tiny
+    p-values, then 3% signals."""
+    rng = np.random.default_rng(2018)
+    p = np.where(rng.random(LONG_ROWS) < 0.03, rng.random(LONG_ROWS) * 1e-4,
+                 rng.random(LONG_ROWS))
+    p[:20] = 1e-9
+    path = tmp_path_factory.mktemp("long") / "p.csv"
+    path.write_text("id,pvalue\n" + "".join(f"h{i},{v!r}\n"
+                                            for i, v in enumerate(p.tolist())))
+    return str(path), p.tolist()
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestRunInChunks:
+    def test_long_stream_spans_three_chunks(self):
+        assert 2 * CHUNK_ROWS < LONG_ROWS <= 3 * CHUNK_ROWS
+
+    # every rule unbounded; bounded, one rule of each level family
+    @pytest.mark.parametrize("kind,bounded", [
+        *((kind, False) for kind in ProcedureKind),
+        *((kind, True) for kind in (ProcedureKind.LORDPP, ProcedureKind.SAFFRON,
+                                    ProcedureKind.LORD3, ProcedureKind.LOND_DEP))])
+    def test_equals_run_stream(self, long_stream, tmp_path, kind, bounded):
+        path, p = long_stream
+        out = str(tmp_path / "out.csv")
+        argv = ["run", "--input", path, "--output", out,
+                "--procedure", kind.value]
+        if bounded:   # rebound inside the second chunk
+            argv += ["--bound", "12000", "--rebound", "10000:20000"]
+            cfg = default_config(kind, alpha=0.05, bound=12000)
+            state = make_stream(cfg)
+            recs = run_stream(cfg, p[:10000], state=state)
+            rebound_stream(state, cfg, 20000)
+            recs += run_stream(cfg, p[10000:], state=state)
+        else:
+            recs = run_stream(default_config(kind, alpha=0.05), p)
+        assert main(argv) == 0
+        rows = read_rows(out)
+        assert [(r["id"], int(r["index"]), float(r["pvalue"])) for r in rows] \
+            == [(f"h{k}", rec.index, rec.p) for k, rec in enumerate(recs)]
+        assert [r["rejected"] == "true" for r in rows] == \
+            [rec.rejected for rec in recs]
+        assert any(rec.rejected for rec in recs)
+        assert np.allclose([float(r["alpha_i"]) for r in rows],
+                           [rec.level for rec in recs], rtol=1e-12, atol=0)
+        assert [float(r["wealth"]) if r["wealth"] else None for r in rows] == \
+            [rec.wealth_after for rec in recs]
+
+    @pytest.mark.parametrize("extra,bad,code,message", [
+        ([], "1.7", 2, "line 9002: p-value must lie in [0, 1], got 1.7"),
+        ([], "hello", 2, "line 9002: unparseable p-value 'hello'"),
+        (["--bound", "9000"], None, 3,
+         "line 9002: horizon N=9000 exhausted at index 9001; rebound to "
+         "continue"),
+    ])
+    def test_failure_in_second_chunk(self, tmp_path, capsys, extra, bad, code,
+                                     message):
+        # the rows before the bad line are written, then the run stops
+        rows = [(f"h{i}", 0.5) for i in range(12000)]
+        if bad is not None:
+            rows[9000] = ("h9000", bad)
+        path = write_pvalues(tmp_path, rows)
+        got, out, err = run_cli(capsys, ["run", "--input", path,
+                                         "--procedure", "lord++", *extra])
+        assert (got, err) == (code, f"onfdr: {message}\n")
+        written = list(csv.DictReader(io.StringIO(out)))
+        assert [r["id"] for r in written] == [f"h{i}" for i in range(9000)]
 
 
 class TestSequence:

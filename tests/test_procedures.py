@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onfdr.procedures import (
@@ -152,6 +153,25 @@ class TestObserve:
                              sequence=uniform_beta(0.05, 5))
         rec = observe(make_stream(cfg), 0.01, cfg)
         assert rec.rejected and rec.p == rec.level
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64])
+    def test_numpy_scalars_as_in_arrays(self, dtype):
+        # one rule for both paths: observe takes the numpy real scalars
+        # that decide takes in an array, and refuses the same values
+        cfg = default_config(ProcedureKind.LORD3, alpha=0.05)
+        p = np.array([0.001, 0.5, 0.0, 1.0, 0.02]).astype(dtype)
+        want = run_stream(cfg, p.astype(float).tolist())
+        assert run_stream(cfg, p) == want   # one numpy scalar per observe
+        got = decide(cfg, p)
+        assert got.levels.tolist() == [r.level for r in want]
+        assert got.rejected.tolist() == [r.rejected for r in want]
+        bad = dtype(2)
+        message = f"p-value must lie in [0, 1], got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            observe(make_stream(cfg), bad, cfg)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"at stream index 1: {message}")):
+            decide(cfg, np.array([bad]))
 
 
 class TestRunStream:
@@ -431,8 +451,30 @@ kernel_pvalues = st.lists(
     min_size=0, max_size=200)
 
 
+@st.composite
+def kernel_cases(draw):
+    """p-values and a config whose horizon, if any, covers them."""
+    p = draw(kernel_pvalues)
+    bound = draw(st.one_of(st.none(), st.integers(max(len(p), 1), len(p) + 5)),
+                 label="bound")
+    return p, draw(kernel_configs(bound))
+
+
+def lord_dep_constant(alpha, w0, b0, bound):
+    spec = SequenceSpec(SequenceKind.CONSTANT_BOUNDED, Normalization.XI_WEIGHTED,
+                        alpha=alpha, w0=w0, b0=b0, bound=bound)
+    return ProcedureConfig(kind=ProcedureKind.LORD_DEP, alpha=alpha, w0=w0,
+                           b0=b0, sequence=spec)
+
+
 def assert_kernel_equals_fold(cfg, p):
-    recs = run_stream(cfg, p)
+    try:
+        recs = run_stream(cfg, p)
+    except ConfigError as exc:   # a refused config is refused by both
+        with pytest.raises(ConfigError) as info:
+            decide(cfg, p)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
     got = decide(cfg, np.asarray(p, dtype=float))
     assert got.rejected.tolist() == [r.rejected for r in recs]
     assert np.allclose(got.levels, [r.level for r in recs], rtol=1e-12, atol=0)
@@ -448,14 +490,91 @@ def raised(fn, *args):
     return type(info.value), str(info.value)
 
 
+def assert_same_state(got, want, cfg):
+    assert (got.i, got.rejection_times, got.wealth, got.wealth_at_discovery,
+            got.candidates_total, got._harmonic, got.bound) == \
+        (want.i, want.rejection_times, want.wealth, want.wealth_at_discovery,
+         want.candidates_total, want._harmonic, want.bound)
+    k = want.discoveries
+    assert got._cand_at_tau[:k].tolist() == want._cand_at_tau[:k].tolist()
+    if got.bound is None or got.i < got.bound:   # and the table ahead
+        assert next_level(got, cfg) == next_level(want, cfg)
+
+
 class TestDecide:
     @settings(max_examples=150, deadline=None)
-    @given(p=kernel_pvalues, data=st.data())
-    def test_equals_fold_of_observe(self, p, data):
-        bound = data.draw(st.one_of(st.none(),
-                                    st.integers(max(len(p), 1), len(p) + 5)),
-                          label="bound")
-        assert_kernel_equals_fold(data.draw(kernel_configs(bound)), p)
+    @given(case=kernel_cases())
+    # bounded dependent LORD at N=1 with xi_1 = alpha / b0 = 2 > 1: refused
+    @example(case=([], lord_dep_constant(0.05, 0.0, 0.025, 1)))
+    def test_equals_fold_of_observe(self, case):
+        p, cfg = case
+        assert_kernel_equals_fold(cfg, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=kernel_cases(), data=st.data())
+    def test_pieces_equal_one_call(self, case, data):
+        # a stream decided in pieces, carrying the state, gets one call's
+        # levels, decisions and wealth bit for bit, and leaves the state
+        # the fold of observe leaves
+        p, cfg = case
+        try:
+            state, fold = make_stream(cfg), make_stream(cfg)
+        except ConfigError:   # refused: see test_equals_fold_of_observe
+            return
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(p)), max_size=4),
+                                label="cuts"))
+        pieces = [decide(cfg, p[a:b], state)
+                  for a, b in zip([0] + cuts, cuts + [len(p)])]
+        one = decide(cfg, p)
+        assert np.concatenate([d.levels for d in pieces]).tobytes() == \
+            one.levels.tobytes()
+        assert np.concatenate([d.rejected for d in pieces]).tolist() == \
+            one.rejected.tolist()
+        if one.wealth is not None:
+            assert np.concatenate([d.wealth for d in pieces]).tobytes() == \
+                one.wealth.tobytes()
+        run_stream(cfg, p, state=fold)
+        assert_same_state(state, fold, cfg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=kernel_cases(), data=st.data())
+    def test_interleaves_with_observe_and_rebound(self, case, data):
+        # pieces through decide, single steps through observe and horizon
+        # rebounds between them, against the fold doing the same
+        p, cfg = case
+        try:
+            state, fold = make_stream(cfg), make_stream(cfg)
+        except ConfigError:   # refused: see test_equals_fold_of_observe
+            return
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(p)), max_size=4),
+                                label="cuts"))
+        levels, rejected, wealth, recs = [], [], [], []
+        for a, b in zip([0] + cuts, cuts + [len(p)]):
+            step = data.draw(st.sampled_from(["decide", "observe", "rebound"]),
+                             label="step")
+            if step == "rebound" and state.bound is not None:
+                new_bound = state.bound + data.draw(st.integers(0, 5),
+                                                    label="extra horizon")
+                if new_bound > state.i:
+                    recs += run_stream(cfg, p[len(recs):a], state=fold)
+                    rebound_stream(state, cfg, new_bound)
+                    rebound_stream(fold, cfg, new_bound)
+            if step == "observe" and a < b:
+                rec = observe(state, p[a], cfg)
+                levels.append(rec.level)
+                rejected.append(rec.rejected)
+                wealth.append(rec.wealth_after)
+                a += 1
+            got = decide(cfg, p[a:b], state)
+            levels += got.levels.tolist()
+            rejected += got.rejected.tolist()
+            wealth += [None] * (b - a) if got.wealth is None \
+                else got.wealth.tolist()
+        recs += run_stream(cfg, p[len(recs):], state=fold)
+        assert rejected == [r.rejected for r in recs]
+        assert np.allclose(levels, [r.level for r in recs], rtol=1e-12, atol=0)
+        assert wealth == [r.wealth_after for r in recs]
+        assert_same_state(state, fold, cfg)
 
     @settings(max_examples=16, deadline=None)
     @given(data=st.data(), n=st.integers(1025, 2500),

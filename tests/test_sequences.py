@@ -116,6 +116,16 @@ class TestBuildTable:
         assert np.array_equal(longer.coefficients, table.coefficients)
         assert longer.scale_constant == short.scale_constant
 
+    @pytest.mark.parametrize("kind", [SequenceKind.JM_OPTIMAL,
+                                      SequenceKind.INVERSE_SQUARE])
+    def test_extended_sums_equal_a_cold_build(self, kind):
+        # partial sums must not depend on how the table grew
+        spec = SequenceSpec(kind, Normalization.SUM_ONE)
+        cold = build_table(spec, length_hint=5000)
+        for start in (1, 4, 1024):
+            grown = build_table(spec, length_hint=start).extended(5000)
+            assert grown.cumulative.tobytes() == cold.cumulative.tobytes()
+
     def test_bounded_extension_refused(self):
         spec = SequenceSpec(SequenceKind.UNIFORM, Normalization.SUM_ONE, bound=5)
         table = build_table(spec)
