@@ -171,12 +171,15 @@ def cmd_run(args) -> int:
     except (ConfigError, SequenceError, ValueError) as exc:
         return _fail(EXIT_BAD_CONFIG, f"invalid configuration: {exc}")
     rebound_at = rebound_to = None
-    if args.rebound:
+    if args.rebound is not None:
         try:
             lhs, rhs = args.rebound.split(":")
             rebound_at, rebound_to = int(lhs), int(rhs)
         except ValueError:
             return _fail(EXIT_BAD_CONFIG, "--rebound expects n:NPRIME")
+        if not 0 <= rebound_at < rebound_to:
+            return _fail(EXIT_BAD_CONFIG, "--rebound expects n:NPRIME with "
+                         f"0 <= n < NPRIME, got {args.rebound!r}")
 
     try:
         infile = open(args.input, newline="") if args.input \
@@ -370,8 +373,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_rebound(argv: list[str]) -> list[str]:
+    """``argv`` with ``--rebound -3:60`` written ``--rebound=-3:60``:
+    argparse would take the value for an option and exit 2, where the
+    ``--rebound`` check refuses it as a bad configuration."""
+    out: list[str] = []
+    for arg in argv:
+        negative = arg[:1] == "-" and arg[1:2].isdigit()
+        if out and out[-1] == "--rebound" and negative:
+            out[-1] = f"--rebound={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_joined_rebound(argv))
     return args.func(args)
 
 

@@ -6,10 +6,12 @@ Every procedure is driven through the same three operations:
 without mutating the state, and ``observe`` consumes one p-value.  A stream
 is strictly sequential; distinct streams are independent.
 
-``decide`` consumes a run of p-values at once with one vector search per
-discovery, and equals the fold of ``observe`` over them.  Given a state it
-resumes that stream and advances it in place, so a long stream can be
-decided in chunks, with ``observe`` and ``rebound_stream`` between them.
+``decide`` consumes a run of p-values at once and equals the fold of
+``observe`` over them: a fixpoint search of a few vector passes for the
+rules whose levels only grow with the discoveries, one vector search per
+discovery for LORD3 and dependent LORD.  Given a state it resumes that
+stream and advances it in place, so a long stream can be decided in
+chunks, with ``observe`` and ``rebound_stream`` between them.
 """
 
 from __future__ import annotations
@@ -393,7 +395,7 @@ def _checked_pvalues(pvalues, state: StreamState) -> np.ndarray:
 
 
 # rows filled and searched at once after a discovery; the window doubles
-# while it holds no discovery
+# while it holds no discovery (the least a fixpoint pass proposes, too)
 _WINDOW = 64
 
 
@@ -420,6 +422,81 @@ def _scan(p: np.ndarray, fill, on_discovery):
     return levels, np.less_equal(p, levels)
 
 
+_NO_DISCOVERIES = np.empty(0, dtype=np.intp)
+
+
+def _fixpoint(p: np.ndarray, start, counted: bool = False,
+              summed: bool = True):
+    """Levels and rejections of a monotone rule, whose level at a hypothesis
+    never falls when a discovery is added before it.
+
+    Every hit ``p <= level`` under a subset of the stream's discoveries is
+    then a discovery, so the search accepts all hits at once and repeats
+    until a pass finds none; the decisions up to the first new hit of a
+    pass are final, so the next pass starts after it.  A pass proposes a
+    window of rows, so a stream whose discoveries each make only the next
+    hypothesis a hit costs a window per discovery, not the rest of the run.
+
+    ``start()`` returns a fresh ``propose(lo, new, rejected, before, out)``:
+    it adds the discoveries ``new`` (ascending, flagged in ``rejected``
+    since its last call) and writes the levels of hypotheses ``lo, lo + 1,
+    ...`` under the flagged ones into ``out``.  If ``counted``,
+    ``before[i]`` counts the flagged ones before hypothesis ``i``, up to
+    ``lo + len(out)``; else it is None.
+
+    Levels that sum payouts (``summed``) are the fold's bit for bit when the
+    discoveries are added in index order; otherwise they may round
+    differently, so they are rebuilt in index order and checked.  A level
+    depends only on the decisions before it, so where ``p <= level`` first
+    disagrees with the search, the decisions before are certified: that one
+    is corrected and the search resumes after it.
+    """
+    n = len(p)
+    rejected, levels = np.zeros(n, dtype=bool), np.empty(n)
+    before = np.zeros(n + 1, dtype=np.intp) if counted else None
+    propose, lo, new, width = start(), 0, _NO_DISCOVERIES, n
+    last, ordered = -1, True   # the last discovery added so far
+    while True:
+        while lo < n:
+            hi = min(lo + width, n)
+            if counted:
+                # the counts up to lo - 1 hold: every discovery since is later
+                s = max(lo - 1, 0)
+                np.add.accumulate(rejected[s:hi], dtype=np.intp,
+                                  out=before[s + 1:hi + 1])
+                before[s + 1:hi + 1] += before[s]
+            propose(lo, new, rejected, before, levels[lo:hi])
+            hits = p[lo:hi] <= levels[lo:hi]
+            if last >= lo:
+                hits &= ~rejected[lo:hi]
+            new = hits.nonzero()[0]
+            if not len(new):   # no discovery before hi is missing
+                if hi == n:
+                    break
+                lo, width = hi, 2 * width
+                continue
+            new += lo
+            rejected[new] = True
+            width = max(_WINDOW, 2 * (int(new[-1]) + 1 - lo))
+            lo = int(new[0]) + 1
+            ordered = ordered and lo > last
+            last = max(last, int(new[-1]))
+        if ordered or not summed:
+            return levels, rejected
+        # the levels up to the first discovery of the run are pass one's
+        new = rejected.nonzero()[0]
+        lo = int(new[0]) + 1
+        start()(lo, new, rejected, before, levels[lo:])
+        wrong = (np.less_equal(p, levels) != rejected).nonzero()[0]
+        if not len(wrong):
+            return levels, rejected
+        x = int(wrong[0])
+        rejected[x] = not rejected[x]
+        rejected[x + 1:] = False
+        propose, lo, new, width = start(), x + 1, rejected.nonzero()[0], n
+        last, ordered = (int(new[-1]) if len(new) else -1), True
+
+
 def decide(config: ProcedureConfig, pvalues,
            state: StreamState | None = None) -> Decisions:
     """Every decision of a run of ``pvalues`` at once, equal to folding
@@ -434,11 +511,15 @@ def decide(config: ProcedureConfig, pvalues,
     value or index raises what :func:`run_stream` raises there and leaves
     ``state`` as it was.
 
-    Between two discoveries every rule's levels are a closed-form vector, so
-    the work is one vector search per discovery instead of one ``observe``
-    call per hypothesis.  Decisions and wealth equal the fold's; payout
-    levels (LORD2, LORD++, SAFFRON) after 24 or more discoveries are summed
-    in another order and agree to rounding.
+    The levels of LORD2, LORD++, SAFFRON, LOND and dependent LOND never fall
+    when a discovery is added before them, so their decisions are the
+    fixpoint of a search that accepts every hit at once and recomputes the
+    levels under them (:func:`_fixpoint`): a few vector passes per run.
+    LORD3 and dependent LORD restart their coefficients at each discovery;
+    between two discoveries their levels are a closed-form vector, searched
+    once per discovery (:func:`_scan`).  Decisions and wealth equal the
+    fold's; payout levels (LORD2, LORD++, SAFFRON) after 24 or more
+    discoveries are summed in another order and agree to rounding.
     """
     fresh = state is None
     state = make_stream(config, length_hint=1) if fresh else state
@@ -466,17 +547,17 @@ def decide(config: ProcedureConfig, pvalues,
                 ([state._harmonic], 1.0 / np.arange(i0 + 1, i0 + n + 1))))
             state._harmonic = float(harmonic[-1])
             beta = gamma / harmonic[1:]
-        found = state.discoveries
+        # D + 1 for D discoveries before a hypothesis, or max(D, 1)
+        shift = state.discoveries + (0 if config.lond_original else 1)
 
-        def lond_fill(s, out):
-            mult = max(found, 1) if config.lond_original else found + 1
-            np.multiply(beta[s:s + len(out)], mult, out=out)
+        def lond_levels(lo, new, rejected, before, out):
+            mult = before[lo:lo + len(out)] + shift
+            if config.lond_original:
+                np.maximum(mult, 1, out=mult)
+            np.multiply(beta[lo:lo + len(out)], mult, out=out)
 
-        def lond_found(t, levels):
-            nonlocal found
-            found += 1
-
-        levels, rejected = _scan(p, lond_fill, lond_found)
+        levels, rejected = _fixpoint(p, lambda: lond_levels, counted=True,
+                                     summed=False)
 
     elif kind in _WEALTH_KINDS:
         # levels gamma_{i - tau} W(tau) (LORD3) or xi_i W(tau) (dependent
@@ -518,11 +599,13 @@ def decide(config: ProcedureConfig, pvalues,
     else:
         candidates = np.cumsum(p <= config.lam) \
             if kind is ProcedureKind.SAFFRON else None
-        levels, rejected = _payout_scan(config, state, p, g, candidates)
+        levels, rejected = _fixpoint(
+            p, _payout_levels(config, state, p, g, candidates),
+            counted=candidates is not None)
 
     if fresh:   # nobody holds the state
         return Decisions(levels, rejected, wealth)
-    times = np.flatnonzero(rejected)
+    times = rejected.nonzero()[0]
     if kind is ProcedureKind.SAFFRON:
         state._push_rejections(i0 + 1 + times,
                                state.candidates_total + candidates[times])
@@ -533,71 +616,119 @@ def decide(config: ProcedureConfig, pvalues,
     return Decisions(levels, rejected, wealth)
 
 
-def _payout_scan(config: ProcedureConfig, state: StreamState, p: np.ndarray,
-                 g: np.ndarray, candidates: np.ndarray | None):
-    """:func:`_scan` of LORD2, LORD++ and SAFFRON, whose levels are
-    ``w0 gamma(c)`` plus a payout ``gamma(c - d)`` for each discovery, ``c``
-    the clock of the hypothesis and ``d`` the clock of the discovery.
+def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
+                   g: np.ndarray, candidates: np.ndarray | None):
+    """:func:`_fixpoint`'s ``start`` for LORD2, LORD++ and SAFFRON, whose
+    levels are ``w0 gamma(c)`` plus a payout ``gamma(c - d)`` for each
+    discovery, ``c`` the clock of the hypothesis and ``d`` the clock of the
+    discovery.
 
     The clock is the hypothesis index, or for SAFFRON the index less the
     candidates (``p <= lambda``) up to it; ``candidates`` counts them
     through each hypothesis of the run (None for LORD2 and LORD++).  Base
     and payout are kept per clock value of the run, so each discovery is
-    one contiguous add and each fill one gather.  The payout of the
-    stream's earlier discoveries is added first, in discovery order, as
-    one call over the whole stream adds it.
+    one contiguous add.  The payout of the stream's earlier discoveries is
+    added first, in discovery order, as one call over the whole stream adds
+    it.  A SAFFRON discovery is a candidate, so it shares its clock with
+    the candidates just before it, which it does not pay: its gamma(1) is
+    added to each hypothesis after it on that clock instead.
     """
     n = len(p)
-    alpha, w0 = config.alpha, config.w0
+    alpha, w0, lam = config.alpha, config.w0, config.lam
     origin = state.i - state.candidates_total   # clock before the run
     if candidates is not None:
         clock = np.arange(n)   # clock - origin - 1
         clock[1:] -= candidates[:-1]
         span = int(clock[-1]) + 1 if n else 0
-        first, later = (1 - config.lam) * alpha - w0, (1 - config.lam) * alpha
+        weight, later = (1 - lam) * alpha - w0, (1 - lam) * alpha
     else:
         clock, span = None, n
         if config.kind is ProcedureKind.LORDPP:
-            first, later = alpha - w0, alpha
+            weight, later = alpha - w0, alpha
         else:   # LORD2 pays b0 for every discovery, summed as one payout
-            first, later = None, config.b0
-    base = g[origin:origin + span] * w0
-    payout = np.zeros(span)
+            weight, later = None, config.b0
 
-    def pay(q):
-        """Add the payout of a discovery whose gamma(1) falls on clock
-        ``origin + 1 + q``."""
+    def pay(owed, skip=0):
+        """Add in order the payouts of discoveries whose gamma(1) falls on
+        clock ``origin + 1 + q``, q in ``owed``, from ``skip`` clocks on;
+        the stream's first one joins the base term from its own clock."""
         nonlocal first
-        s = max(q, 0)
-        shifted = g[s - q:span - q]
-        if first is None:
-            payout[s:] += shifted
-        else:   # the stream's first discovery joins the base term
-            base[s:] += first * shifted
-            first = None
+        for q in owed:
+            if first is None:
+                s = max(q + skip, 0)
+                payout[s:] += g[s - q:span - q]
+            else:
+                s = max(q, 0)
+                base[s:] += first * g[s - q:span - q]
+                first = None
 
+    first, base, payout = weight, g[origin:origin + span] * w0, np.zeros(span)
     k = state.discoveries
-    for d in (state._tau[:k] - state._cand_at_tau[:k]).tolist():
-        pay(d - origin)
+    if k:
+        pay((state._tau[:k] - state._cand_at_tau[:k] - origin).tolist())
+    carried = base, payout, first
+    starts = owns = None
 
-    if clock is None:
-        def fill(s, out):
-            np.multiply(payout[s:s + len(out)], later, out=out)
-            np.add(base[s:s + len(out)], out, out=out)
+    def propose(lo, new, rejected, before, out):
+        nonlocal starts, owns
+        hi = lo + len(out)
+        if clock is None:
+            if len(new):
+                pay((new + 1).tolist())
+            np.multiply(payout[lo:hi], later, out=out)
+            np.add(base[lo:hi], out, out=out)
+            return
+        if len(new):
+            if starts is None:
+                # first hypothesis on the clock, and after the first
+                # discovery of the stream, which paid its own clock into
+                # the base term (the same in every search)
+                starts = clock.searchsorted(clock)
+                if first is not None:
+                    np.maximum(starts, new[0] + 1, out=starts)
+                # the payout of each hypothesis's clock and its own gamma(1)
+                # adds, as the last pass over it found them; lo - 1 is the
+                # run's first discovery, with no own adds before it
+                owns = np.empty(n)
+                owns[lo - 1] = payout[clock[lo - 1]]
+            pay(clock[new].tolist(), skip=1)
+        at = clock[lo:hi]
+        level_base, own = base[at], payout[at]
+        if starts is not None:
+            # each discovery before a hypothesis on its clock adds gamma(1),
+            # in discovery order.  On the clock of lo it is a running sum on
+            # from the value of lo - 1, which no discovery since changed:
+            # gamma(1) after a discovery, 0.0 (which changes nothing) after
+            # the others
+            e = int(starts[lo:hi].searchsorted(lo, "right"))
+            if starts[lo] < lo:
+                own[0] = owns[lo - 1] + g[0] if rejected[lo - 1] \
+                    else owns[lo - 1]
+            if before[lo + e - 1] > before[lo]:
+                np.multiply(rejected[lo:lo + e - 1], g[0], out=own[1:e])
+                np.add.accumulate(own[:e], out=own[:e])
+            else:
+                own[1:e] = own[0]
+            if before[hi - 1] > before[lo + e]:
+                # the later clocks of the window, one add after the other
+                rest = own[e:]
+                m = before[lo + e:hi] - before[starts[lo + e:hi]]
+                after = m.nonzero()[0]
+                while len(after):
+                    rest[after] += g[0]
+                    m[after] -= 1
+                    after = after[m[after] > 0]
+            owns[lo:hi] = own
+        np.multiply(own, later, out=out)
+        np.add(level_base, out, out=out)
+        np.minimum(out, lam, out=out)
 
-        def found(t, levels):
-            pay(t + 1)
-    else:
-        def fill(s, out):
-            at = clock[s:s + len(out)]
-            np.multiply(payout[at], later, out=out)
-            np.add(base[at], out, out=out)
-            np.minimum(out, config.lam, out=out)
+    def start():
+        nonlocal base, payout, first
+        base, payout, first = carried[0].copy(), carried[1].copy(), carried[2]
+        return propose
 
-        def found(t, levels):
-            pay(t + 1 - int(candidates[t]))
-
-    return _scan(p, fill, found)
+    return start
 
 
 def rebound_stream(state: StreamState, config: ProcedureConfig,

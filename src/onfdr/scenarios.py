@@ -22,6 +22,7 @@ from .procedures import (
     ProcedureKind,
     decide,
     default_config,
+    make_stream,
 )
 from .stattests import TwoByTwoTable, fisher_exact_greater, pvalue_one_sided, \
     pvalue_two_sided
@@ -338,6 +339,11 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
     if reps < 1:
         raise ValueError("reps must be >= 1")
     procs = list(procs)
+    # check every config and build its table here: a refused config raises
+    # before any worker starts, and forked workers inherit the tables
+    for _, proc in procs:
+        if not isinstance(proc, str):
+            make_stream(proc)
     workers = worker_count()
     fdps = np.empty((reps, len(procs)))
     powers = np.empty((reps, len(procs)))

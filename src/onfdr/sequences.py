@@ -158,7 +158,7 @@ def _weighted(values: np.ndarray, first: int, weights) -> np.ndarray:
     ``weights = (a, b)``."""
     a, b = weights
     if not b:
-        return values * a
+        return values if a == 1.0 else values * a
     return values * (a + b * np.log(np.arange(first, first + len(values))))
 
 
@@ -178,7 +178,10 @@ def _constraint_sum(spec: SequenceSpec, scale: float, prefix: np.ndarray,
         raise SequenceError(f"index {upto} beyond bounded horizon N={spec.bound}")
     coeffs = prefix[:upto]
     if upto > len(coeffs):
-        fresh = scale * _shape(spec, np.arange(len(coeffs) + 1, upto + 1))
+        # up to a million terms: one float index array, scaled in place
+        index = np.arange(len(coeffs) + 1, upto + 1, dtype=np.float64)
+        fresh = _shape(spec, index)
+        fresh *= scale
         coeffs = np.concatenate([coeffs, fresh]) if len(coeffs) else fresh
     total = float(np.sum(_weighted(coeffs, 1, weights)))
     if tail:

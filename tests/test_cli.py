@@ -123,6 +123,28 @@ class TestRun:
         assert code == 3 and out == ""
         assert "invalid configuration" in err and "budget inequality" in err
 
+    @pytest.mark.parametrize("rebound", [["--rebound", "-3:60"],
+                                         ["--rebound=-3:60"],
+                                         ["--rebound", "60:60"]])
+    def test_bad_rebound_refused_before_output(self, tmp_path, capsys,
+                                               rebound):
+        path = write_pvalues(tmp_path, [(f"h{i}", 0.01) for i in range(70)])
+        code, out, err = run_cli(capsys, [
+            "run", "--input", path, "--procedure", "lond", "--bound", "50",
+            *rebound])
+        assert (code, out) == (3, "")
+        assert err.startswith("onfdr: --rebound expects n:NPRIME")
+
+    def test_lord_dep_at_horizon_one_refused(self, tmp_path, capsys):
+        # xi_1 = alpha / b0 = 2 > 1: the published constant is kept, so the
+        # configuration is refused (README, Limits)
+        path = write_pvalues(tmp_path, [("h", 0.001)])
+        code, out, err = run_cli(capsys, [
+            "run", "--input", path, "--procedure", "lord-dep", "--bound", "1"])
+        assert (code, out) == (3, "")
+        assert err == ("onfdr: invalid configuration: leading coefficient "
+                       "must be <= 1 to keep wealth nonnegative\n")
+
     def test_horizon_exhaustion_exits_3(self, tmp_path, capsys):
         path = write_pvalues(tmp_path, [(f"h{i}", 0.9) for i in range(4)])
         code, _, err = run_cli(capsys, [

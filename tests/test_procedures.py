@@ -1,11 +1,13 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from onfdr import procedures
 from onfdr.procedures import (
     ConfigError,
     HorizonExhaustedError,
@@ -25,6 +27,10 @@ from onfdr.sequences import Normalization, SequenceKind, SequenceSpec, \
     build_table
 
 ALL_KINDS = list(ProcedureKind)
+# the rules whose levels never fall when a discovery is added before them
+MONOTONE_KINDS = [ProcedureKind.LORD2, ProcedureKind.LORDPP,
+                  ProcedureKind.SAFFRON, ProcedureKind.LOND_INDEP,
+                  ProcedureKind.LOND_DEP]
 LIMIT_KINDS = [ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORDPP,
                ProcedureKind.SAFFRON, ProcedureKind.LORD_DEP]
 
@@ -294,6 +300,43 @@ class TestProperties:
         after = [r.level for r in run_stream(cfg, forced)]
         for b, a in zip(before[idx + 1:], after[idx + 1:]):
             assert a >= b - 1e-15
+
+    @settings(max_examples=120, deadline=None)
+    @given(p=pvalue_lists, kind=st.sampled_from(MONOTONE_KINDS),
+           bounded=st.booleans(), original=st.booleans(), data=st.data())
+    def test_added_rejection_never_lowers_levels(self, p, kind, bounded,
+                                                 original, data):
+        # the condition decide's fixpoint search rests on: a state with one
+        # more rejection time has no lower next level (to rounding)
+        cut = data.draw(st.integers(1, len(p)), label="cut")
+        cfg = default_config(kind, alpha=0.05,
+                             bound=cut + 1 if bounded else None)
+        if kind in (ProcedureKind.LOND_INDEP, ProcedureKind.LOND_DEP):
+            cfg = dataclasses.replace(cfg, lond_original=original)
+        state = make_stream(cfg)
+        for v in p[:cut]:
+            observe(state, v, cfg)
+        # a SAFFRON rejection is a candidate
+        free = [t for t in range(1, cut + 1)
+                if t not in state.rejection_times
+                and (kind is not ProcedureKind.SAFFRON or p[t - 1] <= cfg.lam)]
+        assume(free)
+        t = data.draw(st.sampled_from(free), label="t")
+        more = with_rejection(state, t, sum(v <= cfg.lam for v in p[:t]))
+        assert next_level(more, cfg) >= next_level(state, cfg) * (1 - 1e-12)
+
+
+def with_rejection(state, t, candidates):
+    """A copy of ``state`` with a rejection at index ``t``, after
+    ``candidates`` candidates (SAFFRON)."""
+    k = state.discoveries
+    pairs = sorted(zip(state.rejection_times + [t],
+                       state._cand_at_tau[:k].tolist() + [candidates]))
+    more = dataclasses.replace(state, discoveries=0,
+                               _tau=np.zeros(0, dtype=np.int64),
+                               _cand_at_tau=np.zeros(0, dtype=np.int64))
+    more._push_rejections(*map(np.array, zip(*pairs)))
+    return more
 
 
 class TestLimitLevel:
@@ -629,3 +672,156 @@ class TestDecide:
                               w0=0.01, b0=0.04, sequence=seq)
         with pytest.raises(ConfigError, match="budget inequality"):
             decide(cfg, [0.5])
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(MONOTONE_KINDS), bounded=st.booleans(),
+           data=st.data())
+    def test_ties_at_the_fold_level(self, kind, bounded, data):
+        # p-values at the fold's level and one ulp either side: the search
+        # may round another way, and its check must find and correct that
+        # (under 24 discoveries the fold sums in discovery order too, so
+        # its levels are the kernel's bit for bit)
+        n = data.draw(st.integers(1, 23), label="n")
+        cfg = default_config(kind, alpha=0.05, bound=n if bounded else None)
+        state, p = make_stream(cfg), []
+        for _ in range(n):
+            level = next_level(state, cfg)
+            v = data.draw(st.one_of(
+                st.sampled_from([level, math.nextafter(level, 0.0),
+                                 math.nextafter(level, 1.0)]),
+                st.floats(0.0, 1e-3), st.floats(0.0, 1.0)), label="p")
+            observe(state, v, cfg)
+            p.append(v)
+        assert_levels_are_the_folds(cfg, p)
+
+    def test_resume_after_rounding(self, monkeypatch):
+        # a stream whose search adds discoveries out of index order and
+        # rounds one tie the other way: the check corrects it and the
+        # search resumes after it
+        p = [0.0013379192728150214, 0.0005923628693439936,
+             1.4059085148911854e-05, 0.002082777038724266,
+             0.0022574987814579658, 0.0024086462899995872,
+             0.00023950895547226138, 0.0026602630312472786,
+             0.00035181932914803805, 0.0028647430442304707,
+             0.00036485722486725037, 0.0007166049207154763,
+             0.003113582304960104, 0.0031852636625890733,
+             0.0019145627931343174, 0.8584353255541872,
+             0.0014988305341595302]
+        searches = []
+        fixpoint = procedures._fixpoint
+
+        def counting(pvalues, start, counted=False):
+            def started():
+                searches.append(1)
+                return start()
+            return fixpoint(pvalues, started, counted)
+
+        monkeypatch.setattr(procedures, "_fixpoint", counting)
+        assert_levels_are_the_folds(default_config(ProcedureKind.LORD2), p)
+        # the search, the rebuild in index order, the resumed search
+        assert len(searches) >= 3
+
+    @pytest.mark.parametrize("kind", MONOTONE_KINDS)
+    def test_chain_stream(self, kind):
+        # each discovery makes only the next hypothesis a hit, the worst
+        # case for the number of search passes
+        cfg = default_config(kind, alpha=0.05)
+        state, p = make_stream(cfg), []
+        for _ in range(300):
+            v = next_level(state, cfg) * (1 - 1e-9)
+            observe(state, v, cfg)
+            p.append(v)
+        got = decide(cfg, p)
+        assert got.rejected.all()
+        assert_kernel_equals_fold(cfg, p)
+        if kind is not ProcedureKind.SAFFRON:   # capped at lambda later on
+            without = decide(cfg, p[:10] + [1.0] + p[11:])
+            assert not without.rejected[11]
+
+    @pytest.mark.parametrize("kind", MONOTONE_KINDS)
+    @pytest.mark.parametrize("shape", ["blocks", "chain", "mixture"])
+    def test_row_by_row_equals_one_call(self, kind, shape):
+        # one row at a time, the carried discoveries pay in discovery order;
+        # one call must sum every level the same way, also after hundreds of
+        # discoveries, runs of them on one SAFFRON clock, and search passes
+        # that each take a window of rows
+        cfg = default_config(kind, alpha=0.05)
+        rng = np.random.default_rng(11)
+        if shape == "blocks":
+            p = rng.random(1200)
+            for a in (5, 300, 700):
+                p[a:a + 150] = 1e-9 * rng.random(150)
+        elif shape == "chain":
+            state, p = make_stream(cfg), np.empty(400)
+            for i in range(400):
+                p[i] = next_level(state, cfg) * (1 - 1e-9)
+                observe(state, p[i], cfg)
+        else:
+            signal = rng.random(1500) < 0.4
+            p = np.where(signal, 0.01 * rng.random(1500) ** 4,
+                         rng.random(1500))
+        one = decide(cfg, p)
+        state = make_stream(cfg)
+        rows = [decide(cfg, p[i:i + 1], state) for i in range(len(p))]
+        assert np.concatenate([d.levels for d in rows]).tobytes() == \
+            one.levels.tobytes()
+        assert np.concatenate([d.rejected for d in rows]).tolist() == \
+            one.rejected.tolist()
+        assert one.rejected.sum() >= 100
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_saffron_chain_then_candidates(self, bounded):
+        # a chain of discoveries on one clock, one per search pass, then a
+        # long run of candidates that are not discoveries: the passes over
+        # that run carry the chain's gamma(1) adds on from the pass before
+        cfg = default_config(ProcedureKind.SAFFRON, alpha=0.05,
+                             bound=400 if bounded else None)
+        state, p = make_stream(cfg), [0.9, 0.7]
+        for v in p:
+            observe(state, v, cfg)
+        for i in range(300):
+            level = next_level(state, cfg)
+            v = level * (1 - 1e-9) if i < 6 else min(1.5 * level, cfg.lam)
+            observe(state, v, cfg)
+            p.append(v)
+        p += [0.9, 0.3, 0.8]
+        got = decide(cfg, p)
+        assert got.rejected.sum() == 6 and max(got.levels) < cfg.lam
+        assert_levels_are_the_folds(cfg, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lam=st.sampled_from(LAMBDAS), bounded=st.booleans(),
+           runs=st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3),
+                                   st.integers(0, 2)), min_size=1, max_size=8),
+           data=st.data())
+    def test_saffron_candidate_runs_ending_in_discoveries(self, lam, bounded,
+                                                         runs, data):
+        # runs of candidates that end in discoveries share one clock value:
+        # a discovery pays it only to the hypotheses after it
+        p = []
+        for plain, found, after in runs:
+            p += [data.draw(st.floats(lam / 2, lam), label="candidate")
+                  for _ in range(plain)]
+            p += [data.draw(st.floats(0.0, 1e-4), label="discovery")
+                  for _ in range(found)]
+            p += [data.draw(st.floats(0.0, lam), label="candidate")
+                  for _ in range(after)]
+            p.append(data.draw(st.floats(lam, 1.0, exclude_min=True),
+                               label="non-candidate"))
+        cfg = default_config(ProcedureKind.SAFFRON, alpha=0.1, lam=lam,
+                             w0=(1 - lam) * 0.1 / 2,
+                             bound=len(p) if bounded else None)
+        assert_levels_are_the_folds(cfg, p)
+
+
+def assert_levels_are_the_folds(cfg, p):
+    """Decisions equal the fold's; so do the levels, bit for bit, while the
+    fold sums its payouts in discovery order (under 24 discoveries)."""
+    recs = run_stream(cfg, p)
+    got = decide(cfg, p)
+    assert got.rejected.tolist() == [r.rejected for r in recs]
+    if sum(r.rejected for r in recs) < 24:
+        assert got.levels.tolist() == [r.level for r in recs]
+    else:
+        assert np.allclose(got.levels, [r.level for r in recs], rtol=1e-12,
+                           atol=0)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from onfdr import scenarios
-from onfdr.procedures import ProcedureKind, default_config
+from onfdr import procedures, scenarios
+from onfdr.procedures import ConfigError, ProcedureConfig, ProcedureKind, \
+    default_config, default_sequence
 from onfdr.scenarios import (
     KIDNEY_REALISATIONS,
     KidneyTrialScenario,
@@ -214,6 +215,41 @@ class TestEstimate:
         assert RecordingPool.sizes == [2]
         monkeypatch.setenv("ONFDR_THREADS", "1")
         assert estimate(cfg, sc, reps=64, seed=3) == pooled
+
+    def test_tables_built_before_the_pool(self, monkeypatch):
+        # configs are checked and their tables built before the pool
+        # starts: a refused config raises first, and workers build nothing
+        class RecordingPool:
+            started = []
+
+            def __init__(self, max_workers):
+                self.started.append(
+                    procedures._table_cache.cache_info().misses)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return list(map(fn, tasks))
+
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("ONFDR_THREADS", "2")
+        sc = MixtureScenario(N=30, pi1=0.3, rho=0.5)
+        seq = default_sequence(ProcedureKind.LORD_DEP, alpha=0.05)
+        refused = ProcedureConfig(kind=ProcedureKind.LORD_DEP, alpha=0.05,
+                                  w0=0.01, b0=0.04, sequence=seq)
+        with pytest.raises(ConfigError, match="budget inequality"):
+            estimate_many([("bh", "bh"), ("dep", refused)], sc, reps=64,
+                          seed=1)
+        assert RecordingPool.started == []
+        procs = [(k.value, default_config(k, alpha=0.0431))
+                 for k in (ProcedureKind.LORD2, ProcedureKind.SAFFRON)]
+        estimate_many(procs, sc, reps=64, seed=1)
+        assert RecordingPool.started == [
+            procedures._table_cache.cache_info().misses]
 
     def test_global_null(self):
         sc = MixtureScenario(N=100, pi1=0.0, rho=0.5)
