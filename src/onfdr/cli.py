@@ -180,6 +180,12 @@ def cmd_run(args) -> int:
         if not 0 <= rebound_at < rebound_to:
             return _fail(EXIT_BAD_CONFIG, "--rebound expects n:NPRIME with "
                          f"0 <= n < NPRIME, got {args.rebound!r}")
+        if state.bound is None:
+            return _fail(EXIT_BAD_CONFIG,
+                         "--rebound requires a bounded stream (--bound)")
+        if rebound_at > state.bound:
+            return _fail(EXIT_BAD_CONFIG, f"--rebound n={rebound_at} lies "
+                         f"past the horizon N={state.bound}")
 
     try:
         infile = open(args.input, newline="") if args.input \

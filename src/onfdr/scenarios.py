@@ -13,6 +13,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -249,13 +250,20 @@ def eval_kidney(scenario: KidneyTrialScenario, Y0: int, Y,
     m1 = int(np.count_nonzero(truth))
     out: dict[str, KidneyCell] = {}
     for name in procedures:
-        proc = name if name in _OFFLINE else default_config(
-            ProcedureKind(name), alpha=scenario.alpha, bound=scenario.K)
+        proc = name if name in _OFFLINE else _kidney_config(
+            name, scenario.alpha, scenario.K)
         decisions = _decisions(proc, p, scenario.alpha)
         r = int(np.count_nonzero(decisions))
         v = int(np.count_nonzero(decisions & ~truth))
         out[name] = KidneyCell(v, r, r - v, m1)
     return out
+
+
+@lru_cache(maxsize=256)
+def _kidney_config(name: str, alpha: float, K: int) -> ProcedureConfig:
+    """The bounded config of online rule ``name`` on a K-arm platform;
+    configs are frozen, so every evaluation shares one."""
+    return default_config(ProcedureKind(name), alpha=alpha, bound=K)
 
 
 def _decisions(proc, p: np.ndarray, alpha: float) -> np.ndarray:

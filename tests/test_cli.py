@@ -135,6 +135,28 @@ class TestRun:
         assert (code, out) == (3, "")
         assert err.startswith("onfdr: --rebound expects n:NPRIME")
 
+    @pytest.mark.parametrize("options, message", [
+        # unbounded, the stream reaches n
+        (["--procedure", "lord++", "--rebound", "40:90"],
+         "onfdr: --rebound requires a bounded stream (--bound)\n"),
+        # unbounded, the stream ends before n
+        (["--procedure", "lord++", "--rebound", "100:300"],
+         "onfdr: --rebound requires a bounded stream (--bound)\n"),
+        # n past the horizon
+        (["--procedure", "lond", "--bound", "50", "--rebound", "60:90"],
+         "onfdr: --rebound n=60 lies past the horizon N=50\n"),
+    ])
+    def test_impossible_rebound_refused_before_output(self, tmp_path, capsys,
+                                                      options, message):
+        path = write_pvalues(tmp_path, [(f"h{i}", 0.01) for i in range(70)])
+        code, out, err = run_cli(capsys, ["run", "--input", path, *options])
+        assert (code, out, err) == (3, "", message)
+        dest = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, ["run", "--input", path, *options,
+                                          "--output", str(dest)])
+        assert (code, out, err) == (3, "", message)
+        assert not dest.exists()
+
     def test_lord_dep_at_horizon_one_refused(self, tmp_path, capsys):
         # xi_1 = alpha / b0 = 2 > 1: the published constant is kept, so the
         # configuration is refused (README, Limits)

@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onfdr import stattests
 from onfdr.stattests import (
     TwoByTwoTable,
     fisher_exact_greater,
@@ -123,3 +125,117 @@ class TestFisherExact:
         got = fisher_exact_greater(TwoByTwoTable(a, r1 - a, c, r2 - c))
         want = hypergeom_tail_oracle(a, r1 - a, c, r2 - c)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+# log(m!) for the reference, up to the largest margins tested (1100 + 1100)
+LOG_FACTORIAL = [math.lgamma(m + 1) for m in range(2201)]
+
+
+def fisher_reference_tails(r1, r2, k):
+    """``{a: P(X >= a)}`` for every ``a`` of the support of margin
+    (r1, r2, k) past its lower end, by the formula the exact test used
+    before its margin cache: one list comprehension of log masses, then
+    ``max``, a shifted ``exp`` and a ``sum`` over each tail.  The log
+    masses do not depend on ``a``, so the list is formed once per margin."""
+    n = r1 + r2
+    lo, hi = max(0, k - r2), min(k, r1)
+    lf = LOG_FACTORIAL
+    log_total = lf[n] - lf[k] - lf[n - k]
+    terms = [
+        (lf[r1] - lf[x] - lf[r1 - x]) + (lf[r2] - lf[k - x] - lf[r2 - k + x])
+        - log_total
+        for x in range(lo, hi + 1)
+    ]
+    tails = {}
+    for a in range(lo + 1, hi + 1):
+        log_masses = np.array(terms[a - lo:])
+        shift = log_masses.max()
+        p = math.exp(shift) * float(np.exp(log_masses - shift).sum())
+        tails[a] = min(max(p, 0.0), 1.0)
+    return tails
+
+
+def reference_pvalue(tails, a, b, c, d):
+    """The p-value of table (a, b, c, d) from its margin's reference tails,
+    with the early returns of the exact test."""
+    if TwoByTwoTable(a, b, c, d).degenerate:
+        return 1.0
+    return 1.0 if a <= max(0, a - d) else tails[a]   # a - d = k - r2
+
+
+@pytest.fixture(scope="module")
+def small_margin_tables():
+    """Every table with both row sums <= 40, grouped by margin, with its
+    reference p-value."""
+    tables, want = [], []
+    for r1 in range(41):
+        for r2 in range(41):
+            for k in range(r1 + r2 + 1):
+                tails = fisher_reference_tails(r1, r2, k)
+                for a in range(max(0, k - r2), min(k, r1) + 1):
+                    t = (a, r1 - a, k - a, r2 - (k - a))
+                    tables.append(t)
+                    want.append(reference_pvalue(tails, *t))
+    return tables, want
+
+
+class TestFisherMarginCache:
+    """The cached exact test returns the reference formula's floats bit for
+    bit, whatever the order of calls and the state of the cache."""
+
+    def test_every_small_table_cold_then_warm(self, small_margin_tables):
+        # in margin order the first table of a margin builds it and the
+        # rest read it
+        tables, want = small_margin_tables
+        stattests._margin.cache_clear()
+        got = [fisher_exact_greater(TwoByTwoTable(*t)) for t in tables]
+        assert got == want
+
+    def test_every_small_table_shuffled(self, small_margin_tables):
+        tables, want = small_margin_tables
+        order = list(range(len(tables)))
+        random.Random(9).shuffle(order)
+        stattests._margin.cache_clear()
+        got = [fisher_exact_greater(TwoByTwoTable(*tables[i])) for i in order]
+        assert got == [want[i] for i in order]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_large_margins(self, data):
+        # from the import-time log-factorial table, so a table with
+        # r1 + r2 >= 256 makes it grow inside the call
+        stattests._LOG_FACTORIAL = stattests._LOG_FACTORIAL[:256]
+        r1 = data.draw(st.integers(1, 400), label="r1")
+        r2 = data.draw(st.integers(1, 400), label="r2")
+        a = data.draw(st.integers(0, r1), label="a")
+        c = data.draw(st.integers(0, r2), label="c")
+        tails = fisher_reference_tails(r1, r2, a + c)
+        got = fisher_exact_greater(TwoByTwoTable(a, r1 - a, c, r2 - c))
+        assert got == reference_pvalue(tails, a, r1 - a, c, r2 - c)
+
+    def test_wide_margin_built_per_call(self):
+        # a support wider than the cache admits is built per call, not kept
+        stattests._margin.cache_clear()
+        tails = fisher_reference_tails(1100, 1100, 1100)
+        for a in (1, 540, 550, 560, 1100):
+            t = (a, 1100 - a, 1100 - a, a)
+            assert fisher_exact_greater(TwoByTwoTable(*t)) == \
+                reference_pvalue(tails, *t)
+        assert stattests._margin.cache_info().currsize == 0
+
+    def test_cached_values_are_read_only(self):
+        fisher_exact_greater(TwoByTwoTable(7, 13, 9, 23))
+        log_masses, suffix_max = stattests._margin(20, 32, 16)
+        assert isinstance(suffix_max, tuple)
+        for array in (log_masses, stattests._log_binom_row(20)):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_cache_stays_bounded(self):
+        info = stattests._margin.cache_info()
+        for k in range(1, info.maxsize + 60):
+            fisher_exact_greater(TwoByTwoTable(1, 400, k, 400))
+        info = stattests._margin.cache_info()
+        assert info.currsize <= info.maxsize
+        assert stattests._log_binom_row.cache_info().currsize <= \
+            stattests._log_binom_row.cache_info().maxsize
