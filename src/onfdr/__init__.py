@@ -1,8 +1,7 @@
 """Streaming multiple-hypothesis testing: online FDR-controlling procedures,
 offline baselines, and a seeded Monte Carlo harness."""
 
-from .baselines import BatchResult, MetricsAccumulator, bh, bh_adjusted, \
-    score, uncorrected
+from .baselines import BatchResult, bh, bh_adjusted, score, uncorrected
 from .procedures import (
     ConfigError,
     DecisionRecord,
@@ -47,8 +46,8 @@ from .sequences import (
     validate_xi,
     xi_constant_bounded,
 )
-from .stattests import TwoByTwoTable, fisher_exact_greater, normal_cdf, \
-    pvalue_one_sided, pvalue_two_sided
+from .stattests import TwoByTwoTable, fisher_exact_greater, pvalue_one_sided, \
+    pvalue_two_sided
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

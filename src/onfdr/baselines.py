@@ -3,29 +3,39 @@ and the false-discovery/power metrics."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchResult:
-    """Rejection set of an offline rule, with its effective p-value cutoff."""
+    """Rejection flags of an offline rule (read-only, hypothesis i at
+    ``i - 1``), with its effective p-value cutoff."""
 
-    rejected_indices: frozenset[int]   # 1-based
+    rejected: np.ndarray
     threshold: float
+
+    def __post_init__(self) -> None:
+        self.rejected.setflags(write=False)
+
+    @cached_property
+    def rejected_indices(self) -> frozenset[int]:   # 1-based
+        return frozenset((self.rejected.nonzero()[0] + 1).tolist())
 
     @property
     def n_rejected(self) -> int:
-        return len(self.rejected_indices)
+        return int(np.count_nonzero(self.rejected))
 
-    def mask(self, n: int) -> np.ndarray:
-        """Rejection flags of hypotheses 1..n as a boolean array."""
-        flags = np.zeros(n, dtype=bool)
-        flags[np.fromiter(self.rejected_indices, np.intp,
-                          self.n_rejected) - 1] = True
-        return flags
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BatchResult):
+            return NotImplemented
+        return self.threshold == other.threshold and \
+            np.array_equal(self.rejected, other.rejected)
+
+    def __hash__(self) -> int:
+        return hash((self.threshold, self.rejected.tobytes()))
 
 
 def _pvalue_array(pvalues) -> np.ndarray:
@@ -46,17 +56,14 @@ def bh(pvalues, alpha: float) -> BatchResult:
     """Step-up procedure: find the largest i with p_(i) <= i * alpha / N and
     reject every hypothesis with p <= p_(i)."""
     p = _pvalue_array(pvalues)
-    if p.size == 0:
-        return BatchResult(frozenset(), 0.0)
     n = p.size
     ordered = np.sort(p)
     ranks = np.arange(1, n + 1)
     passing = np.nonzero(ordered <= ranks * alpha / n)[0]
     if passing.size == 0:
-        return BatchResult(frozenset(), 0.0)
+        return BatchResult(np.zeros(n, dtype=bool), 0.0)
     threshold = float(ordered[passing[-1]])
-    rejected = frozenset((np.nonzero(p <= threshold)[0] + 1).tolist())
-    return BatchResult(rejected, threshold)
+    return BatchResult(p <= threshold, threshold)
 
 
 def bh_adjusted(pvalues, alpha: float) -> BatchResult:
@@ -65,64 +72,14 @@ def bh_adjusted(pvalues, alpha: float) -> BatchResult:
     p = list(pvalues)
     n = len(p)
     if n == 0:
-        return BatchResult(frozenset(), 0.0)
+        return BatchResult(np.zeros(0, dtype=bool), 0.0)
     harmonic = float(np.sum(1.0 / np.arange(1, n + 1)))
     return bh(p, alpha / harmonic)
 
 
 def uncorrected(pvalues, alpha: float) -> BatchResult:
     """Reject every p strictly below alpha (no multiplicity correction)."""
-    p = _pvalue_array(pvalues)
-    rejected = frozenset((np.nonzero(p < alpha)[0] + 1).tolist())
-    return BatchResult(rejected, alpha)
-
-
-@dataclass
-class MetricsAccumulator:
-    """Per-replicate false-discovery proportions and powers with their
-    running means and Monte Carlo standard errors.
-
-    Power is recorded only for replicates that contained non-nulls; the
-    mean is None until at least one such replicate arrives.
-    """
-
-    fdps: list[float] = field(default_factory=list)
-    powers: list[float] = field(default_factory=list)
-
-    def add(self, fdp: float, power: float | None) -> None:
-        if not 0.0 <= fdp <= 1.0:
-            raise ValueError(f"FDP must lie in [0, 1], got {fdp!r}")
-        self.fdps.append(float(fdp))
-        if power is not None:
-            self.powers.append(float(power))
-
-    def add_batch(self, decisions, truth) -> None:
-        self.add(*score(decisions, truth))
-
-    @staticmethod
-    def _mean_se(values) -> tuple[float | None, float | None]:
-        n = len(values)
-        if n == 0:
-            return None, None
-        mean = float(np.mean(values))
-        se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return mean, se
-
-    @property
-    def fdr(self) -> float | None:
-        return self._mean_se(self.fdps)[0]
-
-    @property
-    def fdr_se(self) -> float | None:
-        return self._mean_se(self.fdps)[1]
-
-    @property
-    def power(self) -> float | None:
-        return self._mean_se(self.powers)[0]
-
-    @property
-    def power_se(self) -> float | None:
-        return self._mean_se(self.powers)[1]
+    return BatchResult(_pvalue_array(pvalues) < alpha, alpha)
 
 
 def _flags(values) -> np.ndarray:

@@ -224,6 +224,8 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_BAD_CONFIG, f"invalid grid: {exc}")
     proc_names = [tok.strip() for tok in args.procedures.split(",") if tok.strip()]
+    if not proc_names:
+        return _fail(EXIT_BAD_CONFIG, f"no procedures in {args.procedures!r}")
     unknown = [n for n in proc_names if n not in _SIM_PROCS]
     if unknown:
         return _fail(EXIT_BAD_CONFIG, f"unknown procedures: {', '.join(unknown)}")
@@ -247,7 +249,8 @@ def cmd_simulate(args) -> int:
             else:
                 scenarios.append(MixtureScenario(
                     N=args.n, pi1=pi1, rho=args.rho,
-                    alternative=MixtureAlternative(args.scenario)))
+                    alternative=MixtureAlternative(args.scenario),
+                    alpha=args.alpha))
         worker_count()
         if args.reps < 1:
             raise ValueError("reps must be >= 1")

@@ -39,12 +39,14 @@ class MixtureAlternative(str, Enum):
 
 @dataclass(frozen=True)
 class MixtureScenario:
-    """Equicorrelated z-statistics with a point-mass-or-F1 mean mixture."""
+    """Equicorrelated z-statistics with a point-mass-or-F1 mean mixture;
+    ``alpha`` is the level of the offline rules run on it."""
 
     N: int
     pi1: float
     rho: float = 0.0
     alternative: MixtureAlternative = MixtureAlternative.GAUSSIAN
+    alpha: float = 0.05
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -53,6 +55,8 @@ class MixtureScenario:
             raise ValueError("pi1 must lie in [0, 1]")
         if not 0 <= self.rho < 1:
             raise ValueError("rho must lie in [0, 1)")
+        if not 0 < self.alpha < 1:
+            raise ValueError("alpha must lie in (0, 1)")
 
     @property
     def two_sided(self) -> bool:
@@ -71,13 +75,17 @@ class MixtureScenario:
 @dataclass(frozen=True)
 class PlatformTrialScenario:
     """Normal-outcome platform trial: K arms against a growing shared
-    control."""
+    control; ``alpha`` is the level of the offline rules run on it."""
 
     K: int
     N_target: int = 70
     sigma: float = 6.0
     pi: float = 0.1
     alpha: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not 0 < self.alpha < 1:
+            raise ValueError("alpha must lie in (0, 1)")
 
     @property
     def N0(self) -> int:
@@ -270,7 +278,7 @@ def _decisions(proc, p: np.ndarray, alpha: float) -> np.ndarray:
     """Rejection flags on ``p`` of a ProcedureConfig or of the offline rule
     named ``proc``."""
     if isinstance(proc, str):
-        return _OFFLINE[proc](p, alpha).mask(len(p))
+        return _OFFLINE[proc](p, alpha).rejected
     return decide(proc, p).rejected
 
 
@@ -296,7 +304,7 @@ def _one_replicate(scenario, procs, seed, rep):
     fdps = np.empty(len(procs))
     powers = np.full(len(procs), np.nan)
     for c, (label, proc) in enumerate(procs):
-        decisions = _decisions(proc, p, _scenario_alpha(scenario))
+        decisions = _decisions(proc, p, scenario.alpha)
         fdp, power = baselines.score(decisions, truth)
         fdps[c] = fdp
         if power is not None:
@@ -310,10 +318,6 @@ def _generate(scenario, seed):
     if isinstance(scenario, PlatformTrialScenario):
         return gen_platform(scenario, seed)
     raise TypeError(f"cannot generate from {type(scenario).__name__}")
-
-
-def _scenario_alpha(scenario) -> float:
-    return getattr(scenario, "alpha", 0.05)
 
 
 def _replicate_chunk(args):
@@ -369,13 +373,20 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
 
     results = []
     for c, (label, _) in enumerate(procs):
-        acc = baselines.MetricsAccumulator()
-        for r in range(reps):
-            w = powers[r, c]
-            acc.add(fdps[r, c], None if np.isnan(w) else float(w))
-        results.append(EstimateResult(label, acc.fdr, acc.fdr_se, acc.power,
-                                      acc.power_se, reps, len(acc.powers)))
+        # per column: a reduction over the matrix would sum in another order
+        power = powers[:, c][~np.isnan(powers[:, c])]
+        results.append(EstimateResult(label, *_mean_se(fdps[:, c]),
+                                      *_mean_se(power), reps, len(power)))
     return results
+
+
+def _mean_se(values: np.ndarray) -> tuple[float | None, float | None]:
+    """Mean and standard error (ddof=1; 0.0 for one value), None if empty."""
+    n = len(values)
+    if n == 0:
+        return None, None
+    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(values)), se
 
 
 def estimate(procedure: ProcedureConfig, scenario, reps: int,

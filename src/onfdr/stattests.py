@@ -11,14 +11,6 @@ import numpy as np
 from scipy.special import ndtr
 
 
-def normal_cdf(z):
-    """Standard normal distribution function, via the complementary error
-    function (absolute accuracy well below 1e-12). Accepts scalars or
-    arrays."""
-    out = ndtr(z)
-    return float(out) if np.isscalar(z) else out
-
-
 def pvalue_one_sided(z):
     """Upper-tail p-value Phi(-z), clamped to [0, 1]."""
     out = np.clip(ndtr(np.negative(z)), 0.0, 1.0)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onfdr.baselines import (
-    MetricsAccumulator,
     bh,
     bh_adjusted,
     score,
@@ -169,34 +168,17 @@ class TestMask:
     @given(p=grid_pvalues, rule=st.sampled_from([bh, bh_adjusted, uncorrected]))
     def test_flags_the_rejected_indices(self, p, rule):
         res = rule(p, 0.2)
-        mask = res.mask(len(p))
-        assert mask.dtype == bool and len(mask) == len(p)
-        assert set((np.flatnonzero(mask) + 1).tolist()) == res.rejected_indices
+        flags = res.rejected
+        assert flags.dtype == bool and len(flags) == len(p)
+        assert not flags.flags.writeable
+        # hypothesis i is flagged when p_i is inside the rule's cutoff
+        inside = np.less if rule is uncorrected else np.less_equal
+        assert flags.tolist() == inside(p, res.threshold).tolist()
+        assert set((np.flatnonzero(flags) + 1).tolist()) == res.rejected_indices
+        assert res.n_rejected == len(res.rejected_indices)
 
-
-class TestMetricsAccumulator:
-    def test_running_means_and_ses(self):
-        acc = MetricsAccumulator()
-        acc.add(0.0, 0.5)
-        acc.add(0.5, None)
-        acc.add(0.25, 1.0)
-        assert acc.fdr == pytest.approx(0.25)
-        assert acc.power == pytest.approx(0.75)
-        assert acc.fdr_se == pytest.approx(np.std([0, 0.5, 0.25], ddof=1)
-                                           / np.sqrt(3))
-        assert len(acc.powers) == 2
-
-    def test_empty_and_single(self):
-        acc = MetricsAccumulator()
-        assert acc.fdr is None and acc.power is None
-        acc.add(0.2, None)
-        assert acc.fdr == 0.2 and acc.fdr_se == 0.0 and acc.power is None
-
-    def test_rejects_out_of_range_fdp(self):
-        with pytest.raises(ValueError):
-            MetricsAccumulator().add(1.2, None)
-
-    def test_add_batch_scores(self):
-        acc = MetricsAccumulator()
-        acc.add_batch([True, True], [True, False])
-        assert acc.fdps == [0.5] and acc.powers == [1.0]
+    def test_equal_flags_and_threshold_are_one_value(self):
+        a, b = bh([0.01, 0.5], 0.05), bh(np.array([0.01, 0.5]), 0.05)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != uncorrected([0.01, 0.5], 0.05)   # same flags, other cutoff
+        assert a != bh([0.01, 0.5, 0.9], 0.05)

@@ -9,7 +9,8 @@ import pytest
 from onfdr.cli import CHUNK_ROWS, main
 from onfdr.procedures import ProcedureKind, default_config, make_stream, \
     rebound_stream, run_stream
-from onfdr.scenarios import KIDNEY_REALISATIONS, KidneyTrialScenario, eval_kidney
+from onfdr.scenarios import KIDNEY_REALISATIONS, KidneyTrialScenario, \
+    MixtureScenario, estimate_many, eval_kidney
 
 
 def run_cli(capsys, argv):
@@ -391,6 +392,41 @@ class TestSimulate:
             "--pi1-grid", "0.2", "--reps", "10", "--seed", "1",
             "--procedures", "lond"] + extra)
         assert code == 3 and out == ""
+
+    def test_alpha_sets_the_offline_level(self, capsys):
+        argv = ["simulate", "--scenario", "gaussian", "--n", "30",
+                "--pi1-grid", "0.3", "--reps", "40", "--seed", "2",
+                "--procedures", "bh"]
+        rows = {}
+        for alpha in ("0.05", "0.2"):
+            code, out, _ = run_cli(capsys, argv + ["--alpha", alpha])
+            assert code == 0
+            rows[alpha] = list(csv.DictReader(io.StringIO(out)))[0]
+        want = estimate_many([("bh", "bh")], MixtureScenario(
+            N=30, pi1=0.3, rho=0.5, alpha=0.2), reps=40, seed=2)[0]
+        got = rows["0.2"]
+        assert [got["fdr"], got["fdr_se"], got["power"], got["power_se"]] == \
+            [repr(want.fdr), repr(want.fdr_se), repr(want.power),
+             repr(want.power_se)]
+        assert (got["fdr"], got["power"]) != \
+            (rows["0.05"]["fdr"], rows["0.05"]["power"])
+
+    @pytest.mark.parametrize("scenario", ["gaussian", "constant", "platform"])
+    def test_bad_alpha_refused_for_offline_rules(self, capsys, scenario):
+        code, out, err = run_cli(capsys, [
+            "simulate", "--scenario", scenario, "--n", "10",
+            "--pi1-grid", "0.2", "--reps", "10", "--seed", "1",
+            "--alpha", "2", "--procedures", "bh"])
+        assert code == 3 and out == "" and "alpha" in err
+
+    @pytest.mark.parametrize("names", ["", ",", " , "])
+    def test_no_procedures_exits_3(self, capsys, names):
+        code, out, err = run_cli(capsys, [
+            "simulate", "--scenario", "gaussian", "--n", "10",
+            "--pi1-grid", "0.2", "--reps", "10", "--seed", "1",
+            "--procedures", names])
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("onfdr: ")
 
     def test_unknown_procedure_exits_3(self, capsys):
         code, _, err = run_cli(capsys, [

@@ -322,19 +322,22 @@ class TestProperties:
                 and (kind is not ProcedureKind.SAFFRON or p[t - 1] <= cfg.lam)]
         assume(free)
         t = data.draw(st.sampled_from(free), label="t")
-        more = with_rejection(state, t, sum(v <= cfg.lam for v in p[:t]))
+        # a SAFFRON rejection's clock is its index less the candidates
+        # through it; every other rule's is its index
+        clock = t - sum(v <= cfg.lam for v in p[:t]) \
+            if kind is ProcedureKind.SAFFRON else t
+        more = with_rejection(state, t, clock)
         assert next_level(more, cfg) >= next_level(state, cfg) * (1 - 1e-12)
 
 
-def with_rejection(state, t, candidates):
-    """A copy of ``state`` with a rejection at index ``t``, after
-    ``candidates`` candidates (SAFFRON)."""
+def with_rejection(state, t, clock):
+    """A copy of ``state`` with a rejection at index ``t`` on ``clock``."""
     k = state.discoveries
     pairs = sorted(zip(state.rejection_times + [t],
-                       state._cand_at_tau[:k].tolist() + [candidates]))
+                       state._clock[:k].tolist() + [clock]))
     more = dataclasses.replace(state, discoveries=0,
                                _tau=np.zeros(0, dtype=np.int64),
-                               _cand_at_tau=np.zeros(0, dtype=np.int64))
+                               _clock=np.zeros(0, dtype=np.int64))
     more._push_rejections(*map(np.array, zip(*pairs)))
     return more
 
@@ -539,7 +542,7 @@ def assert_same_state(got, want, cfg):
         (want.i, want.rejection_times, want.wealth, want.wealth_at_discovery,
          want.candidates_total, want._harmonic, want.bound)
     k = want.discoveries
-    assert got._cand_at_tau[:k].tolist() == want._cand_at_tau[:k].tolist()
+    assert got._clock[:k].tolist() == want._clock[:k].tolist()
     if got.bound is None or got.i < got.bound:   # and the table ahead
         assert next_level(got, cfg) == next_level(want, cfg)
 

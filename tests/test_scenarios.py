@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from onfdr import procedures, scenarios
+from onfdr import baselines, procedures, scenarios
 from onfdr.procedures import ConfigError, ProcedureConfig, ProcedureKind, \
-    default_config, default_sequence
+    default_config, default_sequence, run_stream
 from onfdr.scenarios import (
     KIDNEY_REALISATIONS,
     KidneyTrialScenario,
@@ -53,6 +53,13 @@ class TestMixtureScenario:
             MixtureScenario(N=10, pi1=1.5)
         with pytest.raises(ValueError):
             MixtureScenario(N=10, pi1=0.5, rho=1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, float("nan")])
+    def test_invalid_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            MixtureScenario(N=10, pi1=0.5, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            PlatformTrialScenario(K=10, alpha=alpha)
 
 
 class TestGenMixture:
@@ -250,6 +257,45 @@ class TestEstimate:
         estimate_many(procs, sc, reps=64, seed=1)
         assert RecordingPool.started == [
             procedures._table_cache.cache_info().misses]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_summaries_match_a_serial_recomposition(self, monkeypatch,
+                                                    threads):
+        # N=10, pi1=0.15: about a third of the replicates have no non-null
+        monkeypatch.setenv("ONFDR_THREADS", threads)
+        sc = MixtureScenario(N=10, pi1=0.15, rho=0.5, alpha=0.2)
+        procs = [("lord++", default_config(ProcedureKind.LORDPP, alpha=0.2)),
+                 ("bh", "bh"), ("unc", "uncorrected")]
+        reps, seed = 70, 3
+        got = estimate_many(procs, sc, reps=reps, seed=seed)
+        for (label, proc), res in zip(procs, got):
+            fdps, powers = [], []
+            for r in range(reps):
+                p, truth = gen_mixture(sc, np.random.SeedSequence((seed, r)))
+                if isinstance(proc, str):
+                    offline = baselines.bh if proc == "bh" else baselines.uncorrected
+                    decisions = offline(p, sc.alpha).rejected_indices
+                    decisions = [i + 1 in decisions for i in range(len(p))]
+                else:
+                    decisions = [rec.rejected for rec in run_stream(proc, p)]
+                fdp, power = baselines.score(decisions, truth)
+                fdps.append(fdp)
+                if power is not None:
+                    powers.append(power)
+            assert 0 < len(powers) < reps
+            assert (res.label, res.reps, res.power_reps) == (label, reps, len(powers))
+            assert res.fdr == float(np.mean(fdps))
+            assert res.fdr_se == float(np.std(fdps, ddof=1) / math.sqrt(reps))
+            assert res.power == float(np.mean(powers))
+            assert res.power_se == float(np.std(powers, ddof=1)
+                                         / math.sqrt(len(powers)))
+
+    def test_one_replicate_has_zero_se(self):
+        sc = MixtureScenario(N=10, pi1=1.0, rho=0.5)
+        for res in estimate_many([("lond", default_config(ProcedureKind.LOND_INDEP)),
+                                  ("bh", "bh")], sc, reps=1, seed=4):
+            assert res.fdr_se == 0.0 and res.power_se == 0.0
+            assert res.reps == res.power_reps == 1
 
     def test_global_null(self):
         sc = MixtureScenario(N=100, pi1=0.0, rho=0.5)

@@ -10,7 +10,6 @@ from onfdr import stattests
 from onfdr.stattests import (
     TwoByTwoTable,
     fisher_exact_greater,
-    normal_cdf,
     pvalue_one_sided,
     pvalue_two_sided,
 )
@@ -23,25 +22,6 @@ def hypergeom_tail_oracle(a, b, c, d):
     num = sum(math.comb(r1, x) * math.comb(r2, k - x)
               for x in range(a, min(k, r1) + 1))
     return num / math.comb(n, k)
-
-
-class TestNormalCdf:
-    def test_symmetry_point(self):
-        assert normal_cdf(0.0) == 0.5
-
-    def test_quantile_value(self):
-        # z such that the upper tail is 2.5%
-        assert normal_cdf(-1.959963985) == pytest.approx(0.025, abs=1e-9)
-
-    def test_far_tail(self):
-        assert normal_cdf(40.0) == pytest.approx(1.0, abs=1e-12)
-        assert normal_cdf(-40.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_vectorized(self):
-        z = np.array([-1.0, 0.0, 1.0])
-        out = normal_cdf(z)
-        assert out.shape == (3,)
-        assert out[1] == 0.5
 
 
 class TestPValues:
