@@ -1,7 +1,8 @@
 """Streaming multiple-hypothesis testing: online FDR-controlling procedures,
 offline baselines, and a seeded Monte Carlo harness."""
 
-from .baselines import BatchResult, bh, bh_adjusted, score, uncorrected
+from .baselines import BatchResult, bh, bh_adjusted, offline_rows, score, \
+    uncorrected
 from .procedures import (
     ConfigError,
     DecisionRecord,
@@ -10,7 +11,9 @@ from .procedures import (
     ProcedureConfig,
     ProcedureKind,
     StreamState,
+    check_rows,
     decide,
+    decide_rows,
     default_config,
     default_sequence,
     limit_level,

@@ -3,6 +3,7 @@ and the false-discovery/power metrics."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,34 +53,60 @@ def _pvalue_array(pvalues) -> np.ndarray:
     return p
 
 
+def _step_up(p: np.ndarray, level: float):
+    """Rejection flags and p-value cutoff of the step-up rule at ``level``
+    on one row of N > 0 p-values, or on each row of a matrix: the cutoff is
+    the largest p_(i) <= i * level / N, or -inf where there is none."""
+    n = p.shape[-1]
+    ordered = np.sort(p, axis=-1)
+    passing = ordered <= np.arange(1, n + 1) * level / n
+    if p.ndim == 1:   # fewer numpy calls than the reduction over rows
+        last = passing.nonzero()[0]
+        cutoff = float(ordered[last[-1]]) if last.size else -math.inf
+        return p <= cutoff, cutoff
+    # the order statistics ascend: the largest passing one is the last
+    cutoff = np.maximum.reduce(np.where(passing, ordered, -np.inf), axis=1)
+    return p <= cutoff[:, None], cutoff
+
+
+def _harmonic(n: int) -> float:
+    return float(np.sum(1.0 / np.arange(1, n + 1)))
+
+
+def _batch_step_up(p: np.ndarray, level: float) -> BatchResult:
+    if p.size == 0:
+        return BatchResult(np.zeros(0, dtype=bool), 0.0)
+    rejected, cutoff = _step_up(p, level)
+    return BatchResult(rejected, max(cutoff, 0.0))
+
+
 def bh(pvalues, alpha: float) -> BatchResult:
     """Step-up procedure: find the largest i with p_(i) <= i * alpha / N and
     reject every hypothesis with p <= p_(i)."""
-    p = _pvalue_array(pvalues)
-    n = p.size
-    ordered = np.sort(p)
-    ranks = np.arange(1, n + 1)
-    passing = np.nonzero(ordered <= ranks * alpha / n)[0]
-    if passing.size == 0:
-        return BatchResult(np.zeros(n, dtype=bool), 0.0)
-    threshold = float(ordered[passing[-1]])
-    return BatchResult(p <= threshold, threshold)
+    return _batch_step_up(_pvalue_array(pvalues), alpha)
 
 
 def bh_adjusted(pvalues, alpha: float) -> BatchResult:
     """Step-up procedure with alpha divided by the harmonic sum, valid under
     arbitrary dependence."""
-    p = list(pvalues)
-    n = len(p)
-    if n == 0:
-        return BatchResult(np.zeros(0, dtype=bool), 0.0)
-    harmonic = float(np.sum(1.0 / np.arange(1, n + 1)))
-    return bh(p, alpha / harmonic)
+    p = _pvalue_array(pvalues)
+    return _batch_step_up(p, alpha / _harmonic(p.size) if p.size else alpha)
 
 
 def uncorrected(pvalues, alpha: float) -> BatchResult:
     """Reject every p strictly below alpha (no multiplicity correction)."""
     return BatchResult(_pvalue_array(pvalues) < alpha, alpha)
+
+
+def offline_rows(rule: str, pvalues: np.ndarray, alpha: float) -> np.ndarray:
+    """Rejection flags of the offline ``rule`` ("bh", "bh-adjusted" or
+    "uncorrected") on each row of a checked (replicates x N) matrix, equal
+    to the rule's flags on that row."""
+    n = pvalues.shape[1]
+    if rule == "uncorrected" or n == 0:
+        return pvalues < alpha
+    level = alpha if rule == "bh" else alpha / _harmonic(n)
+    return _step_up(pvalues, level)[0]
 
 
 def _flags(values) -> np.ndarray:
@@ -93,11 +120,19 @@ def score(decisions, truth) -> tuple[float, float | None]:
 
     FDP is V / max(R, 1); power is the fraction of non-null hypotheses
     rejected, or None when there are no non-nulls.  Both arguments may be
-    boolean arrays or sequences of truth values.
+    boolean arrays or sequences of truth values.  Given two (replicates x
+    N) matrices it scores each row: FDP and power are arrays, power NaN
+    for a row with no non-null.
     """
     decisions, truth = _flags(decisions), _flags(truth)
     if decisions.shape != truth.shape:
         raise ValueError("decisions and truth must have equal length")
+    if decisions.ndim == 2:
+        r, v, m1 = (np.count_nonzero(x, axis=1)
+                    for x in (decisions, decisions & ~truth, truth))
+        power = np.divide(r - v, m1, out=np.full(len(m1), np.nan),
+                          where=m1 > 0)
+        return v / np.maximum(r, 1), power
     r = int(np.count_nonzero(decisions))
     v = int(np.count_nonzero(decisions & ~truth))
     m1 = int(np.count_nonzero(truth))

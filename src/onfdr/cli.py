@@ -287,7 +287,6 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_kidney(args) -> int:
-    scenario = KidneyTrialScenario(alpha=args.alpha)
     counts = args.y0 is not None or args.y is not None
     if args.scenario is not None and counts:
         return _fail(EXIT_BAD_CONFIG, "--scenario excludes --y0 and --y")
@@ -305,6 +304,7 @@ def cmd_kidney(args) -> int:
         realisations = dict(KIDNEY_REALISATIONS)
 
     try:
+        scenario = KidneyTrialScenario(alpha=args.alpha)
         results = {label: eval_kidney(scenario, y0, y, procedures=KIDNEY_PROCEDURES)
                    for label, (y0, y) in realisations.items()}
     except (ConfigError, ValueError) as exc:

@@ -19,6 +19,18 @@ rules whose levels only grow with the discoveries, one vector search per
 discovery for LORD3 and dependent LORD.  Given a state it resumes that
 stream and advances it in place, so a long stream can be decided in
 chunks, with ``observe`` and ``rebound_stream`` between them.
+
+``decide_rows`` decides many fresh streams of one length at once, one row
+of a matrix each, with the flags ``decide`` gives each row; the Monte
+Carlo harness runs every rule on a batch of replicates through it.  Its
+payout rules sweep the clocks in blocks of 64, which costs a few dozen
+numpy calls per block and up to ``N**2 / 2`` multiply-adds per row (5 10^9
+at N = 10^5), so it does not suit one long stream: on a 10^5-row stream
+with a tenth non-null it took 0.33 s against ``decide``'s 0.27 s for
+LORD++ and 0.47 s against 0.17 s for SAFFRON (best of 3, 2-CPU x86
+machine).
+``decide`` stays the tool for ``onfdr run``, ``observe``-style resumption
+and the exact-test designs.
 """
 
 from __future__ import annotations
@@ -498,6 +510,26 @@ def _fixpoint(p: np.ndarray, start, counted: bool = False,
         last, ordered = (int(new[-1]) if len(new) else -1), True
 
 
+def _bonferroni_levels(config: ProcedureConfig, gamma: np.ndarray) -> np.ndarray:
+    """Bonferroni's levels: its coefficients, alpha-scaled when SUM_ONE."""
+    if config.sequence.normalization is Normalization.SUM_ONE:
+        return gamma * config.alpha
+    return gamma.copy()
+
+
+def _lond_beta(config: ProcedureConfig, gamma: np.ndarray, i0: int,
+               harmonic: float) -> tuple[np.ndarray, float]:
+    """LOND's coefficients of hypotheses ``i0 + 1, i0 + 2, ...``: for the
+    dependent form divided by the running harmonic sum carried on from
+    ``harmonic``; returns them and the sum after the last."""
+    if config.kind is not ProcedureKind.LOND_DEP:
+        return gamma, harmonic
+    # add.accumulate is sequential: the fold's running harmonic sum
+    run = np.cumsum(np.concatenate(
+        ([harmonic], 1.0 / np.arange(i0 + 1, i0 + len(gamma) + 1))))
+    return gamma / run[1:], float(run[-1])
+
+
 def decide(config: ProcedureConfig, pvalues,
            state: StreamState | None = None) -> Decisions:
     """Every decision of a run of ``pvalues`` at once, equal to folding
@@ -535,19 +567,11 @@ def decide(config: ProcedureConfig, pvalues,
     wealth = None
 
     if kind is ProcedureKind.BONFERRONI:
-        levels = gamma * config.alpha \
-            if config.sequence.normalization is Normalization.SUM_ONE \
-            else gamma.copy()
+        levels = _bonferroni_levels(config, gamma)
         rejected = p <= levels
 
     elif kind in _LOND_KINDS:
-        beta = gamma
-        if kind is ProcedureKind.LOND_DEP:
-            # add.accumulate is sequential: the fold's running harmonic sum
-            harmonic = np.cumsum(np.concatenate(
-                ([state._harmonic], 1.0 / np.arange(i0 + 1, i0 + n + 1))))
-            state._harmonic = float(harmonic[-1])
-            beta = gamma / harmonic[1:]
+        beta, state._harmonic = _lond_beta(config, gamma, i0, state._harmonic)
         # D + 1 for D discoveries before a hypothesis, or max(D, 1)
         shift = state.discoveries + (0 if config.lond_original else 1)
 
@@ -722,6 +746,310 @@ def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
         return propose
 
     return start
+
+
+# ---------------------------------------------------------------------------
+# many fresh streams at once: one row of a matrix each
+# ---------------------------------------------------------------------------
+
+def check_rows(pvalues) -> np.ndarray:
+    """``pvalues`` as a (streams x N) float matrix; NaN or a value outside
+    [0, 1] raises ValueError naming its row and stream index."""
+    p = np.asarray(pvalues, dtype=np.float64)
+    if p.ndim != 2:
+        raise ValueError("p-values must form a (streams x N) matrix")
+    valid = (p >= 0.0) & (p <= 1.0)   # False for NaN
+    if not valid.all():
+        r, k = np.unravel_index(np.argmin(valid), p.shape)
+        raise ValueError(f"row {r}, at stream index {k + 1}: p-value must lie "
+                         f"in [0, 1], got {float(p[r, k])!r}")
+    return p
+
+
+def decide_rows(config: ProcedureConfig, pvalues: np.ndarray) -> np.ndarray:
+    """Rejection flags of every row of a matrix from :func:`check_rows`,
+    each row a fresh stream: row ``r`` equals
+    ``decide(config, pvalues[r]).rejected``.
+
+    Built for Monte Carlo replicates, many short streams of one length:
+    Bonferroni is one comparison with its levels; LOND repeats integer-count
+    passes over the rows until no decision changes; LORD3 and dependent
+    LORD sweep the columns, spending each row's wealth in the fold's order;
+    LORD2, LORD++ and SAFFRON run :func:`_payout_rows`, whose products
+    with a Toeplitz strip of the coefficients cost up to ``N**2 / 2``
+    multiply-adds per row (5 10^9 for one 10^5-row stream, which
+    :func:`decide` adds up one discovery at a time), and a row with a
+    decision that its rounding bound does not certify is decided again by
+    :func:`decide`.
+    """
+    rows, n = pvalues.shape
+    state = make_stream(config, length_hint=1)
+    if state.bound is not None and n > state.bound:
+        raise HorizonExhaustedError(
+            f"at stream index {state.bound + 1}: horizon N={state.bound} "
+            f"exhausted at index {state.bound + 1}; rebound to continue")
+    if pvalues.size == 0:
+        return np.zeros(pvalues.shape, dtype=bool)
+    table = state.table if state.bound is not None else state.table.extended(n + 1)
+    g = table.coefficients
+    kind = config.kind
+    if kind is ProcedureKind.BONFERRONI:
+        return pvalues <= _bonferroni_levels(config, g[:n])
+    if kind in _LOND_KINDS:
+        return _lond_rows(config, pvalues, _lond_beta(config, g[:n], 0, 0.0)[0])
+    if kind in _WEALTH_KINDS:
+        return _wealth_rows(config, pvalues, g)
+    rejected, unsure = _payout_rows(config, pvalues, g)
+    for r in unsure.nonzero()[0]:
+        rejected[r] = decide(config, pvalues[r]).rejected
+    return rejected
+
+
+def _lond_rows(config: ProcedureConfig, p: np.ndarray,
+               beta: np.ndarray) -> np.ndarray:
+    """LOND on each row: the levels ``beta * (D + 1)`` (or ``max(D, 1)``)
+    under the discoveries of the pass before, until a pass changes nothing.
+
+    The levels are :func:`decide`'s products, exact in any order, and never
+    fall when a discovery is added, so the passes only add discoveries and
+    stop at the fold's; a row is dropped once a pass leaves it as it was.
+    """
+    shift = 0 if config.lond_original else 1
+    rejected = np.zeros(p.shape, dtype=bool)
+    rows = np.arange(len(p))
+    while len(rows):
+        flags = rejected[rows]
+        mult = np.cumsum(flags, axis=1)
+        mult -= flags   # the discoveries before each hypothesis
+        mult += shift
+        if config.lond_original:
+            np.maximum(mult, 1, out=mult)
+        hits = p[rows] <= np.multiply(beta, mult)
+        moved = (hits != flags).any(axis=1)
+        rejected[rows[moved]] = hits[moved]
+        rows = rows[moved]
+    return rejected
+
+
+def _wealth_rows(config: ProcedureConfig, p: np.ndarray,
+                 g: np.ndarray) -> np.ndarray:
+    """LORD3 or dependent LORD on each row, one column at a time: the level
+    of every row is its coefficient times its wealth after its last
+    discovery, and the wealth is spent as :func:`decide` spends it."""
+    rows, n = p.shape
+    lord3 = config.kind is ProcedureKind.LORD3
+    wealth = np.full(rows, config.w0)
+    at_discovery = wealth.copy()
+    last = np.zeros(rows, dtype=np.intp)   # LORD3: 1-based last discovery
+    rejected = np.empty((n, rows), dtype=bool)
+    columns = np.ascontiguousarray(p.T)
+    level = np.empty(rows)
+    for i in range(n):
+        np.multiply(g[i - last] if lord3 else g[i], at_discovery, out=level)
+        hit = np.less_equal(columns[i], level, out=rejected[i])
+        np.subtract(wealth, level, out=wealth)
+        if hit.any():
+            wealth[hit] += config.b0
+            at_discovery[hit] = wealth[hit]
+            if lord3:
+                last[hit] = i + 1
+    return rejected.T
+
+
+# clocks per block of the payout kernel, and the most hypotheses of a row a
+# block holds (SAFFRON's blocks are halved until they hold at most that many,
+# down to one clock)
+_BLOCK = 64
+_WINDOW_ROWS = 8 * _BLOCK
+
+
+def _toeplitz_strip(c: np.ndarray, length: int) -> np.ndarray:
+    """The payouts of a block's discoveries: ``strip[_BLOCK - 1 - a, x] =
+    c[x - a - 1]`` for ``x > a``, else 0 (also past the end of ``c``), is
+    paid on clock ``x`` (counted from the block's first clock) by a
+    discovery on clock ``a`` of the block, for ``length`` clocks.
+
+    A read-only view ``strip[b, x] = padded[b + x]`` of one zero-padded
+    copy of ``c``: rows overlap, so it holds ``length + _BLOCK`` floats,
+    and each row is contiguous.
+    """
+    padded = np.zeros(_BLOCK + length)
+    padded[_BLOCK:_BLOCK + min(len(c), length)] = c[:length]
+    step = padded.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        padded, shape=(_BLOCK, length), strides=(step, step), writeable=False)
+
+
+def _add_payouts(out: np.ndarray, count: np.ndarray, strip: np.ndarray) -> None:
+    """``out += count[:, ::-1] @ strip``, the payouts of the discoveries
+    counted per row and block clock: one product over the rows with a
+    nonzero count, or one row add per nonzero count where they are fewer
+    than about one per 128 columns of the strip per row (a row add of ``w``
+    terms costs about as much as a product row of ``128 w`` multiply-adds,
+    on a 2-CPU x86 machine)."""
+    rows, clocks = count.nonzero()
+    paid = np.unique(rows)
+    if len(rows) * 128 > len(paid) * strip.shape[1]:
+        # einsum is fast with a contiguous first operand
+        out[paid] += np.einsum("ra,ax->rx",
+                               np.ascontiguousarray(count[paid, ::-1]), strip)
+        return
+    for r, a in zip(rows.tolist(), clocks.tolist()):
+        c = count[r, a]
+        row = strip[_BLOCK - 1 - a]
+        out[r] += row if c == 1.0 else c * row
+
+
+def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
+    """LORD2, LORD++ or SAFFRON on each row: the rejection flags, and the
+    rows whose flags the rounding bound below does not certify.
+
+    Clocks (0-based here: ``k`` is the 1-based clock less one) are swept in
+    blocks of ``_BLOCK``.  The decisions on a block's clocks depend on the
+    discoveries before the block, whose payouts are summed already, and on
+    those inside it: they are the fixpoint of accepting every hit at once
+    under the discoveries of the pass before, as in :func:`_fixpoint`,
+    found for all rows together.  A block's payouts to the clocks after it
+    are one product of its discovery counts with a strip of the Toeplitz
+    matrix ``c[x - a - 1]`` (:func:`_toeplitz_strip`; ``c`` is ``g``, or
+    ``g[1:]`` for SAFFRON, whose discoveries pay gamma(1) on their own
+    clock: that term is added per hypothesis).
+
+    The sums run in another order than :func:`decide`'s, so each decision
+    is certified.  Every term of a level is nonnegative (``w0``, the
+    weights and the coefficients are).  A level has at most ``n`` nonzero
+    terms (the base, the first payout and one coefficient per later
+    discovery before it); in our sum and in :func:`decide`'s each passes
+    through at most one rounded product before its weight (a count or
+    ``w0`` times a coefficient), the product with its weight and at most
+    ``n - 1`` inexact additions (adding an exact 0 is exact).  By Higham,
+    Accuracy and Stability of Numerical Algorithms (2nd ed., Lemma 3.1 and
+    section 4.2), both computed levels then lie within ``gamma_{n+1} L`` of
+    the exact level ``L`` of the same discoveries (``gamma_k = k u / (1 -
+    k u)``, ``u = 2**-53``; capping at lambda moves neither further), so
+    they differ by at most ``2 gamma / (1 - gamma)`` times ours.  A
+    p-value farther from our level than that is decided alike by both; the
+    bound ``2.5 gamma_{n+8}`` leaves room for rounding the bound and the
+    distance.  With every decision certified a row's discoveries are the
+    fold's, since each level depends only on the decisions before it; a
+    row with any decision inside the bound is left to :func:`decide`.  The
+    levels stay far above the subnormal range.
+    """
+    rows, n = p.shape
+    first, later = _payout_weights(config)
+    saffron = config.kind is ProcedureKind.SAFFRON
+    if saffron:
+        cand = p <= config.lam
+        clock = np.arange(n) - np.cumsum(cand, axis=1)
+        clock += cand   # the candidates before each hypothesis
+    else:
+        clock = np.broadcast_to(np.arange(n), p.shape)
+    span = int(clock[:, -1].max()) + 1
+    strip = _toeplitz_strip(g[1:] if saffron else g, max(n, _BLOCK))
+    lag = 0 if saffron else 1   # the first payout is g[k - kf - lag]
+    gam = (n + 8) * 2.0 ** -53
+    bound = 2.5 * gam / (1.0 - gam)
+
+    owed = np.zeros((rows, span + _BLOCK))   # payout sums per clock
+    rejected = np.zeros(p.shape, dtype=bool)
+    unsure = np.zeros(rows, dtype=bool)
+    found = np.full(rows, -1)   # the clock of a row's first discovery
+    row_of = np.arange(rows)[:, None]
+    kb, hi = 0, np.zeros(rows, dtype=np.intp)
+    while kb < span:
+        if saffron:
+            # the hypotheses on clocks kb, kb + 1, ... (clocks never fall
+            # along a row)
+            lo, width = hi, _BLOCK
+            while True:
+                hi = np.count_nonzero(clock < kb + width, axis=1)
+                if width == 1 or (hi - lo).max() <= _WINDOW_ROWS:
+                    break
+                width //= 2
+            pos = np.arange(int((hi - lo).max()))
+            at = lo[:, None] + pos
+            valid = at < hi[:, None]
+            np.minimum(at, n - 1, out=at)
+            at += row_of * n   # flat: take() gathers faster than [rows, at]
+            pw = np.where(valid, p.take(at), np.inf)
+            k = clock.take(at)
+            m = np.where(valid, k - kb, 0)   # the clock within the block
+            prior = owed.take(row_of * owed.shape[1] + kb + m)   # paid before
+            # the first hypothesis on each one's clock, within the window
+            start = np.where(np.diff(m, axis=1, prepend=-1) != 0, pos, 0)
+            np.maximum.accumulate(start, axis=1, out=start)
+        else:
+            width = min(_BLOCK, n - kb)
+            pos = np.arange(width)
+            pw = p[:, kb:kb + width]
+            k = np.broadcast_to(kb + pos, pw.shape)
+            prior = owed[:, kb:kb + width]
+        near = strip[:, :width]
+        # the level under the discoveries before the block
+        fixed = g[k] * config.w0
+        if first is not None and (found >= 0).any():
+            paid = found[:, None] >= 0
+            gap = np.where(paid, k - found[:, None] - lag, 0)
+            fixed += np.where(paid, first * g[gap], 0.0)
+        fixed += prior * later
+        level = np.minimum(fixed, config.lam) if saffron else fixed.copy()
+        hits = pw <= level
+        count = np.zeros((rows, _BLOCK))
+        kf = found.copy()
+        act = hits.any(axis=1).nonzero()[0]   # rows whose last pass found more
+        while len(act):
+            flags, lv = hits[act], fixed[act]
+            if first is not None and (found[act] < 0).any():
+                # a row's first discovery inside the block is paid as such
+                here = (found[act] < 0).nonzero()[0]
+                w1 = flags[here].argmax(axis=1)
+                ka = k[act[here]]
+                kf[act[here]] = ka[np.arange(len(here)), w1]
+                after = pos > w1[:, None]
+                gap = np.where(after, ka - kf[act[here], None] - lag, 0)
+                lv[here] += np.where(after, first * g[gap], 0.0)
+                flags[here, w1] = False
+            cnt = np.zeros((len(act), _BLOCK))
+            local = np.zeros((len(act), width))
+            if saffron:
+                ma, row = m[act], np.arange(len(act))[:, None]
+                cnt.reshape(-1)[:] = np.bincount(
+                    (row * _BLOCK + ma)[flags], minlength=len(act) * _BLOCK)
+                _add_payouts(local, cnt, near)
+                pay = local.take(row * width + ma)
+                # gamma(1) of each discovery before on the same clock
+                before = np.cumsum(flags, axis=1)
+                before -= flags
+                before -= before.take(row * len(pos) + start[act])
+                pay += before * g[0]
+            else:
+                cnt[:, :width] = flags
+                _add_payouts(local, cnt, near)
+                pay = local
+            pay *= later
+            lv += pay
+            if saffron:
+                np.minimum(lv, config.lam, out=lv)
+            level[act] = lv
+            count[act] = cnt
+            new, old = pw[act] <= lv, hits[act]
+            moved = (new & ~old).any(axis=1)
+            hits[act] = new | old
+            act = act[moved]
+        # the flags are a fixpoint of our levels (with exact sums no pass
+        # drops a discovery), and every decision is certified
+        unsure |= ((pw <= level) != hits).any(axis=1)
+        unsure |= (np.abs(pw - level) <= bound * level).any(axis=1)
+        if saffron:
+            np.put(rejected, at[valid], hits[valid])
+        else:
+            rejected[:, kb:kb + width] = hits
+        found = kf
+        kb += width
+        if kb < span:
+            _add_payouts(owed[:, kb:span], count,
+                         strip[:, width:width + span - kb])
+    return rejected, unsure
 
 
 def rebound_stream(state: StreamState, config: ProcedureConfig,

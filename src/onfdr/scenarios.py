@@ -4,6 +4,12 @@ Three families: an equicorrelated multivariate-normal mixture, a platform
 trial with a shared control arm, and a small binary-endpoint platform with
 exact tests.  ``estimate``/``estimate_many`` run seeded replicates and report
 mean false discovery proportion and power with Monte Carlo standard errors.
+
+Replicates are drawn one generator per (seed, replicate) and
+decided in batches of 32: each rule decides the batch's (replicates x N)
+matrix in one call (``procedures.decide_rows``, or
+``baselines.offline_rows``) and ``baselines.score`` scores it per row.
+``eval_kidney`` decides its one realisation per rule through ``decide``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from . import baselines
 from .procedures import (
     ProcedureConfig,
     ProcedureKind,
+    check_rows,
     decide,
+    decide_rows,
     default_config,
     make_stream,
 )
@@ -106,6 +114,10 @@ class KidneyTrialScenario:
     n_arm: int = 20
     p0: float = 0.3
     alpha: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not 0 < self.alpha < 1:
+            raise ValueError("alpha must lie in (0, 1)")
 
     @property
     def K(self) -> int:
@@ -299,19 +311,6 @@ class EstimateResult:
     power_reps: int
 
 
-def _one_replicate(scenario, procs, seed, rep):
-    p, truth = _generate(scenario, np.random.SeedSequence((seed, rep)))
-    fdps = np.empty(len(procs))
-    powers = np.full(len(procs), np.nan)
-    for c, (label, proc) in enumerate(procs):
-        decisions = _decisions(proc, p, scenario.alpha)
-        fdp, power = baselines.score(decisions, truth)
-        fdps[c] = fdp
-        if power is not None:
-            powers[c] = power
-    return fdps, powers
-
-
 def _generate(scenario, seed):
     if isinstance(scenario, MixtureScenario):
         return gen_mixture(scenario, seed)
@@ -320,12 +319,27 @@ def _generate(scenario, seed):
     raise TypeError(f"cannot generate from {type(scenario).__name__}")
 
 
+# replicates decided as one (replicates x N) matrix
+_BATCH = 32
+
+
 def _replicate_chunk(args):
+    """FDP and power of every rule on replicates ``lo, ..., hi - 1``, in
+    batches of ``_BATCH``: the batch's p-values are stacked and checked
+    once, and each rule decides the whole matrix in one call."""
     scenario, procs, seed, lo, hi = args
     fdps = np.empty((hi - lo, len(procs)))
     powers = np.empty((hi - lo, len(procs)))
-    for r in range(lo, hi):
-        fdps[r - lo], powers[r - lo] = _one_replicate(scenario, procs, seed, r)
+    for s in range(lo, hi, _BATCH):
+        draws = [_generate(scenario, np.random.SeedSequence((seed, r)))
+                 for r in range(s, min(s + _BATCH, hi))]
+        p = check_rows([pvalues for pvalues, _ in draws])
+        truth = np.array([nonnull for _, nonnull in draws])
+        out = slice(s - lo, s - lo + len(draws))
+        for c, (_, proc) in enumerate(procs):
+            decisions = baselines.offline_rows(proc, p, scenario.alpha) \
+                if isinstance(proc, str) else decide_rows(proc, p)
+            fdps[out, c], powers[out, c] = baselines.score(decisions, truth)
     return lo, fdps, powers
 
 
@@ -357,12 +371,11 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
         if not isinstance(proc, str):
             make_stream(proc)
     workers = worker_count()
-    fdps = np.empty((reps, len(procs)))
-    powers = np.empty((reps, len(procs)))
     if workers == 1 or reps < 64:
-        for r in range(reps):
-            fdps[r], powers[r] = _one_replicate(scenario, procs, seed, r)
+        _, fdps, powers = _replicate_chunk((scenario, procs, seed, 0, reps))
     else:
+        fdps = np.empty((reps, len(procs)))
+        powers = np.empty((reps, len(procs)))
         chunk = max(32, math.ceil(reps / (workers * 8)))
         tasks = [(scenario, procs, seed, lo, min(lo + chunk, reps))
                  for lo in range(0, reps, chunk)]

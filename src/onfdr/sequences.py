@@ -162,6 +162,27 @@ def _weighted(values: np.ndarray, first: int, weights) -> np.ndarray:
     return values * (a + b * np.log(np.arange(first, first + len(values))))
 
 
+# terms built and summed at a time by _constraint_sum
+_SUM_BLOCK = 2 ** 14
+
+
+def _pairwise_sum(terms, lo: int, hi: int) -> float:
+    """``np.sum(terms(lo, hi))`` for ``terms(a, b)``, the float array of
+    terms ``a, ..., b - 1``, holding at most ``_SUM_BLOCK`` of them at once.
+
+    numpy sums a contiguous run of ``n`` doubles pairwise: more than 128
+    are split at ``n2 = n // 2`` less ``n2 % 8`` and the halves' sums added.
+    Splitting the same way down to runs of ``_SUM_BLOCK`` and summing those
+    with numpy adds in numpy's order, so the sum is bit for bit the same.
+    """
+    n = hi - lo
+    if n <= _SUM_BLOCK:
+        return float(np.sum(terms(lo, hi)))
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(terms, lo, lo + n2) + _pairwise_sum(terms, lo + n2, hi)
+
+
 def _constraint_sum(spec: SequenceSpec, scale: float, prefix: np.ndarray,
                     weights, upto: int | None = None,
                     terms: int = _VALIDATE_TERMS) -> float:
@@ -170,20 +191,26 @@ def _constraint_sum(spec: SequenceSpec, scale: float, prefix: np.ndarray,
 
     ``upto=None`` means the bounded horizon, or for an infinite horizon
     ``max(len(prefix), terms)`` terms plus ``scale`` times the analytic tail.
+    Terms past the prefix are built ``_SUM_BLOCK`` at a time.
     """
     tail = upto is None and spec.bound is None
     if upto is None:
         upto = spec.bound if spec.bound is not None else max(len(prefix), terms)
     elif spec.bound is not None and upto > spec.bound:
         raise SequenceError(f"index {upto} beyond bounded horizon N={spec.bound}")
-    coeffs = prefix[:upto]
-    if upto > len(coeffs):
-        # up to a million terms: one float index array, scaled in place
-        index = np.arange(len(coeffs) + 1, upto + 1, dtype=np.float64)
-        fresh = _shape(spec, index)
-        fresh *= scale
-        coeffs = np.concatenate([coeffs, fresh]) if len(coeffs) else fresh
-    total = float(np.sum(_weighted(coeffs, 1, weights)))
+    have = len(prefix)
+
+    def weighted(lo: int, hi: int) -> np.ndarray:
+        """Terms of the 1-based indices ``lo + 1, ..., hi``."""
+        coeffs = prefix[lo:hi]
+        if hi > have:
+            fresh = _shape(spec, np.arange(max(lo, have) + 1, hi + 1,
+                                           dtype=np.float64))
+            fresh *= scale
+            coeffs = np.concatenate([coeffs, fresh]) if len(coeffs) else fresh
+        return _weighted(coeffs, lo + 1, weights)
+
+    total = _pairwise_sum(weighted, 0, upto)
     if tail:
         a, b = weights
         rest = a * _tail_integral(spec, upto + 0.5, False)

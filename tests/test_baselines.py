@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from onfdr.baselines import (
     bh,
     bh_adjusted,
+    offline_rows,
     score,
     uncorrected,
 )
@@ -182,3 +183,46 @@ class TestMask:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != uncorrected([0.01, 0.5], 0.05)   # same flags, other cutoff
         assert a != bh([0.01, 0.5, 0.9], 0.05)
+
+
+class TestBHAdjustedLevel:
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1,
+                      max_size=40),
+           alpha=st.floats(0.001, 0.5))
+    def test_is_bh_at_the_harmonic_level(self, p, alpha):
+        harmonic = float(np.sum(1.0 / np.arange(1, len(p) + 1)))
+        assert bh_adjusted(p, alpha) == bh(p, alpha / harmonic)
+
+    @pytest.mark.parametrize("rule", [bh, bh_adjusted])
+    def test_empty(self, rule):
+        res = rule([], 0.05)
+        assert res.rejected.shape == (0,) and res.threshold == 0.0
+
+
+class TestRows:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 5), n=st.integers(1, 30), seed=st.integers(0, 999),
+           rule=st.sampled_from(["bh", "bh-adjusted", "uncorrected"]))
+    def test_offline_rows_are_the_rules(self, rows, n, seed, rule):
+        rng = np.random.default_rng(seed)
+        p = np.where(rng.random((rows, n)) < 0.5, rng.random((rows, n)) * 0.01,
+                     rng.random((rows, n)))
+        p[0, : n // 2] = 0.0
+        got = offline_rows(rule, p, 0.05)
+        one = {"bh": bh, "bh-adjusted": bh_adjusted,
+               "uncorrected": uncorrected}[rule]
+        for r in range(rows):
+            np.testing.assert_array_equal(got[r], one(p[r], 0.05).rejected)
+
+    def test_score_per_row(self):
+        decisions = np.array([[True, True, False], [False, False, False],
+                              [True, False, True]])
+        truth = np.array([[True, False, False], [False, False, False],
+                          [True, True, True]])
+        fdp, power = score(decisions, truth)
+        for r in range(3):
+            want = score(decisions[r], truth[r])
+            assert fdp[r] == want[0]
+            assert (np.isnan(power[r]) if want[1] is None
+                    else power[r] == want[1])

@@ -330,6 +330,11 @@ class TestKidney:
         code, out, _ = run_cli(capsys, ["kidney"] + argv)
         assert code == 3 and out == ""
 
+    def test_bad_alpha_refused_before_any_analysis(self, capsys):
+        code, out, err = run_cli(capsys, ["kidney", "--alpha", "2"])
+        assert code == 3 and out == ""
+        assert err == "onfdr: alpha must lie in (0, 1)\n"
+
     def test_all_five_by_default(self, capsys):
         code, out, _ = run_cli(capsys, ["kidney"])
         rows = list(csv.DictReader(io.StringIO(out)))

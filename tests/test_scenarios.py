@@ -165,6 +165,11 @@ class TestKidney:
         with pytest.raises(ValueError):
             eval_kidney(sc, 5, [0] * 9)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.1, float("nan")])
+    def test_invalid_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            KidneyTrialScenario(alpha=alpha)
+
     def test_uncorrected_and_bh_cells(self):
         # saturated case: every arm at the maximum, control at zero
         sc = KidneyTrialScenario()

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onfdr import sequences
 from onfdr.sequences import (
     Normalization,
     SequenceError,
@@ -359,3 +361,60 @@ class TestRebound:
                                cumulative=3 * table.cumulative.copy())
         with pytest.raises(SequenceError):
             rebound(inflated, 8, 20)
+
+
+class TestBlockedConstraintSum:
+    """Long constraint sums are built and summed in blocks; they must stay
+    numpy's sum over the materialized terms, bit for bit."""
+
+    SAFFRON = SequenceSpec(SequenceKind.INVERSE_SQUARE, Normalization.SUM_ONE)
+    LORD_DEP = xi_spec(SequenceKind.LOG_POWER, shape_param=3.0)
+
+    @staticmethod
+    def materialized(spec, scale, prefix, upto):
+        weights, _ = sequences._constraint(spec)
+        fresh = sequences._shape(
+            spec, np.arange(len(prefix) + 1, upto + 1, dtype=np.float64))
+        fresh *= scale
+        coeffs = np.concatenate([prefix, fresh])
+        return float(np.sum(sequences._weighted(coeffs, 1, weights)))
+
+    @pytest.mark.parametrize("spec", [SAFFRON, LORD_DEP],
+                             ids=["saffron", "lord-dep"])
+    def test_scale_constant_sum(self, spec):
+        weights, _ = sequences._constraint(spec)
+        upto = sequences._TRUNC_TERMS
+        blocked = sequences._constraint_sum(spec, 1.0, np.empty(0), weights,
+                                            upto=upto)
+        assert blocked == self.materialized(spec, 1.0, np.empty(0), upto)
+
+    @pytest.mark.parametrize("spec", [SAFFRON, LORD_DEP],
+                             ids=["saffron", "lord-dep"])
+    def test_validate_xi_sum(self, spec):
+        table = build_table(spec, length_hint=1024)
+        weights, _ = sequences._constraint(spec)
+        upto = sequences._VALIDATE_TERMS
+        blocked = sequences._constraint_sum(
+            spec, table.scale_constant, table.coefficients, weights, upto=upto)
+        assert blocked == self.materialized(spec, table.scale_constant,
+                                            table.coefficients, upto)
+
+    @pytest.mark.parametrize("n", [1, 7, 128, 129, 16384, 16385, 100_003,
+                                   1_000_000])
+    def test_numpys_pairwise_split(self, n):
+        # signed terms over twelve decades: another split rounds otherwise
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+        got = sequences._pairwise_sum(lambda lo, hi: values[lo:hi], 0, n)
+        assert got == float(np.sum(values))
+
+    @pytest.mark.parametrize("spec", [SAFFRON, LORD_DEP],
+                             ids=["saffron", "lord-dep"])
+    def test_cold_scale_constant_holds_no_long_array(self, spec):
+        tracemalloc.start()
+        try:
+            sequences._scale_constant(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
