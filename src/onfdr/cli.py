@@ -55,13 +55,13 @@ def _fail(code: int, message: str) -> int:
 
 @contextlib.contextmanager
 def _csv_out(path: str | None, header: list[str]):
-    """CSV writer on ``path`` (default stdout) with ``header`` written; the
-    file is closed on exit, stdout is left open."""
+    """The file ``path`` (default stdout) and a CSV writer on it, with
+    ``header`` written; the file is closed on exit, stdout is left open."""
     out = open(path, "w", newline="") if path else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        yield writer
+        yield out, writer
     finally:
         if out is not sys.stdout:
             out.close()
@@ -99,6 +99,17 @@ CHUNK_ROWS = 8192
 def _parse_rows(rows, first_line: int):
     """Ids, p-values and line numbers of ``rows`` up to the first malformed
     one, and that line's failure (exit code and message) or None."""
+    try:
+        pvalues = [float(row[1]) for row in rows]
+    except (IndexError, ValueError):
+        # a blank, short or unparseable row: the loop finds the first one
+        return _parse_each(rows, first_line)
+    return [row[0] for row in rows], pvalues, \
+        range(first_line, first_line + len(rows)), None
+
+
+def _parse_each(rows, first_line: int):
+    """:func:`_parse_rows` one row at a time, skipping blank rows."""
     ids, pvalues, lines = [], [], []
     for lineno, row in enumerate(rows, start=first_line):
         if not row:
@@ -150,18 +161,29 @@ def _decide_rows(state, config, pvalues, lines, rebound_at, rebound_to):
     return runs, None
 
 
-def _write_rows(writer, ids, first: int, pvalues, runs) -> None:
-    """One CSV row per decision in ``runs``, indexed from ``first``."""
+def _write_rows(out, writer, ids, first: int, pvalues, runs) -> None:
+    """One CSV row per decision in ``runs``, indexed from ``first``, in one
+    write to ``out``; a chunk with an id that csv would quote goes through
+    ``writer``."""
     if not runs:
         return
-    # csv writes a Python float as its repr
+    # floats are written as their repr, as csv writes them
     levels = np.concatenate([r.levels for r in runs]).tolist()
     flags = ["true" if f else "false"
              for f in np.concatenate([r.rejected for r in runs]).tolist()]
-    wealth = [""] * len(levels) if runs[0].wealth is None else \
-        np.concatenate([r.wealth for r in runs]).tolist()
-    writer.writerows(zip(ids, range(first, first + len(levels)), pvalues,
-                         levels, flags, wealth))
+    index = range(first, first + len(levels))
+    if runs[0].wealth is None:
+        rows = zip(ids, index, pvalues, levels, flags)
+        template, empty = "%s,%d,%r,%r,%s,\n", ("",)
+    else:
+        rows = zip(ids, index, pvalues, levels, flags,
+                   np.concatenate([r.wealth for r in runs]).tolist())
+        template, empty = "%s,%d,%r,%r,%s,%r\n", ()
+    joined = "".join(ids)
+    if any(c in joined for c in ',"\r\n'):
+        writer.writerows(row + empty for row in rows)
+    else:
+        out.write("".join([template % row for row in rows]))
 
 
 def cmd_run(args) -> int:
@@ -198,7 +220,7 @@ def cmd_run(args) -> int:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["id", "pvalue"]:
             return _fail(EXIT_BAD_INPUT, "input must start with header 'id,pvalue'")
-        with _csv_out(args.output, columns) as writer:
+        with _csv_out(args.output, columns) as (out, writer):
             lineno = 2
             while rows := list(itertools.islice(reader, CHUNK_ROWS)):
                 ids, pvalues, lines, bad_line = _parse_rows(rows, lineno)
@@ -206,7 +228,7 @@ def cmd_run(args) -> int:
                 first = state.i + 1
                 runs, failure = _decide_rows(state, config, pvalues, lines,
                                              rebound_at, rebound_to)
-                _write_rows(writer, ids, first, pvalues, runs)
+                _write_rows(out, writer, ids, first, pvalues, runs)
                 failure = failure or bad_line   # the earlier line first
                 if failure is not None:
                     return _fail(*failure)
@@ -256,7 +278,7 @@ def cmd_simulate(args) -> int:
             raise ValueError("reps must be >= 1")
         columns = ["scenario", "procedure", "pi1", "N", "reps",
                    "fdr", "fdr_se", "power", "power_se", "seed"]
-        with _csv_out(args.output, columns) as writer:
+        with _csv_out(args.output, columns) as (_, writer):
             for pi1, scenario in zip(pi1_grid, scenarios):
                 for res in estimate_many(procs, scenario, args.reps, args.seed):
                     writer.writerow([
@@ -279,7 +301,8 @@ def cmd_sequence(args) -> int:
         return _fail(EXIT_BAD_CONFIG, f"invalid sequence spec: {exc}")
     n = min(args.n, table.bound) if table.bound is not None else args.n
     coeffs = table.head(n)
-    with _csv_out(args.output, ["index", "coefficient", "cumulative"]) as writer:
+    columns = ["index", "coefficient", "cumulative"]
+    with _csv_out(args.output, columns) as (_, writer):
         for i in range(n):
             writer.writerow([i + 1, repr(float(coeffs[i])),
                              repr(table.cumulative_sum(i + 1))])
@@ -309,7 +332,8 @@ def cmd_kidney(args) -> int:
                    for label, (y0, y) in realisations.items()}
     except (ConfigError, ValueError) as exc:
         return _fail(EXIT_BAD_CONFIG, str(exc))
-    with _csv_out(args.output, ["scenario", "procedure", "fdr", "power"]) as writer:
+    columns = ["scenario", "procedure", "fdr", "power"]
+    with _csv_out(args.output, columns) as (_, writer):
         for label, cells in results.items():
             for name, cell in cells.items():
                 writer.writerow([label, name, cell.fdr, cell.power])

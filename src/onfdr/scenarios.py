@@ -33,8 +33,7 @@ from .procedures import (
     default_config,
     make_stream,
 )
-from .stattests import TwoByTwoTable, fisher_exact_greater, pvalue_one_sided, \
-    pvalue_two_sided
+from .stattests import _fisher_greater, pvalue_one_sided, pvalue_two_sided
 
 THREADS_ENV = "ONFDR_THREADS"
 
@@ -254,11 +253,8 @@ def kidney_pvalues(scenario: KidneyTrialScenario, Y0: int, Y) -> list[float]:
     for j, y in enumerate(Y):
         if not 0 <= y <= scenario.n_arm:
             raise ValueError(f"arm {j + 1} successes {y} outside 0..{scenario.n_arm}")
-    return [
-        fisher_exact_greater(TwoByTwoTable(y, scenario.n_arm - y,
-                                           Y0, scenario.n0 - Y0))
-        for y in Y
-    ]
+    return [_fisher_greater(y, scenario.n_arm - y, Y0, scenario.n0 - Y0)
+            for y in Y]
 
 
 def eval_kidney(scenario: KidneyTrialScenario, Y0: int, Y,

@@ -106,18 +106,22 @@ def fisher_exact_greater(table: TwoByTwoTable) -> float:
     p = 1 by convention.  The masses of one margin are computed once and
     shared by every table with that margin.
     """
-    if table.degenerate:
-        return 1.0
-    r1, r2 = table.a + table.b, table.c + table.d
-    k = table.a + table.c
+    return _fisher_greater(table.a, table.b, table.c, table.d)
+
+
+def _fisher_greater(a: int, b: int, c: int, d: int) -> float:
+    """:func:`fisher_exact_greater` of the table (a, b, c, d), whose counts
+    the caller has checked to be nonnegative."""
+    r1, r2 = a + b, c + d
+    k = a + c
+    # the support is lo..hi with lo = max(0, a - d) and hi >= a; a table
+    # with an empty row or column has a == 0 or d == 0, so a == lo
     lo, hi = max(0, k - r2), min(k, r1)
-    if table.a > hi:
-        return 0.0
-    if table.a <= lo:
+    if a <= lo:
         return 1.0
     margin = _margin if hi - lo < _MARGIN_CACHE_TERMS else _margin_masses
     log_masses, suffix_max = margin(r1, r2, k)
-    j = table.a - lo
+    j = a - lo
     shift = suffix_max[j]
     p = math.exp(shift) * float(np.exp(log_masses[j:] - shift).sum())
     return min(max(p, 0.0), 1.0)

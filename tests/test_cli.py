@@ -5,10 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onfdr.cli import CHUNK_ROWS, main
-from onfdr.procedures import ProcedureKind, default_config, make_stream, \
-    rebound_stream, run_stream
+from onfdr.cli import CHUNK_ROWS, _parse_rows, _write_rows, main
+from onfdr.procedures import Decisions, ProcedureKind, decide, \
+    default_config, make_stream, rebound_stream, run_stream
 from onfdr.scenarios import KIDNEY_REALISATIONS, KidneyTrialScenario, \
     MixtureScenario, estimate_many, eval_kidney
 
@@ -251,6 +253,208 @@ class TestRunInChunks:
         assert (got, err) == (code, f"onfdr: {message}\n")
         written = list(csv.DictReader(io.StringIO(out)))
         assert [r["id"] for r in written] == [f"h{i}" for i in range(9000)]
+
+
+# ---------------------------------------------------------------------------
+# onfdr run's bytes: expected output built here from `decide`'s levels with
+# csv and Python repr, for inputs whose quoting, line endings, spelling or
+# failure the reader and writer must keep
+# ---------------------------------------------------------------------------
+
+RUN_COLUMNS = ["id", "index", "pvalue", "alpha_i", "rejected", "wealth"]
+
+
+def expected_run(records, kind, bound=None, rebound=None):
+    """The CSV `onfdr run` writes for the (id, p-value) ``records``: levels,
+    flags and wealth from `decide` on one stream, rebound after
+    ``rebound[0]`` hypotheses, written by csv with floats as their repr."""
+    cfg = default_config(kind, alpha=0.05, bound=bound)
+    state = make_stream(cfg)
+    p = np.array([pv for _, pv in records], dtype=np.float64)
+    cut = len(p) if rebound is None else min(rebound[0], len(p))
+    runs = [decide(cfg, p[:cut], state)] if cut else []
+    if cut < len(p):
+        rebound_stream(state, cfg, rebound[1])
+        runs.append(decide(cfg, p[cut:], state))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RUN_COLUMNS)
+    for k, (ident, pv) in enumerate(records):
+        run = runs[0] if k < cut else runs[1]
+        j = k if k < cut else k - cut
+        wealth = "" if run.wealth is None else repr(float(run.wealth[j]))
+        writer.writerow([ident, k + 1, repr(pv), repr(float(run.levels[j])),
+                         "true" if run.rejected[j] else "false", wealth])
+    return buf.getvalue()
+
+
+def chunked_rows(n):
+    """``n`` records ``h<k>`` with p-value 0.5, and 1e-4 at every 7th."""
+    return [(f"h{k}", 1e-4 if k % 7 == 0 else 0.5) for k in range(n)]
+
+
+def csv_text(records):
+    return "id,pvalue\n" + "".join(f"{i},{p!r}\n" for i, p in records)
+
+
+LORDPP = ProcedureKind.LORDPP
+_BYTES_CASES = {
+    # name: (input text, options, records decided, kind, bound, rebound,
+    #        exit code, stderr)
+    "ids_csv_quotes": (
+        'id,pvalue\n"a,b",0.01\n"q""x",0.2\n"multi\nline",0.001\nplain,0.3\n',
+        [], [("a,b", 0.01), ('q"x', 0.2), ("multi\nline", 0.001),
+             ("plain", 0.3)], LORDPP, None, None, 0, ""),
+    "id_with_carriage_return": (
+        'id,pvalue\n"a\rb",0.01\nc,0.5\n', [], [("a\rb", 0.01), ("c", 0.5)],
+        LORDPP, None, None, 0, ""),
+    "crlf_and_blank_lines": (
+        "id,pvalue\r\nh1,0.01\r\n\r\nh2,0.5\r\n\r\n\r\nh3,0.0001\r\n", [],
+        [("h1", 0.01), ("h2", 0.5), ("h3", 0.0001)], LORDPP, None, None, 0,
+        ""),
+    "extra_columns": (
+        "id,pvalue,note\nh1,0.3,x,y\nh2,0.001,z\n", [],
+        [("h1", 0.3), ("h2", 0.001)], LORDPP, None, None, 0, ""),
+    "pvalue_spellings": (
+        "id,pvalue\na, 0.02 \nb,5e-1\nc,0.50\nd,1\ne,0\n", [],
+        list(zip("abcde", [0.02, 0.5, 0.5, 1.0, 0.0])), LORDPP, None, None, 0,
+        ""),
+    "bad_pvalue_first_row_of_chunk_2": (
+        csv_text(chunked_rows(CHUNK_ROWS)) + "hbad,oops\nhnext,0.5\n", [],
+        chunked_rows(CHUNK_ROWS), LORDPP, None, None, 2,
+        "onfdr: line 8194: unparseable p-value 'oops'\n"),
+    "short_row_in_chunk_2": (
+        csv_text(chunked_rows(10500)) + "hshort\nhnext,0.5\n", [],
+        chunked_rows(10500), LORDPP, None, None, 2,
+        "onfdr: line 10502: expected id,pvalue\n"),
+    "header_only": ("id,pvalue\n", [], [], LORDPP, None, None, 0, ""),
+    "lord_dep_wealth": (
+        csv_text(chunked_rows(300)), ["--procedure", "lord-dep"],
+        chunked_rows(300), ProcedureKind.LORD_DEP, None, None, 0, ""),
+    "lond_bound_rebound": (
+        csv_text(chunked_rows(12000)),
+        ["--procedure", "lond", "--bound", "10000", "--rebound", "9000:20000"],
+        chunked_rows(12000), ProcedureKind.LOND_INDEP, 10000, (9000, 20000),
+        0, ""),
+}
+
+
+class TestRunBytes:
+    @pytest.mark.parametrize("dest", ["stdout", "output"])
+    @pytest.mark.parametrize("name", list(_BYTES_CASES))
+    def test_bytes(self, tmp_path, capsys, name, dest):
+        text, options, records, kind, bound, rebound, code, err = \
+            _BYTES_CASES[name]
+        src = tmp_path / "in.csv"
+        with open(src, "w", newline="") as fh:
+            fh.write(text)
+        want = expected_run(records, kind, bound, rebound)
+        argv = ["run", "--input", str(src), *options]
+        if dest == "stdout":
+            assert run_cli(capsys, argv) == (code, want, err)
+        else:
+            out = tmp_path / "out.csv"
+            assert run_cli(capsys, [*argv, "--output", str(out)]) == \
+                (code, "", err)
+            assert out.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("text,code,written", [
+        (csv_text(chunked_rows(CHUNK_ROWS + 50)), 0, CHUNK_ROWS + 50),
+        (csv_text(chunked_rows(CHUNK_ROWS)) + "hbad,1.5\nhnext,0.5\n", 2,
+         CHUNK_ROWS),
+    ], ids=["clean", "bad_line"])
+    def test_stdin_equals_input(self, tmp_path, text, code, written):
+        src = tmp_path / "in.csv"
+        src.write_text(text)
+        out = tmp_path / "out.csv"
+        cli = [sys.executable, "-m", "onfdr.cli", "run", "--procedure",
+               "saffron"]
+        with open(src, "rb") as fh:
+            piped = subprocess.run(cli, stdin=fh, capture_output=True)
+        named = subprocess.run([*cli, "--input", str(src), "--output",
+                                str(out)], capture_output=True)
+        assert (piped.returncode, piped.stderr) == \
+            (named.returncode, named.stderr)
+        assert piped.stdout == out.read_bytes()
+        assert (named.returncode, piped.stdout.count(b"\n")) == \
+            (code, 1 + written)
+
+
+# the per-row reading `_parse_rows` must agree with on every input
+def parse_each(rows, first_line):
+    ids, pvalues, lines = [], [], []
+    for lineno, row in enumerate(rows, start=first_line):
+        if not row:
+            continue
+        if len(row) < 2:
+            return ids, pvalues, lines, (
+                2, f"line {lineno}: expected id,pvalue")
+        try:
+            pvalues.append(float(row[1]))
+        except ValueError:
+            return ids, pvalues, lines, (
+                2, f"line {lineno}: unparseable p-value {row[1]!r}")
+        ids.append(row[0])
+        lines.append(lineno)
+    return ids, pvalues, lines, None
+
+
+ids_text = st.one_of(st.text(max_size=6),
+                     st.text(alphabet=',"\r\n aé中', max_size=4))
+pvalue_text = st.one_of(
+    st.floats(0, 1).map(repr), st.floats().map(repr),
+    st.sampled_from([" 0.02 ", "5e-1", "0.50", "1", "0", "1_0", "", "x",
+                     "nan", "-inf"]),
+    st.text(max_size=4))
+good_row = st.builds(lambda i, p, rest: [i, p, *rest], ids_text,
+                     st.floats(0, 1).map(repr),
+                     st.lists(st.text(max_size=3), max_size=2))
+any_row = st.one_of(
+    st.just([]), st.lists(ids_text, min_size=1, max_size=1), good_row,
+    st.builds(lambda i, p, rest: [i, p, *rest], ids_text, pvalue_text,
+              st.lists(st.text(max_size=3), max_size=2)))
+
+
+class TestChunkHelpers:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.one_of(st.lists(good_row, max_size=30),
+                          st.lists(any_row, max_size=30)),
+           first=st.integers(2, 10**6))
+    def test_parse_rows_equals_row_loop(self, rows, first):
+        ids, pvalues, lines, failure = _parse_rows(rows, first)
+        want = parse_each(rows, first)
+        assert (ids, list(lines), failure) == (want[0], want[2], want[3])
+        assert [repr(v) for v in pvalues] == [repr(v) for v in want[1]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_write_rows_equals_csv(self, data):
+        n = data.draw(st.integers(0, 12))
+        # the reader may hand over more records than were decided
+        ids = data.draw(st.lists(ids_text, min_size=n, max_size=n + 2))
+        pvalues = data.draw(st.lists(st.floats(0, 1), min_size=len(ids),
+                                     max_size=len(ids)))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        levels = data.draw(st.lists(finite, min_size=n, max_size=n))
+        flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        wealth = data.draw(st.none() | st.lists(finite, min_size=n,
+                                                max_size=n))
+        cut = data.draw(st.integers(0, n))
+        runs = [Decisions(np.array(levels[a:b], dtype=np.float64),
+                          np.array(flags[a:b], dtype=bool),
+                          None if wealth is None
+                          else np.array(wealth[a:b], dtype=np.float64))
+                for a, b in ((0, cut), (cut, n)) if n]
+        first = data.draw(st.integers(1, 10**9))
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows(zip(
+            ids, range(first, first + n), pvalues, levels,
+            ["true" if f else "false" for f in flags],
+            [""] * n if wealth is None else wealth))
+        got = io.StringIO()
+        _write_rows(got, csv.writer(got, lineterminator="\n"), ids, first,
+                    pvalues, runs)
+        assert got.getvalue() == want.getvalue()
 
 
 class TestSequence:
