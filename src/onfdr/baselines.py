@@ -3,11 +3,12 @@ and the false-discovery/power metrics."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .procedures import _first_invalid
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,32 +41,29 @@ class BatchResult:
 
 
 def _pvalue_array(pvalues) -> np.ndarray:
-    """``pvalues`` as a float array; NaN or a value outside [0, 1] raises
-    ValueError, as it does in the online rules' ``observe``."""
+    """``pvalues`` as a one-dimensional float array; NaN or a value outside
+    [0, 1] raises ValueError, as it does in the online rules' ``observe``."""
     if not isinstance(pvalues, np.ndarray):
         pvalues = list(pvalues)
     p = np.asarray(pvalues, dtype=float)
-    valid = (p >= 0) & (p <= 1)   # False for NaN
-    if not valid.all():
-        k = int(np.argmin(valid))
+    if p.ndim != 1:
+        raise ValueError("p-values must form a one-dimensional sequence")
+    k = _first_invalid(p)
+    if k < p.size:
         raise ValueError(f"p-value must lie in [0, 1], got {float(p[k])!r} "
                          f"at index {k + 1}")
     return p
 
 
 def _step_up(p: np.ndarray, level: float):
-    """Rejection flags and p-value cutoff of the step-up rule at ``level``
-    on one row of N > 0 p-values, or on each row of a matrix: the cutoff is
-    the largest p_(i) <= i * level / N, or -inf where there is none."""
-    n = p.shape[-1]
-    ordered = np.sort(p, axis=-1)
+    """Rejection flags and p-value cutoffs of the step-up rule at ``level``
+    on each row of a (rows x N) matrix: a row's cutoff is its largest
+    p_(i) <= i * level / N, or -inf where there is none."""
+    n = p.shape[1]
+    ordered = np.sort(p, axis=1)
     passing = ordered <= np.arange(1, n + 1) * level / n
-    if p.ndim == 1:   # fewer numpy calls than the reduction over rows
-        last = passing.nonzero()[0]
-        cutoff = float(ordered[last[-1]]) if last.size else -math.inf
-        return p <= cutoff, cutoff
     # the order statistics ascend: the largest passing one is the last
-    cutoff = np.maximum.reduce(np.where(passing, ordered, -np.inf), axis=1)
+    cutoff = np.maximum.reduce(ordered, axis=1, where=passing, initial=-np.inf)
     return p <= cutoff[:, None], cutoff
 
 
@@ -74,10 +72,8 @@ def _harmonic(n: int) -> float:
 
 
 def _batch_step_up(p: np.ndarray, level: float) -> BatchResult:
-    if p.size == 0:
-        return BatchResult(np.zeros(0, dtype=bool), 0.0)
-    rejected, cutoff = _step_up(p, level)
-    return BatchResult(rejected, max(cutoff, 0.0))
+    rejected, cutoff = _step_up(p[None], level)
+    return BatchResult(rejected[0], max(float(cutoff[0]), 0.0))
 
 
 def bh(pvalues, alpha: float) -> BatchResult:
@@ -98,14 +94,18 @@ def uncorrected(pvalues, alpha: float) -> BatchResult:
     return BatchResult(_pvalue_array(pvalues) < alpha, alpha)
 
 
+# the offline rules by name
+OFFLINE_RULES = {"bh": bh, "bh-adjusted": bh_adjusted, "uncorrected": uncorrected}
+
+
 def offline_rows(rule: str, pvalues: np.ndarray, alpha: float) -> np.ndarray:
-    """Rejection flags of the offline ``rule`` ("bh", "bh-adjusted" or
-    "uncorrected") on each row of a checked (replicates x N) matrix, equal
-    to the rule's flags on that row."""
+    """Rejection flags of the offline ``rule`` (a key of ``OFFLINE_RULES``)
+    on each row of a checked (replicates x N) matrix, equal to the rule's
+    flags on that row."""
     n = pvalues.shape[1]
-    if rule == "uncorrected" or n == 0:
+    if OFFLINE_RULES[rule] is uncorrected or n == 0:
         return pvalues < alpha
-    level = alpha if rule == "bh" else alpha / _harmonic(n)
+    level = alpha if OFFLINE_RULES[rule] is bh else alpha / _harmonic(n)
     return _step_up(pvalues, level)[0]
 
 

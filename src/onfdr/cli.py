@@ -18,11 +18,13 @@ import sys
 
 import numpy as np
 
+from .baselines import OFFLINE_RULES
 from .procedures import (
     ConfigError,
     HorizonExhaustedError,
     ProcedureConfig,
     ProcedureKind,
+    _first_invalid,
     decide,
     default_config,
     make_stream,
@@ -134,8 +136,7 @@ def _decide_rows(state, config, pvalues, lines, rebound_at, rebound_to):
     failure (exit code and message) that stopped the rows after them, or
     None."""
     p = np.array(pvalues, dtype=np.float64)
-    valid = (p >= 0.0) & (p <= 1.0)   # False for NaN
-    good = len(p) if valid.all() else int(valid.argmin())
+    good = _first_invalid(p)
     runs, done = [], 0
     try:
         while done < len(p):
@@ -161,29 +162,25 @@ def _decide_rows(state, config, pvalues, lines, rebound_at, rebound_to):
     return runs, None
 
 
-def _write_rows(out, writer, ids, first: int, pvalues, runs) -> None:
+def _write_rows(out, ids, first: int, pvalues, runs) -> None:
     """One CSV row per decision in ``runs``, indexed from ``first``, in one
-    write to ``out``; a chunk with an id that csv would quote goes through
-    ``writer``."""
+    write to ``out``; an id holding a comma, a double quote, a carriage
+    return or a newline is quoted, with its quotes doubled."""
     if not runs:
         return
+    if any(c in "".join(ids) for c in ',"\r\n'):
+        ids = ['"%s"' % i.replace('"', '""') if any(c in i for c in ',"\r\n')
+               else i for i in ids]
     # floats are written as their repr, as csv writes them
     levels = np.concatenate([r.levels for r in runs]).tolist()
     flags = ["true" if f else "false"
              for f in np.concatenate([r.rejected for r in runs]).tolist()]
-    index = range(first, first + len(levels))
-    if runs[0].wealth is None:
-        rows = zip(ids, index, pvalues, levels, flags)
-        template, empty = "%s,%d,%r,%r,%s,\n", ("",)
-    else:
-        rows = zip(ids, index, pvalues, levels, flags,
-                   np.concatenate([r.wealth for r in runs]).tolist())
-        template, empty = "%s,%d,%r,%r,%s,%r\n", ()
-    joined = "".join(ids)
-    if any(c in joined for c in ',"\r\n'):
-        writer.writerows(row + empty for row in rows)
-    else:
-        out.write("".join([template % row for row in rows]))
+    columns = [ids, range(first, first + len(levels)), pvalues, levels, flags]
+    template = "%s,%d,%r,%r,%s,\n"   # an empty wealth for the rules with none
+    if runs[0].wealth is not None:
+        columns.append(np.concatenate([r.wealth for r in runs]).tolist())
+        template = "%s,%d,%r,%r,%s,%r\n"
+    out.write("".join([template % row for row in zip(*columns)]))
 
 
 def cmd_run(args) -> int:
@@ -220,7 +217,7 @@ def cmd_run(args) -> int:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["id", "pvalue"]:
             return _fail(EXIT_BAD_INPUT, "input must start with header 'id,pvalue'")
-        with _csv_out(args.output, columns) as (out, writer):
+        with _csv_out(args.output, columns) as (out, _):
             lineno = 2
             while rows := list(itertools.islice(reader, CHUNK_ROWS)):
                 ids, pvalues, lines, bad_line = _parse_rows(rows, lineno)
@@ -228,14 +225,14 @@ def cmd_run(args) -> int:
                 first = state.i + 1
                 runs, failure = _decide_rows(state, config, pvalues, lines,
                                              rebound_at, rebound_to)
-                _write_rows(out, writer, ids, first, pvalues, runs)
+                _write_rows(out, ids, first, pvalues, runs)
                 failure = failure or bad_line   # the earlier line first
                 if failure is not None:
                     return _fail(*failure)
     return EXIT_OK
 
 
-_SIM_PROCS = [k.value for k in ProcedureKind] + ["bh", "bh-adjusted", "uncorrected"]
+_SIM_PROCS = [k.value for k in ProcedureKind] + list(OFFLINE_RULES)
 
 
 def cmd_simulate(args) -> int:
@@ -257,7 +254,7 @@ def cmd_simulate(args) -> int:
         bound = args.n if args.bounded else None
         procs = []
         for name in proc_names:
-            if name in ("bh", "bh-adjusted", "uncorrected"):
+            if name in OFFLINE_RULES:
                 procs.append((name, name))
             else:
                 label = f"{name}-bounded" if args.bounded else name

@@ -15,10 +15,10 @@ is strictly sequential; distinct streams are independent.
 
 ``decide`` consumes a run of p-values at once and equals the fold of
 ``observe`` over them: a fixpoint search of a few vector passes for the
-rules whose levels only grow with the discoveries, one vector search per
-discovery for LORD3 and dependent LORD.  Given a state it resumes that
-stream and advances it in place, so a long stream can be decided in
-chunks, with ``observe`` and ``rebound_stream`` between them.
+rules whose levels only grow with the discoveries, one windowed vector
+search per discovery for LORD3 and dependent LORD.  Given a state it
+resumes that stream and advances it in place, so a long stream can be
+decided in chunks, with ``observe`` and ``rebound_stream`` between them.
 
 ``decide_rows`` decides many fresh streams of one length at once, one row
 of a matrix each, with the flags ``decide`` gives each row; the Monte
@@ -262,6 +262,22 @@ def _payout_weights(config: ProcedureConfig) -> tuple[float | None, float]:
     return alpha - config.w0, alpha
 
 
+def _horizon_error(bound: int, located: bool = False) -> HorizonExhaustedError:
+    """The error of testing past the horizon ``bound``; ``located`` names
+    the stream index first, as :func:`run_stream` does."""
+    message = (f"horizon N={bound} exhausted at index {bound + 1}; "
+               "rebound to continue")
+    return HorizonExhaustedError(
+        f"at stream index {bound + 1}: {message}" if located else message)
+
+
+def _first_invalid(p: np.ndarray) -> int:
+    """Flat index of the first NaN or value outside [0, 1] in the float
+    array ``p``, or ``p.size`` if every value is a p-value."""
+    valid = (p >= 0.0) & (p <= 1.0)   # False for NaN
+    return p.size if valid.all() else int(valid.argmin())
+
+
 def _payout_sum(table: SequenceTable, gaps: np.ndarray) -> float:
     """Sum of coefficients at the given 1-based index gaps."""
     coeffs = table.coefficients
@@ -281,9 +297,7 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
     restarts its coefficients at each discovery), LOND and Bonferroni."""
     i = state.i + 1
     if state.bound is not None and i > state.bound:
-        raise HorizonExhaustedError(
-            f"horizon N={state.bound} exhausted at index {i}; rebound to continue"
-        )
+        raise _horizon_error(state.bound)
     table = state.table
     kind = config.kind
     k = state.discoveries
@@ -393,46 +407,21 @@ def _checked_pvalues(pvalues, state: StreamState) -> np.ndarray:
     if p.ndim != 1:
         raise ValueError("p-values must form a one-dimensional sequence")
     p = p.astype(np.float64, copy=False)
-    valid = (p >= 0.0) & (p <= 1.0)   # False for NaN
-    bound = state.bound
-    stop = len(p) if bound is None else min(len(p), bound - state.i + 1)
-    if not valid[:stop].all():
-        k = int(np.argmin(valid))
+    # the fold checks the value at the first index past the horizon before
+    # the horizon itself
+    room = len(p) if state.bound is None else state.bound - state.i
+    k = _first_invalid(p)
+    if k <= room and k < len(p):
         raise ValueError(f"at stream index {state.i + k + 1}: p-value must lie "
                          f"in [0, 1], got {pvalues[k]!r}")
-    if stop < len(p):
-        raise HorizonExhaustedError(
-            f"at stream index {bound + 1}: horizon N={bound} exhausted at index "
-            f"{bound + 1}; rebound to continue")
+    if room < len(p):
+        raise _horizon_error(state.bound, located=True)
     return p
 
 
 # rows filled and searched at once after a discovery; the window doubles
 # while it holds no discovery (the least a fixpoint pass proposes, too)
 _WINDOW = 64
-
-
-def _scan(p: np.ndarray, fill, on_discovery):
-    """Levels and rejections of a stream whose levels change only at
-    discoveries: ``fill(s, out)`` writes the levels of hypotheses
-    ``s, s + 1, ...`` (0-based) under the discoveries so far into ``out``,
-    the first ``p <= level`` among them is the next discovery, and
-    ``on_discovery(t, levels)`` records it.  Only a window after the last
-    discovery is filled and searched."""
-    n = len(p)
-    levels = np.empty(n)
-    start, width = 0, _WINDOW
-    while start < n:
-        stop = min(start + width, n)
-        fill(start, levels[start:stop])
-        hits = p[start:stop] <= levels[start:stop]
-        k = int(hits.argmax())
-        if hits[k]:
-            on_discovery(start + k, levels)
-            start, width = start + k + 1, _WINDOW
-        else:
-            start, width = stop, 2 * width
-    return levels, np.less_equal(p, levels)
 
 
 _NO_DISCOVERIES = np.empty(0, dtype=np.intp)
@@ -549,10 +538,10 @@ def decide(config: ProcedureConfig, pvalues,
     fixpoint of a search that accepts every hit at once and recomputes the
     levels under them (:func:`_fixpoint`): a few vector passes per run.
     LORD3 and dependent LORD restart their coefficients at each discovery;
-    between two discoveries their levels are a closed-form vector, searched
-    once per discovery (:func:`_scan`).  Decisions and wealth equal the
-    fold's; payout levels (LORD2, LORD++, SAFFRON) after 24 or more
-    discoveries are summed in another order and agree to rounding.
+    between two discoveries their levels are a closed-form vector, filled
+    and searched in a doubling window after each discovery.  Decisions and
+    wealth equal the fold's; payout levels (LORD2, LORD++, SAFFRON) after 24
+    or more discoveries are summed in another order and agree to rounding.
     """
     fresh = state is None
     state = make_stream(config, length_hint=1) if fresh else state
@@ -586,38 +575,37 @@ def decide(config: ProcedureConfig, pvalues,
 
     elif kind in _WEALTH_KINDS:
         # levels gamma_{i - tau} W(tau) (LORD3) or xi_i W(tau) (dependent
-        # LORD), W(tau) the wealth after the last discovery tau; run[i + 1]
-        # is the wealth after hypothesis i, spent by the sequential fold
-        run = np.empty(n + 1)
+        # LORD), W(tau) the wealth after the last discovery tau: between two
+        # discoveries they are one vector, filled and searched a window at a
+        # time.  run[i + 1] is the wealth after hypothesis i, spent in the
+        # fold's order (a sequential accumulate, so in pieces too)
+        levels, run = np.empty(n), np.empty(n + 1)
         run[0] = state.wealth
         at_discovery = state.wealth_at_discovery
-        segment = 0   # first hypothesis after the last discovery
+        lord3 = kind is ProcedureKind.LORD3
         # g[i + shift] is the coefficient of hypothesis i
-        if kind is ProcedureKind.LORD3:
-            shift = i0 - (int(state._tau[state.discoveries - 1])
-                          if state.discoveries else 0)
-        else:
-            shift = i0
-
-        def spend(t, levels):
-            s = segment
-            run[s + 1:t + 2] = levels[s:t + 1]
-            np.subtract.accumulate(run[s:t + 2], out=run[s:t + 2])
-
-        def wealth_fill(s, out):
-            np.multiply(g[s + shift:s + shift + len(out)], at_discovery, out=out)
-
-        def wealth_found(t, levels):
-            nonlocal segment, at_discovery, shift
-            spend(t, levels)
-            run[t + 1] += config.b0
-            segment = t + 1
-            at_discovery = float(run[t + 1])
-            if kind is ProcedureKind.LORD3:
-                shift = -segment
-
-        levels, rejected = _scan(p, wealth_fill, wealth_found)
-        spend(n - 1, levels)
+        shift = i0 - (int(state._tau[state.discoveries - 1])
+                      if lord3 and state.discoveries else 0)
+        start, width = 0, _WINDOW
+        while start < n:
+            stop = min(start + width, n)
+            np.multiply(g[start + shift:stop + shift], at_discovery,
+                        out=levels[start:stop])
+            hits = p[start:stop] <= levels[start:stop]
+            k = int(hits.argmax())
+            # spend the wealth through the discovery, or through the window
+            end = start + k + 1 if hits[k] else stop
+            run[start + 1:end + 1] = levels[start:end]
+            np.subtract.accumulate(run[start:end + 1], out=run[start:end + 1])
+            if hits[k]:
+                run[end] += config.b0
+                at_discovery = float(run[end])
+                if lord3:
+                    shift = -end
+                start, width = end, _WINDOW
+            else:
+                start, width = stop, 2 * width
+        rejected = np.less_equal(p, levels)
         wealth = run[1:]
         state.wealth, state.wealth_at_discovery = float(run[n]), at_discovery
 
@@ -758,9 +746,9 @@ def check_rows(pvalues) -> np.ndarray:
     p = np.asarray(pvalues, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError("p-values must form a (streams x N) matrix")
-    valid = (p >= 0.0) & (p <= 1.0)   # False for NaN
-    if not valid.all():
-        r, k = np.unravel_index(np.argmin(valid), p.shape)
+    k = _first_invalid(p)
+    if k < p.size:
+        r, k = divmod(k, p.shape[1])
         raise ValueError(f"row {r}, at stream index {k + 1}: p-value must lie "
                          f"in [0, 1], got {float(p[r, k])!r}")
     return p
@@ -785,9 +773,7 @@ def decide_rows(config: ProcedureConfig, pvalues: np.ndarray) -> np.ndarray:
     rows, n = pvalues.shape
     state = make_stream(config, length_hint=1)
     if state.bound is not None and n > state.bound:
-        raise HorizonExhaustedError(
-            f"at stream index {state.bound + 1}: horizon N={state.bound} "
-            f"exhausted at index {state.bound + 1}; rebound to continue")
+        raise _horizon_error(state.bound, located=True)
     if pvalues.size == 0:
         return np.zeros(pvalues.shape, dtype=bool)
     table = state.table if state.bound is not None else state.table.extended(n + 1)

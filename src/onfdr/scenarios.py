@@ -9,7 +9,8 @@ Replicates are drawn one generator per (seed, replicate) and
 decided in batches of 32: each rule decides the batch's (replicates x N)
 matrix in one call (``procedures.decide_rows``, or
 ``baselines.offline_rows``) and ``baselines.score`` scores it per row.
-``eval_kidney`` decides its one realisation per rule through ``decide``.
+``eval_kidney`` checks its one realisation as a 1 x K matrix and decides it
+through ``offline_rows`` (offline rules) or ``decide`` (online rules).
 """
 
 from __future__ import annotations
@@ -217,9 +218,6 @@ def gen_platform(scenario: PlatformTrialScenario, seed) -> tuple[np.ndarray, np.
 # the binary-endpoint platform (exact tests, exact integer fractions)
 # ---------------------------------------------------------------------------
 
-_OFFLINE = {"bh": baselines.bh, "bh-adjusted": baselines.bh_adjusted,
-            "uncorrected": baselines.uncorrected}
-
 KIDNEY_PROCEDURES = ("uncorrected", "bonferroni", "lord2", "lord3",
                      "lord++", "saffron", "lond", "bh")
 
@@ -261,14 +259,16 @@ def eval_kidney(scenario: KidneyTrialScenario, Y0: int, Y,
                 procedures=KIDNEY_PROCEDURES) -> dict[str, KidneyCell]:
     """Run the bounded procedures plus offline comparators on one realisation
     and score against the scenario's true effect signs."""
-    p = np.array(kidney_pvalues(scenario, Y0, Y))
+    p = check_rows([kidney_pvalues(scenario, Y0, Y)])
     truth = np.array(scenario.truth)
     m1 = int(np.count_nonzero(truth))
     out: dict[str, KidneyCell] = {}
     for name in procedures:
-        proc = name if name in _OFFLINE else _kidney_config(
-            name, scenario.alpha, scenario.K)
-        decisions = _decisions(proc, p, scenario.alpha)
+        if name in baselines.OFFLINE_RULES:
+            decisions = baselines.offline_rows(name, p, scenario.alpha)[0]
+        else:
+            decisions = decide(_kidney_config(name, scenario.alpha, scenario.K),
+                               p[0]).rejected
         r = int(np.count_nonzero(decisions))
         v = int(np.count_nonzero(decisions & ~truth))
         out[name] = KidneyCell(v, r, r - v, m1)
@@ -280,14 +280,6 @@ def _kidney_config(name: str, alpha: float, K: int) -> ProcedureConfig:
     """The bounded config of online rule ``name`` on a K-arm platform;
     configs are frozen, so every evaluation shares one."""
     return default_config(ProcedureKind(name), alpha=alpha, bound=K)
-
-
-def _decisions(proc, p: np.ndarray, alpha: float) -> np.ndarray:
-    """Rejection flags on ``p`` of a ProcedureConfig or of the offline rule
-    named ``proc``."""
-    if isinstance(proc, str):
-        return _OFFLINE[proc](p, alpha).rejected
-    return decide(proc, p).rejected
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +346,9 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
     """Estimate FDR and power for several rules on shared replicate data.
 
     ``procs`` is a list of (label, ProcedureConfig) pairs; the config slot
-    may instead be one of the offline rule names "bh", "bh-adjusted" or
-    "uncorrected".  Replicate r draws its own generator from (seed, r), so
-    results are independent of worker scheduling and bit-reproducible.
+    may instead name an offline rule (a key of ``baselines.OFFLINE_RULES``).
+    Replicate r draws its own generator from (seed, r), so results are
+    independent of worker scheduling and bit-reproducible.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,9 +97,22 @@ class TestBHAdjusted:
     ([0.2, 0.3, -1.0], "-1.0"),
     ([float("nan"), 2.0, -1.0], "nan"),
     (np.array([0.5, np.inf]), "inf"),
+    ([0.5, np.nextafter(1.0, 2.0)], "1.0000000000000002"),
+    ([-5e-324, 0.5], "-5e-324"),
+    ([0.5, 0.2, float("-inf")], "-inf"),
 ])
 def test_offline_rules_reject_invalid_pvalues(rule, pvalues, bad):
-    with pytest.raises(ValueError, match=f"got {bad} at index"):
+    with pytest.raises(ValueError, match=re.escape(f"got {bad} at index")):
+        rule(pvalues, 0.05)
+
+
+@pytest.mark.parametrize("rule", [bh, bh_adjusted, uncorrected])
+@pytest.mark.parametrize("pvalues", [
+    [[0.01, 0.2], [0.5, 0.03]], np.full((2, 3), 0.5), np.array(0.5),
+    [[0.01]]])
+def test_offline_rules_refuse_a_matrix(rule, pvalues):
+    with pytest.raises(ValueError,
+                       match="p-values must form a one-dimensional sequence"):
         rule(pvalues, 0.05)
 
 

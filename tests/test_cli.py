@@ -1,5 +1,7 @@
 import csv
 import io
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -13,6 +15,18 @@ from onfdr.procedures import Decisions, ProcedureKind, decide, \
     default_config, make_stream, rebound_stream, run_stream
 from onfdr.scenarios import KIDNEY_REALISATIONS, KidneyTrialScenario, \
     MixtureScenario, estimate_many, eval_kidney
+
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def cli_env():
+    """This environment with the checkout's src directory first on
+    PYTHONPATH, so that a subprocess imports the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(capsys, argv):
@@ -240,6 +254,8 @@ class TestRunInChunks:
         (["--bound", "9000"], None, 3,
          "line 9002: horizon N=9000 exhausted at index 9001; rebound to "
          "continue"),
+        *(([], text, 2, f"line 9002: p-value must lie in [0, 1], got {text}")
+          for text in ("1.0000000000000002", "-5e-324", "inf", "-inf")),
     ])
     def test_failure_in_second_chunk(self, tmp_path, capsys, extra, bad, code,
                                      message):
@@ -257,17 +273,33 @@ class TestRunInChunks:
 
 # ---------------------------------------------------------------------------
 # onfdr run's bytes: expected output built here from `decide`'s levels with
-# csv and Python repr, for inputs whose quoting, line endings, spelling or
-# failure the reader and writer must keep
+# Python repr and the id quoting rule, for inputs whose quoting, line
+# endings, spelling or failure the reader and writer must keep
 # ---------------------------------------------------------------------------
 
 RUN_COLUMNS = ["id", "index", "pvalue", "alpha_i", "rejected", "wealth"]
 
 
+def quoted_id(ident):
+    """An id as `onfdr run` writes it: quoted, with its quotes doubled, if
+    it holds a comma, a double quote, a carriage return or a newline (csv
+    with a newline line terminator would leave a lone carriage return
+    unquoted, and its reader would split the record there)."""
+    if any(c in ident for c in ',"\r\n'):
+        return '"' + ident.replace('"', '""') + '"'
+    return ident
+
+
+def run_line(ident, index, p, level, rejected, wealth):
+    return (f"{quoted_id(ident)},{index},{p!r},{level!r},"
+            f"{'true' if rejected else 'false'},"
+            f"{'' if wealth is None else repr(wealth)}\n")
+
+
 def expected_run(records, kind, bound=None, rebound=None):
     """The CSV `onfdr run` writes for the (id, p-value) ``records``: levels,
     flags and wealth from `decide` on one stream, rebound after
-    ``rebound[0]`` hypotheses, written by csv with floats as their repr."""
+    ``rebound[0]`` hypotheses, with floats as their repr."""
     cfg = default_config(kind, alpha=0.05, bound=bound)
     state = make_stream(cfg)
     p = np.array([pv for _, pv in records], dtype=np.float64)
@@ -276,16 +308,14 @@ def expected_run(records, kind, bound=None, rebound=None):
     if cut < len(p):
         rebound_stream(state, cfg, rebound[1])
         runs.append(decide(cfg, p[cut:], state))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RUN_COLUMNS)
+    lines = [",".join(RUN_COLUMNS) + "\n"]
     for k, (ident, pv) in enumerate(records):
         run = runs[0] if k < cut else runs[1]
         j = k if k < cut else k - cut
-        wealth = "" if run.wealth is None else repr(float(run.wealth[j]))
-        writer.writerow([ident, k + 1, repr(pv), repr(float(run.levels[j])),
-                         "true" if run.rejected[j] else "false", wealth])
-    return buf.getvalue()
+        lines.append(run_line(
+            ident, k + 1, pv, float(run.levels[j]), run.rejected[j],
+            None if run.wealth is None else float(run.wealth[j])))
+    return "".join(lines)
 
 
 def chunked_rows(n):
@@ -370,9 +400,10 @@ class TestRunBytes:
         cli = [sys.executable, "-m", "onfdr.cli", "run", "--procedure",
                "saffron"]
         with open(src, "rb") as fh:
-            piped = subprocess.run(cli, stdin=fh, capture_output=True)
+            piped = subprocess.run(cli, stdin=fh, capture_output=True,
+                                   env=cli_env())
         named = subprocess.run([*cli, "--input", str(src), "--output",
-                                str(out)], capture_output=True)
+                                str(out)], capture_output=True, env=cli_env())
         assert (piped.returncode, piped.stderr) == \
             (named.returncode, named.stderr)
         assert piped.stdout == out.read_bytes()
@@ -426,11 +457,11 @@ class TestChunkHelpers:
         assert (ids, list(lines), failure) == (want[0], want[2], want[3])
         assert [repr(v) for v in pvalues] == [repr(v) for v in want[1]]
 
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_write_rows_equals_csv(self, data):
+    @staticmethod
+    def draw_runs(data):
+        """Ids (more than decided, as the reader may hand over), p-values,
+        the decisions split in up to two runs, and the first index."""
         n = data.draw(st.integers(0, 12))
-        # the reader may hand over more records than were decided
         ids = data.draw(st.lists(ids_text, min_size=n, max_size=n + 2))
         pvalues = data.draw(st.lists(st.floats(0, 1), min_size=len(ids),
                                      max_size=len(ids)))
@@ -445,16 +476,31 @@ class TestChunkHelpers:
                           None if wealth is None
                           else np.array(wealth[a:b], dtype=np.float64))
                 for a, b in ((0, cut), (cut, n)) if n]
-        first = data.draw(st.integers(1, 10**9))
-        want = io.StringIO()
-        csv.writer(want, lineterminator="\n").writerows(zip(
-            ids, range(first, first + n), pvalues, levels,
-            ["true" if f else "false" for f in flags],
-            [""] * n if wealth is None else wealth))
+        return ids, pvalues, levels, flags, wealth, runs, \
+            data.draw(st.integers(1, 10**9))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_write_rows_equals_csv(self, data):
+        ids, pvalues, levels, flags, wealth, runs, first = self.draw_runs(data)
+        n = len(levels)
+        want = "".join(run_line(*row) for row in zip(
+            ids, range(first, first + n), pvalues, levels, flags,
+            [None] * n if wealth is None else wealth))
         got = io.StringIO()
-        _write_rows(got, csv.writer(got, lineterminator="\n"), ids, first,
-                    pvalues, runs)
-        assert got.getvalue() == want.getvalue()
+        _write_rows(got, ids, first, pvalues, runs)
+        assert got.getvalue() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_csv_reads_back_every_id(self, data):
+        ids, pvalues, levels, flags, wealth, runs, first = self.draw_runs(data)
+        got = io.StringIO()
+        _write_rows(got, ids, first, pvalues, runs)
+        rows = list(csv.reader(io.StringIO(got.getvalue(), newline="")))
+        assert [row[0] for row in rows] == ids[:len(levels)]
+        assert [len(row) for row in rows] == [6] * len(levels)
+        assert [float(row[3]) for row in rows] == levels
 
 
 class TestSequence:
@@ -648,6 +694,6 @@ class TestSimulate:
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "onfdr.cli", "sequence",
                            "--kind", "uniform", "--n", "2", "--bound", "2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "index,coefficient,cumulative"

@@ -3,6 +3,7 @@ every row the flags ``decide`` gives it, and estimates do not depend on the
 worker count."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,17 @@ class TestDecideRows:
         with pytest.raises(ValueError, match="matrix"):
             check_rows([0.1, 0.2])
         assert check_rows([[0, 1]]).dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5,
+                                     np.nextafter(1.0, 2.0), -5e-324,
+                                     float("inf"), float("-inf")])
+    def test_check_rows_refuses(self, bad):
+        p = np.full((3, 4), 0.5)
+        p[2, 1] = p[2, 3] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"row 2, at stream index 2: p-value must lie in [0, 1], "
+                f"got {float(bad)!r}")):
+            check_rows(p)
 
 
 SIM_PROCS = [k.value for k in ProcedureKind] + ["bh", "bh-adjusted",

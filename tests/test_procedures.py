@@ -148,7 +148,9 @@ class TestObserve:
         rec = observe(make_stream(cfg), 0.0, cfg)
         assert rec.rejected
 
-    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5,
+                                     np.nextafter(1.0, 2.0), -5e-324,
+                                     float("inf"), float("-inf")])
     def test_invalid_pvalue(self, bad):
         cfg = default_config(ProcedureKind.LORD2, alpha=0.05)
         with pytest.raises(ValueError):
@@ -642,7 +644,9 @@ class TestDecide:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 30),
-           bad=st.sampled_from([float("nan"), -0.5, 1.5, "0.5", None]),
+           bad=st.sampled_from([float("nan"), -0.5, 1.5, "0.5", None,
+                                np.nextafter(1.0, 2.0), -5e-324,
+                                float("inf"), float("-inf")]),
            as_array=st.booleans())
     def test_bad_pvalue_raises_as_run_stream(self, data, n, bad, as_array):
         k = data.draw(st.integers(0, n - 1), label="k")
@@ -663,6 +667,20 @@ class TestDecide:
         want = raised(run_stream, cfg, p)
         assert want[0] is HorizonExhaustedError
         assert raised(decide, cfg, p) == want
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_past_the_horizon_raises_as_run_stream(self, kind):
+        # a run one value longer than the room left, fresh or resumed
+        cfg = default_config(kind, alpha=0.05, bound=5)
+        want = raised(run_stream, cfg, [0.5] * 6)
+        assert want[0] is HorizonExhaustedError
+        assert raised(decide, cfg, [0.5] * 6) == want
+        state, folded = make_stream(cfg), make_stream(cfg)
+        decide(cfg, [0.5] * 2, state)
+        run_stream(cfg, [0.5] * 2, state=folded)
+        assert raised(decide, cfg, [0.5] * 4, state) == \
+            raised(run_stream, cfg, [0.5] * 4, None, folded)
+        assert state.i == 2
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_empty_stream(self, kind):
