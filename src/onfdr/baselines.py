@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .procedures import _first_invalid
+from .procedures import _as_pvalues, _shown
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,73 +40,66 @@ class BatchResult:
         return hash((self.threshold, self.rejected.tobytes()))
 
 
-def _pvalue_array(pvalues) -> np.ndarray:
-    """``pvalues`` as a one-dimensional float array; NaN or a value outside
-    [0, 1] raises ValueError, as it does in the online rules' ``observe``."""
-    if not isinstance(pvalues, np.ndarray):
-        pvalues = list(pvalues)
-    p = np.asarray(pvalues, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("p-values must form a one-dimensional sequence")
-    k = _first_invalid(p)
-    if k < p.size:
-        raise ValueError(f"p-value must lie in [0, 1], got {float(p[k])!r} "
-                         f"at index {k + 1}")
-    return p
-
-
 def _step_up(p: np.ndarray, level: float):
     """Rejection flags and p-value cutoffs of the step-up rule at ``level``
     on each row of a (rows x N) matrix: a row's cutoff is its largest
-    p_(i) <= i * level / N, or -inf where there is none."""
+    p_(i) <= i * level / N, or 0.0 where there is none."""
     n = p.shape[1]
     ordered = np.sort(p, axis=1)
     passing = ordered <= np.arange(1, n + 1) * level / n
-    # the order statistics ascend: the largest passing one is the last
-    cutoff = np.maximum.reduce(ordered, axis=1, where=passing, initial=-np.inf)
+    # the order statistics ascend: the largest passing one is the last.  A
+    # row with none passing holds no p-value <= 0.0 (it would pass)
+    cutoff = np.maximum.reduce(ordered, axis=1, where=passing, initial=0.0)
     return p <= cutoff[:, None], cutoff
 
 
 def _harmonic(n: int) -> float:
-    return float(np.sum(1.0 / np.arange(1, n + 1)))
+    """The harmonic sum of 1, ..., n, and 1.0 for n = 0."""
+    return float(np.sum(1.0 / np.arange(1, max(n, 1) + 1)))
 
 
-def _batch_step_up(p: np.ndarray, level: float) -> BatchResult:
-    rejected, cutoff = _step_up(p[None], level)
-    return BatchResult(rejected[0], max(float(cutoff[0]), 0.0))
+# each offline rule's rejection flags and p-value cutoffs (alpha itself for
+# uncorrected testing) on each row of a checked (rows x N) matrix
+OFFLINE_RULES = {
+    "bh": _step_up,
+    "bh-adjusted": lambda p, alpha: _step_up(p, alpha / _harmonic(p.shape[1])),
+    "uncorrected": lambda p, alpha: (p < alpha, np.full(len(p), alpha)),
+}
+
+
+def _one_row(rule: str, pvalues, alpha: float) -> BatchResult:
+    """The offline ``rule`` on one sequence of p-values, refused as the
+    online rules' ``observe`` refuses them."""
+    p, given, k = _as_pvalues(pvalues, 1)
+    if k < p.size:
+        raise ValueError(f"p-value must lie in [0, 1], got {_shown(given[k])} "
+                         f"at index {k + 1}")
+    rejected, cutoff = OFFLINE_RULES[rule](p[None], alpha)
+    return BatchResult(rejected[0], float(cutoff[0]))
 
 
 def bh(pvalues, alpha: float) -> BatchResult:
     """Step-up procedure: find the largest i with p_(i) <= i * alpha / N and
     reject every hypothesis with p <= p_(i)."""
-    return _batch_step_up(_pvalue_array(pvalues), alpha)
+    return _one_row("bh", pvalues, alpha)
 
 
 def bh_adjusted(pvalues, alpha: float) -> BatchResult:
     """Step-up procedure with alpha divided by the harmonic sum, valid under
     arbitrary dependence."""
-    p = _pvalue_array(pvalues)
-    return _batch_step_up(p, alpha / _harmonic(p.size) if p.size else alpha)
+    return _one_row("bh-adjusted", pvalues, alpha)
 
 
 def uncorrected(pvalues, alpha: float) -> BatchResult:
     """Reject every p strictly below alpha (no multiplicity correction)."""
-    return BatchResult(_pvalue_array(pvalues) < alpha, alpha)
-
-
-# the offline rules by name
-OFFLINE_RULES = {"bh": bh, "bh-adjusted": bh_adjusted, "uncorrected": uncorrected}
+    return _one_row("uncorrected", pvalues, alpha)
 
 
 def offline_rows(rule: str, pvalues: np.ndarray, alpha: float) -> np.ndarray:
     """Rejection flags of the offline ``rule`` (a key of ``OFFLINE_RULES``)
     on each row of a checked (replicates x N) matrix, equal to the rule's
     flags on that row."""
-    n = pvalues.shape[1]
-    if OFFLINE_RULES[rule] is uncorrected or n == 0:
-        return pvalues < alpha
-    level = alpha if OFFLINE_RULES[rule] is bh else alpha / _harmonic(n)
-    return _step_up(pvalues, level)[0]
+    return OFFLINE_RULES[rule](pvalues, alpha)[0]
 
 
 def _flags(values) -> np.ndarray:
@@ -115,28 +108,27 @@ def _flags(values) -> np.ndarray:
     return np.asarray(values, dtype=bool)
 
 
+def _counts(decisions: np.ndarray, truth: np.ndarray):
+    """R, V and m1 along the last axis: rejections, false rejections and
+    non-nulls (one count for a one-dimensional ``truth``)."""
+    return [x.sum(axis=-1) for x in (decisions, decisions & ~truth, truth)]
+
+
 def score(decisions, truth) -> tuple[float, float | None]:
     """False discovery proportion and power of one batch of decisions.
 
-    FDP is V / max(R, 1); power is the fraction of non-null hypotheses
-    rejected, or None when there are no non-nulls.  Both arguments may be
-    boolean arrays or sequences of truth values.  Given two (replicates x
-    N) matrices it scores each row: FDP and power are arrays, power NaN
-    for a row with no non-null.
+    FDP is V / max(R, 1), with R rejections of which V are of nulls; power
+    is (R - V) / m1, the fraction of the m1 non-null hypotheses rejected,
+    or None when there are no non-nulls.  Both arguments may be boolean
+    arrays or sequences of truth values.  Given two (replicates x N)
+    matrices it scores each row: FDP and power are arrays, power NaN for a
+    row with no non-null.  One batch is scored as a one-row matrix.
     """
     decisions, truth = _flags(decisions), _flags(truth)
     if decisions.shape != truth.shape:
         raise ValueError("decisions and truth must have equal length")
-    if decisions.ndim == 2:
-        r, v, m1 = (np.count_nonzero(x, axis=1)
-                    for x in (decisions, decisions & ~truth, truth))
-        power = np.divide(r - v, m1, out=np.full(len(m1), np.nan),
-                          where=m1 > 0)
-        return v / np.maximum(r, 1), power
-    r = int(np.count_nonzero(decisions))
-    v = int(np.count_nonzero(decisions & ~truth))
-    m1 = int(np.count_nonzero(truth))
-    fdp = v / max(r, 1)
-    if m1 == 0:
-        return fdp, None
-    return fdp, (r - v) / m1
+    if decisions.ndim != 2:
+        (fdp,), (power,) = score(decisions.reshape(1, -1), truth.reshape(1, -1))
+        return float(fdp), None if np.isnan(power) else float(power)
+    r, v, m1 = _counts(decisions, truth)
+    return v / np.maximum(r, 1), (r - v) / np.where(m1 > 0, m1, np.nan)

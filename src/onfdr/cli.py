@@ -24,7 +24,7 @@ from .procedures import (
     HorizonExhaustedError,
     ProcedureConfig,
     ProcedureKind,
-    _first_invalid,
+    _as_pvalues,
     decide,
     default_config,
     make_stream,
@@ -135,8 +135,7 @@ def _decide_rows(state, config, pvalues, lines, rebound_at, rebound_to):
     the first bad p-value allow.  Returns the decisions made and the
     failure (exit code and message) that stopped the rows after them, or
     None."""
-    p = np.array(pvalues, dtype=np.float64)
-    good = _first_invalid(p)
+    p, _, good = _as_pvalues(pvalues, 1)
     runs, done = [], 0
     try:
         while done < len(p):
@@ -291,18 +290,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sequence(args) -> int:
+    if args.n < 1:
+        return _fail(EXIT_BAD_CONFIG, f"--n must be at least 1, got {args.n}")
     try:
         spec = _sequence_spec(args, args.alpha)
         table = build_table(spec, length_hint=args.n)
     except (SequenceError, ValueError) as exc:
         return _fail(EXIT_BAD_CONFIG, f"invalid sequence spec: {exc}")
     n = min(args.n, table.bound) if table.bound is not None else args.n
-    coeffs = table.head(n)
+    coeffs, sums = table.head(n), table.cumulative[:n]
     columns = ["index", "coefficient", "cumulative"]
     with _csv_out(args.output, columns) as (_, writer):
         for i in range(n):
-            writer.writerow([i + 1, repr(float(coeffs[i])),
-                             repr(table.cumulative_sum(i + 1))])
+            writer.writerow([i + 1, repr(float(coeffs[i])), repr(float(sums[i]))])
     return EXIT_OK
 
 

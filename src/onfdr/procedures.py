@@ -131,7 +131,7 @@ class DecisionRecord:
 
 @dataclass
 class StreamState:
-    """Sufficient statistics of one running stream."""
+    """Sufficient statistics of one running stream; its horizon is its table's."""
 
     table: SequenceTable
     i: int = 0
@@ -139,12 +139,15 @@ class StreamState:
     wealth_at_discovery: float | None = None
     discoveries: int = 0
     candidates_total: int = 0
-    bound: int | None = None
     _harmonic: float = 0.0
     # parallel buffers: rejection times and the clocks of those rejections
     # (the time less the candidates through it for SAFFRON, the time else)
     _tau: np.ndarray = field(default_factory=lambda: np.zeros(16, dtype=np.int64))
     _clock: np.ndarray = field(default_factory=lambda: np.zeros(16, dtype=np.int64))
+
+    @property
+    def bound(self) -> int | None:
+        return self.table.bound
 
     @property
     def rejection_times(self) -> list[int]:
@@ -221,7 +224,13 @@ def _cached_table(spec: SequenceSpec, length_hint: int) -> SequenceTable:
 @lru_cache(maxsize=256)
 def _check_config(config: ProcedureConfig) -> None:
     """Checks of ``config`` against its table; cached, so a config that
-    passes is checked once, not once per stream."""
+    passes is checked once, not once per stream.
+
+    The leading-coefficient check bounds the first level, ``gamma_1 w0``,
+    by ``w0``, and LORD3's first level after a discovery by the wealth then
+    held; with coefficients that sum to at most one, LORD3's wealth stays
+    nonnegative at every step.  Dependent LORD's wealth can still go
+    negative: its xi sequence may sum past one."""
     table = _table_cache(config.sequence)
     if config.kind is ProcedureKind.LORD_DEP:
         if not validate_xi(table, config.w0, config.b0, config.alpha):
@@ -243,8 +252,7 @@ def make_stream(config: ProcedureConfig, length_hint: int = 1024) -> StreamState
     its own.
     """
     _check_config(config)
-    spec = config.sequence
-    state = StreamState(table=_cached_table(spec, length_hint), bound=spec.bound)
+    state = StreamState(table=_cached_table(config.sequence, length_hint))
     if config.kind in _WEALTH_KINDS:
         state.wealth = config.w0
         state.wealth_at_discovery = config.w0
@@ -271,13 +279,6 @@ def _horizon_error(bound: int, located: bool = False) -> HorizonExhaustedError:
         f"at stream index {bound + 1}: {message}" if located else message)
 
 
-def _first_invalid(p: np.ndarray) -> int:
-    """Flat index of the first NaN or value outside [0, 1] in the float
-    array ``p``, or ``p.size`` if every value is a p-value."""
-    valid = (p >= 0.0) & (p <= 1.0)   # False for NaN
-    return p.size if valid.all() else int(valid.argmin())
-
-
 def _payout_sum(table: SequenceTable, gaps: np.ndarray) -> float:
     """Sum of coefficients at the given 1-based index gaps."""
     coeffs = table.coefficients
@@ -296,9 +297,9 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
     candidates for SAFFRON, whose level is capped at lambda), wealth (LORD3
     restarts its coefficients at each discovery), LOND and Bonferroni."""
     i = state.i + 1
-    if state.bound is not None and i > state.bound:
-        raise _horizon_error(state.bound)
     table = state.table
+    if table.bound is not None and i > table.bound:
+        raise _horizon_error(table.bound)
     kind = config.kind
     k = state.discoveries
 
@@ -324,16 +325,38 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
             beta /= state._harmonic + 1.0 / i
         return beta * (max(k, 1) if config.lond_original else k + 1)
 
-    # BONFERRONI: the sequence carries the levels (alpha-scaled when SUM_ONE)
-    beta = table.coefficient(i)
-    if config.sequence.normalization is Normalization.SUM_ONE:
-        beta *= config.alpha
-    return beta
+    return _bonferroni_levels(config, table.coefficient(i))
 
 
 # what a p-value may be: a Python or numpy real number (or bool), the kinds
 # of number `decide` accepts in an array ("biuf")
 _REAL_TYPES = (int, float, np.integer, np.floating, np.bool_)
+_real_or_nan = np.frompyfunc(
+    lambda v: v if isinstance(v, _REAL_TYPES) else math.nan, 1, 1)
+# the shapes of the array entry points' p-values, by number of dimensions
+_SHAPES = {1: "a one-dimensional sequence", 2: "a (streams x N) matrix"}
+
+
+def _as_pvalues(pvalues, ndim: int):
+    """``pvalues`` as a float array of ``ndim`` dimensions with NaN for a
+    value that is not a real number; the values as given, to name a refused
+    one; and the flat index of the first value not in [0, 1], else the size."""
+    if not isinstance(pvalues, np.ndarray):
+        pvalues = list(pvalues)
+    p = np.asarray(pvalues)
+    if p.dtype.kind not in "biuf":   # strings, None, mixed objects
+        p = _real_or_nan(np.asarray(pvalues, dtype=object))
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != ndim:
+        raise ValueError(f"p-values must form {_SHAPES[ndim]}")
+    valid = (p >= 0.0) & (p <= 1.0)   # False for NaN
+    return p, pvalues, p.size if valid.all() else int(valid.argmin())
+
+
+def _shown(value) -> str:
+    """A refused value as the offline rules and :func:`check_rows` name it:
+    a real number by its float value, anything else as given."""
+    return repr(float(value) if isinstance(value, _REAL_TYPES) else value)
 
 
 def observe(state: StreamState, p: float, config: ProcedureConfig) -> DecisionRecord:
@@ -359,7 +382,7 @@ def observe(state: StreamState, p: float, config: ProcedureConfig) -> DecisionRe
     if kind is ProcedureKind.LOND_DEP:
         state._harmonic += 1.0 / i
     state.i = i
-    if state.bound is None and i >= len(state.table):
+    if state.table.bound is None and i >= len(state.table):
         state.table = state.table.extended(i + 1)
     return DecisionRecord(
         index=i,
@@ -370,15 +393,14 @@ def observe(state: StreamState, p: float, config: ProcedureConfig) -> DecisionRe
     )
 
 
-def run_stream(config: ProcedureConfig, pvalues, length_hint: int | None = None,
+def run_stream(config: ProcedureConfig, pvalues,
                state: StreamState | None = None) -> list[DecisionRecord]:
     """Fold :func:`observe` over ``pvalues`` in order."""
     pvalues = list(pvalues)
     if state is None:
-        hint = length_hint if length_hint is not None else max(len(pvalues), 16)
-        state = make_stream(config, length_hint=hint)
+        state = make_stream(config, length_hint=max(len(pvalues), 16))
     records = []
-    for offset, p in enumerate(pvalues):
+    for p in pvalues:
         try:
             records.append(observe(state, p, config))
         except (ValueError, HorizonExhaustedError) as exc:
@@ -393,30 +415,6 @@ class Decisions(NamedTuple):
     levels: np.ndarray
     rejected: np.ndarray
     wealth: np.ndarray | None
-
-
-def _checked_pvalues(pvalues, state: StreamState) -> np.ndarray:
-    """``pvalues`` as a float array; the first bad value or the first index
-    past the stream's horizon raises what :func:`run_stream` raises there."""
-    if not isinstance(pvalues, np.ndarray):
-        pvalues = list(pvalues)
-    p = np.asarray(pvalues)
-    if p.dtype.kind not in "biuf":   # strings, None, mixed objects
-        p = np.array([v if isinstance(v, _REAL_TYPES) else np.nan
-                      for v in pvalues])
-    if p.ndim != 1:
-        raise ValueError("p-values must form a one-dimensional sequence")
-    p = p.astype(np.float64, copy=False)
-    # the fold checks the value at the first index past the horizon before
-    # the horizon itself
-    room = len(p) if state.bound is None else state.bound - state.i
-    k = _first_invalid(p)
-    if k <= room and k < len(p):
-        raise ValueError(f"at stream index {state.i + k + 1}: p-value must lie "
-                         f"in [0, 1], got {pvalues[k]!r}")
-    if room < len(p):
-        raise _horizon_error(state.bound, located=True)
-    return p
 
 
 # rows filled and searched at once after a discovery; the window doubles
@@ -499,11 +497,10 @@ def _fixpoint(p: np.ndarray, start, counted: bool = False,
         last, ordered = (int(new[-1]) if len(new) else -1), True
 
 
-def _bonferroni_levels(config: ProcedureConfig, gamma: np.ndarray) -> np.ndarray:
+def _bonferroni_levels(config: ProcedureConfig, gamma):
     """Bonferroni's levels: its coefficients, alpha-scaled when SUM_ONE."""
-    if config.sequence.normalization is Normalization.SUM_ONE:
-        return gamma * config.alpha
-    return gamma.copy()
+    return gamma * (config.alpha if config.sequence.normalization
+                    is Normalization.SUM_ONE else 1.0)
 
 
 def _lond_beta(config: ProcedureConfig, gamma: np.ndarray, i0: int,
@@ -545,9 +542,17 @@ def decide(config: ProcedureConfig, pvalues,
     """
     fresh = state is None
     state = make_stream(config, length_hint=1) if fresh else state
-    p = _checked_pvalues(pvalues, state)
+    p, given, k = _as_pvalues(pvalues, 1)
     n = len(p)
     i0 = state.i
+    # the fold checks the value at the first index past the horizon before
+    # the horizon itself
+    room = n if state.bound is None else state.bound - i0
+    if k <= room and k < n:
+        raise ValueError(f"at stream index {i0 + k + 1}: p-value must lie "
+                         f"in [0, 1], got {given[k]!r}")
+    if room < n:
+        raise _horizon_error(state.bound, located=True)
     if state.bound is None:   # the fold keeps one term past the last index
         state.table = state.table.extended(i0 + n + 1)
     g = state.table.coefficients
@@ -741,16 +746,13 @@ def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def check_rows(pvalues) -> np.ndarray:
-    """``pvalues`` as a (streams x N) float matrix; NaN or a value outside
-    [0, 1] raises ValueError naming its row and stream index."""
-    p = np.asarray(pvalues, dtype=np.float64)
-    if p.ndim != 2:
-        raise ValueError("p-values must form a (streams x N) matrix")
-    k = _first_invalid(p)
+    """``pvalues`` as a (streams x N) float matrix; a value that is not a
+    number in [0, 1] raises ValueError naming its row and stream index."""
+    p, given, k = _as_pvalues(pvalues, 2)
     if k < p.size:
         r, k = divmod(k, p.shape[1])
         raise ValueError(f"row {r}, at stream index {k + 1}: p-value must lie "
-                         f"in [0, 1], got {float(p[r, k])!r}")
+                         f"in [0, 1], got {_shown(given[r][k])}")
     return p
 
 
@@ -770,14 +772,13 @@ def decide_rows(config: ProcedureConfig, pvalues: np.ndarray) -> np.ndarray:
     decision that its rounding bound does not certify is decided again by
     :func:`decide`.
     """
-    rows, n = pvalues.shape
-    state = make_stream(config, length_hint=1)
+    n = pvalues.shape[1]
+    state = make_stream(config, length_hint=n + 1)
     if state.bound is not None and n > state.bound:
         raise _horizon_error(state.bound, located=True)
     if pvalues.size == 0:
         return np.zeros(pvalues.shape, dtype=bool)
-    table = state.table if state.bound is not None else state.table.extended(n + 1)
-    g = table.coefficients
+    g = state.table.coefficients
     kind = config.kind
     if kind is ProcedureKind.BONFERRONI:
         return pvalues <= _bonferroni_levels(config, g[:n])
@@ -1048,18 +1049,17 @@ def rebound_stream(state: StreamState, config: ProcedureConfig,
             f"new horizon {new_bound} must exceed the {state.i} hypotheses tested"
         )
     state.table = rebound(state.table, state.i, new_bound)
-    state.bound = new_bound
     return state
 
 
-def limit_level(config: ProcedureConfig, i: int, length_hint: int = 1024) -> float:
+def limit_level(config: ProcedureConfig, i: int) -> float:
     """Closed-form test level at index ``i`` assuming every prior hypothesis
     was rejected (and, for the adaptive rule, every prior p-value was a
     candidate)."""
     if i < 1:
         raise ValueError("index must be >= 1")
     kind = config.kind
-    table = _cached_table(config.sequence, max(length_hint, i))
+    table = _cached_table(config.sequence, i)
     alpha, w0, b0 = config.alpha, config.w0, config.b0
 
     if kind is ProcedureKind.LORD2:

@@ -260,19 +260,18 @@ def eval_kidney(scenario: KidneyTrialScenario, Y0: int, Y,
     """Run the bounded procedures plus offline comparators on one realisation
     and score against the scenario's true effect signs."""
     p = check_rows([kidney_pvalues(scenario, Y0, Y)])
-    truth = np.array(scenario.truth)
-    m1 = int(np.count_nonzero(truth))
-    out: dict[str, KidneyCell] = {}
-    for name in procedures:
+    procedures = list(procedures)
+    flags = np.empty((len(procedures), scenario.K), dtype=bool)
+    for row, name in zip(flags, procedures):
         if name in baselines.OFFLINE_RULES:
-            decisions = baselines.offline_rows(name, p, scenario.alpha)[0]
+            row[:] = baselines.offline_rows(name, p, scenario.alpha)[0]
         else:
-            decisions = decide(_kidney_config(name, scenario.alpha, scenario.K),
-                               p[0]).rejected
-        r = int(np.count_nonzero(decisions))
-        v = int(np.count_nonzero(decisions & ~truth))
-        out[name] = KidneyCell(v, r, r - v, m1)
-    return out
+            row[:] = decide(_kidney_config(name, scenario.alpha, scenario.K),
+                            p[0]).rejected
+    r, v, m1 = (c.tolist() for c in baselines._counts(
+        flags, np.array(scenario.truth)))
+    return {name: KidneyCell(v[j], r[j], r[j] - v[j], m1)
+            for j, name in enumerate(procedures)}
 
 
 @lru_cache(maxsize=256)

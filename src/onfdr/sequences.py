@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -253,8 +254,9 @@ def xi_constant_bounded(N: int, w0: float, b0: float, alpha: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SequenceTable:
-    """Materialized coefficients with running partial sums; an immutable
-    value with read-only arrays, safe to share between streams and threads.
+    """Materialized coefficients; an immutable value with read-only arrays,
+    safe to share between streams and threads.  The running partial sums
+    are computed from the coefficients when first read.
 
     Bounded tables hold all N terms.  Infinite-horizon tables hold a prefix;
     reading past it raises :class:`SequenceError`, and :meth:`extended`
@@ -264,16 +266,21 @@ class SequenceTable:
     spec: SequenceSpec
     scale_constant: float
     coefficients: np.ndarray
-    cumulative: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("coefficients", "cumulative"):
-            frozen = np.array(getattr(self, name), dtype=np.float64)
-            frozen.flags.writeable = False
-            object.__setattr__(self, name, frozen)
+        frozen = np.array(self.coefficients, dtype=np.float64)
+        frozen.flags.writeable = False
+        object.__setattr__(self, "coefficients", frozen)
 
-    @property
-    def bound(self) -> int | None:
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """Read-only partial sums, the same bits however the table grew."""
+        sums = np.cumsum(self.coefficients)
+        sums.flags.writeable = False
+        return sums
+
+    @cached_property
+    def bound(self) -> int | None:   # a plain attribute once read
         return self.spec.bound
 
     def __len__(self) -> int:
@@ -296,14 +303,10 @@ class SequenceTable:
         new_len = max(n, 2 * have)
         fresh = self.scale_constant * _shape(self.spec,
                                              np.arange(have + 1, new_len + 1))
-        # the running sum carried on from the last partial sum adds in the
-        # order of a cold build, so the sums do not depend on how it grew
-        tail = np.cumsum(np.concatenate([self.cumulative[-1:], fresh]))
         return SequenceTable(
             spec=self.spec,
             scale_constant=self.scale_constant,
             coefficients=np.concatenate([self.coefficients, fresh]),
-            cumulative=np.concatenate([self.cumulative[:-1], tail]),
         )
 
     def coefficient(self, i: int) -> float:
@@ -324,7 +327,7 @@ class SequenceTable:
         """Partial sum of coefficients 1..i (0 for i=0)."""
         if i <= 0:
             return 0.0
-        if i > len(self.cumulative):
+        if i > len(self):
             raise self._past_end(i)
         return float(self.cumulative[i - 1])
 
@@ -347,12 +350,10 @@ def build_table(spec: SequenceSpec, length_hint: int = 1024) -> SequenceTable:
     scale = _scale_constant(spec)
     n = spec.bound if spec.bound is not None else length_hint
     idx = np.arange(1, n + 1)
-    coeffs = scale * _shape(spec, idx)
     return SequenceTable(
         spec=spec,
         scale_constant=scale,
-        coefficients=coeffs,
-        cumulative=np.cumsum(coeffs),
+        coefficients=scale * _shape(spec, idx),
     )
 
 
@@ -400,5 +401,4 @@ def rebound(table: SequenceTable, n: int, new_bound: int) -> SequenceTable:
         spec=new_spec,
         scale_constant=tail_scale,
         coefficients=coeffs,
-        cumulative=np.cumsum(coeffs),
     )

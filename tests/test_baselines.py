@@ -1,4 +1,6 @@
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,16 @@ from onfdr.baselines import (
     score,
     uncorrected,
 )
+from onfdr.procedures import (
+    ProcedureKind,
+    check_rows,
+    decide,
+    default_config,
+    make_stream,
+    observe,
+)
+
+LORDPP = default_config(ProcedureKind.LORDPP)
 
 grid_pvalues = st.lists(
     st.integers(0, 100).map(lambda k: k / 100), min_size=1, max_size=8)
@@ -104,6 +116,24 @@ class TestBHAdjusted:
 def test_offline_rules_reject_invalid_pvalues(rule, pvalues, bad):
     with pytest.raises(ValueError, match=re.escape(f"got {bad} at index")):
         rule(pvalues, 0.05)
+
+
+NOT_REAL = ["0.5", np.str_("0.5"), b"0.5", Decimal("0.5"), Fraction(1, 2),
+            0.5 + 0j, None]
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p: observe(make_stream(LORDPP), p[1], LORDPP),
+    lambda p: decide(LORDPP, p), lambda p: check_rows([p]),
+    *(lambda p, rule=rule: rule(p, 0.05)
+      for rule in (bh, bh_adjusted, uncorrected))],
+    ids=["observe", "decide", "check_rows", "bh", "bh_adjusted", "uncorrected"])
+@pytest.mark.parametrize("value", NOT_REAL, ids=repr)
+def test_entry_points_refuse_what_is_not_a_real_number(entry, value):
+    # as the range test refuses a value outside [0, 1], named as given
+    with pytest.raises(ValueError, match=re.escape(
+            f"p-value must lie in [0, 1], got {value!r}")):
+        entry([0.2, value])
 
 
 @pytest.mark.parametrize("rule", [bh, bh_adjusted, uncorrected])

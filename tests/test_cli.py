@@ -531,6 +531,13 @@ class TestSequence:
                                         "--n", "4"])
         assert code == 3 and "invalid sequence spec" in err
 
+    @pytest.mark.parametrize("rows", ["0", "-3"])
+    def test_no_rows_exits_3(self, capsys, rows):
+        code, out, err = run_cli(capsys, ["sequence", "--kind", "jm",
+                                          "--n", rows])
+        assert (code, out) == (3, "")
+        assert err == f"onfdr: --n must be at least 1, got {rows}\n"
+
     def test_output_file(self, tmp_path, capsys):
         dest = tmp_path / "seq.csv"
         code, out, _ = run_cli(capsys, ["sequence", "--kind", "inverse-square",

@@ -6,6 +6,12 @@ stream rather than as Monte Carlo averages.
   and Bonferroni.  SAFFRON is held to its own estimator, which counts only
   the levels of hypotheses that are not candidates (p > lambda), scaled by
   1 / (1 - lambda) (Ramdas et al., ICML 2018).
+- Budget: a bounded stream of p-values 1.0, rebound part way and run to
+  its new horizon, spends its whole budget, w0 for LORD2, LORD3, LORD++
+  and SAFFRON and alpha for Bonferroni and LOND, before and after the
+  rebound together.  Dependent LOND divides by a running harmonic sum, so
+  it does not spend its budget exactly; dependent LORD's xi sequence meets
+  a log-weighted constraint, not a sum.
 - Wealth: for LORD3 and dependent LORD the wealth after t is the account
   w0 - sum(levels) + b0 R_t.  LORD3's wealth never falls below zero.
   Dependent LORD's may: its guarantee is the xi budget inequality, not its
@@ -27,6 +33,8 @@ A bounded stream that spends its whole budget reaches alpha exactly in
 exact arithmetic (Bonferroni's N levels alpha / N) and may round just
 above it.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -135,3 +143,21 @@ def test_wealth_is_the_budget_account(kind, path, stream):
     if kind is ProcedureKind.LORD3:
         assert np.all(wealth >= -RTOL * earned)
 
+
+# (n, N, N'): n hypotheses of a stream bounded at N, then rebound to N'
+REBOUNDS = [(40, 100, 250), (1, 5, 7), (99, 100, 1000), (0, 10, 11),
+            (500, 2000, 2001)]
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("kind", [
+    ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORDPP,
+    ProcedureKind.SAFFRON, ProcedureKind.BONFERRONI, ProcedureKind.LOND_INDEP])
+@pytest.mark.parametrize("cut, bound, new_bound", REBOUNDS)
+def test_rebound_spends_the_whole_budget(kind, path, cut, bound, new_bound):
+    stream = (0.05, [1.0] * new_bound, bound, cut, new_bound)
+    cfg, levels, rejected, _ = decisions(kind, stream, path)
+    assert not rejected.any()
+    budget = cfg.alpha if kind in (ProcedureKind.BONFERRONI,
+                                   ProcedureKind.LOND_INDEP) else cfg.w0
+    assert math.fsum(levels) == pytest.approx(budget, rel=RTOL, abs=0)

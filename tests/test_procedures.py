@@ -532,9 +532,9 @@ def assert_kernel_equals_fold(cfg, p):
         assert got.wealth is None
 
 
-def raised(fn, *args):
+def raised(fn, *args, **kwargs):
     with pytest.raises((ValueError, HorizonExhaustedError)) as info:
-        fn(*args)
+        fn(*args, **kwargs)
     return type(info.value), str(info.value)
 
 
@@ -679,7 +679,7 @@ class TestDecide:
         decide(cfg, [0.5] * 2, state)
         run_stream(cfg, [0.5] * 2, state=folded)
         assert raised(decide, cfg, [0.5] * 4, state) == \
-            raised(run_stream, cfg, [0.5] * 4, None, folded)
+            raised(run_stream, cfg, [0.5] * 4, state=folded)
         assert state.i == 2
 
     @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -168,7 +168,7 @@ class TestImmutableTable:
         coeffs = np.full(3, 0.1)
         table = SequenceTable(
             spec=SequenceSpec(SequenceKind.UNIFORM, Normalization.SUM_ONE, bound=3),
-            scale_constant=0.1, coefficients=coeffs, cumulative=np.cumsum(coeffs))
+            scale_constant=0.1, coefficients=coeffs)
         coeffs[0] = 9.0
         assert table.coefficient(1) == 0.1 and coeffs.flags.writeable
 
@@ -274,8 +274,7 @@ class TestValidateXi:
         spec = xi_spec(SequenceKind.POWER_LAW, shape_param=2.0)
         t = build_table(spec)
         doubled = type(t)(spec=t.spec, scale_constant=2 * t.scale_constant,
-                          coefficients=2 * t.coefficients.copy(),
-                          cumulative=2 * t.cumulative.copy())
+                          coefficients=2 * t.coefficients.copy())
         assert not validate_xi(doubled, 0.025, 0.025, 0.05)
 
     @settings(max_examples=25, deadline=None)
@@ -357,8 +356,7 @@ class TestRebound:
     def test_rejects_overspent_table(self):
         table = self.uniform_table(1.0, 10)
         inflated = type(table)(spec=table.spec, scale_constant=3.0,
-                               coefficients=3 * table.coefficients.copy(),
-                               cumulative=3 * table.cumulative.copy())
+                               coefficients=3 * table.coefficients.copy())
         with pytest.raises(SequenceError):
             rebound(inflated, 8, 20)
 
