@@ -69,18 +69,11 @@ def _csv_out(path: str | None, header: list[str]):
             out.close()
 
 
-def _sequence_spec(args, alpha: float) -> SequenceSpec:
-    kind = SequenceKind(args.sequence)
-    norm = Normalization(args.normalization)
-    kwargs = dict(kind=kind, normalization=norm, bound=args.bound)
-    if kind in (SequenceKind.POWER_LAW, SequenceKind.LOG_POWER):
-        kwargs["shape_param"] = args.seq_param
-    if norm in (Normalization.SUM_ALPHA, Normalization.XI_WEIGHTED):
-        kwargs["alpha"] = alpha
-    if norm is Normalization.XI_WEIGHTED:
-        kwargs["w0"] = args.w0 if args.w0 is not None else alpha / 2
-        kwargs["b0"] = args.b0 if args.b0 is not None else alpha / 2
-    return SequenceSpec(**kwargs)
+def _sequence_spec(args, **normalization) -> SequenceSpec:
+    """The spec of ``--sequence`` (``--kind``), ``--seq-param`` and
+    ``--bound``, under ``normalization``'s fields (default sum-one)."""
+    return SequenceSpec(SequenceKind(args.sequence), shape_param=args.seq_param,
+                        bound=args.bound, **normalization)
 
 
 def _procedure_config(args) -> ProcedureConfig:
@@ -88,7 +81,7 @@ def _procedure_config(args) -> ProcedureConfig:
     overrides = {key: getattr(args, key) for key in ("w0", "b0", "lam")
                  if getattr(args, key) is not None}
     if args.sequence is not None:
-        overrides["sequence"] = _sequence_spec(args, args.alpha)
+        overrides["sequence"] = _sequence_spec(args)
     if args.lond_original:
         overrides["lond_original"] = True
     return default_config(kind, alpha=args.alpha, bound=args.bound, **overrides)
@@ -292,8 +285,13 @@ def cmd_simulate(args) -> int:
 def cmd_sequence(args) -> int:
     if args.n < 1:
         return _fail(EXIT_BAD_CONFIG, f"--n must be at least 1, got {args.n}")
+    norm, alpha = Normalization(args.normalization), args.alpha
+    fields = {} if norm is Normalization.SUM_ONE else dict(alpha=alpha)
+    if norm is Normalization.XI_WEIGHTED:
+        fields.update(w0=alpha / 2 if args.w0 is None else args.w0,
+                      b0=alpha / 2 if args.b0 is None else args.b0)
     try:
-        spec = _sequence_spec(args, args.alpha)
+        spec = _sequence_spec(args, normalization=norm, **fields)
         table = build_table(spec, length_hint=args.n)
     except (SequenceError, ValueError) as exc:
         return _fail(EXIT_BAD_CONFIG, f"invalid sequence spec: {exc}")
@@ -351,10 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--w0", type=float)
     run.add_argument("--b0", type=float)
     run.add_argument("--lambda", dest="lam", type=float)
-    run.add_argument("--sequence", choices=[k.value for k in SequenceKind])
-    run.add_argument("--seq-param", type=float)
-    run.add_argument("--normalization", default="sum-one",
-                     choices=[n.value for n in Normalization])
+    run.add_argument("--sequence", choices=[k.value for k in SequenceKind],
+                     help="coefficient shape; the procedure sets the budget")
+    run.add_argument("--seq-param", type=float, help="m or nu where applicable")
     run.add_argument("--bound", type=int)
     run.add_argument("--rebound", metavar="N:NPRIME",
                      help="rebound the horizon after n hypotheses")

@@ -36,7 +36,7 @@ and the exact-test designs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -50,7 +50,6 @@ from .sequences import (
     SequenceTable,
     build_table,
     rebound,
-    validate_xi,
 )
 
 
@@ -82,6 +81,8 @@ class HorizonExhaustedError(RuntimeError):
 class ProcedureConfig:
     """Target level, wealth parameters and coefficient sequence of one rule.
 
+    ``sequence`` gives the shape and the horizon; the rule fixes the
+    normalization (:func:`_rule_spec`) and the config holds the result.
     ``lond_original`` switches LOND's multiplier from ``D(i-1) + 1`` to the
     original ``max(D(i-1), 1)`` form; it is off by default.
     """
@@ -101,11 +102,11 @@ class ProcedureConfig:
             raise ConfigError("a coefficient sequence is required")
         k = self.kind
         if k in (ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORD_DEP):
-            if self.w0 < 0:
-                raise ConfigError("w0 >= 0 is required")
-            if self.b0 <= 0:
-                raise ConfigError("b0 > 0 is required")
-            # dependent LORD's budget is the xi inequality (make_stream)
+            if not 0 <= self.w0 < math.inf:   # False for NaN
+                raise ConfigError("a finite w0 >= 0 is required")
+            if not 0 < self.b0 < math.inf:
+                raise ConfigError("a finite b0 > 0 is required")
+            # dependent LORD's budget is its xi sequence's
             if k is not ProcedureKind.LORD_DEP and self.w0 + self.b0 > self.alpha + 1e-12:
                 raise ConfigError("w0 + b0 <= alpha is required")
         elif k is ProcedureKind.LORDPP:
@@ -116,6 +117,8 @@ class ProcedureConfig:
                 raise ConfigError("lambda must lie in (0, 1)")
             if not 0 <= self.w0 < (1 - self.lam) * self.alpha:
                 raise ConfigError("w0 < (1 - lambda) * alpha is required")
+        object.__setattr__(self, "sequence", _rule_spec(
+            k, self.sequence, self.alpha, self.w0, self.b0))
 
 
 @dataclass(frozen=True)
@@ -166,32 +169,39 @@ class StreamState:
         self.discoveries = end
 
 
-# defaults mirror the simulation-study specification: w0 = alpha/2 and
-# b0 = alpha - w0 for the wealth-based rules, lambda = 0.5 with
-# w0 = (1 - lambda) * alpha / 2 for the adaptive rule.
+def _rule_spec(kind: ProcedureKind, spec: SequenceSpec, alpha: float,
+               w0: float, b0: float) -> SequenceSpec:
+    """``spec``'s shape and horizon under the budget of ``kind``'s
+    coefficients: the xi inequality for dependent LORD, alpha for LOND and
+    Bonferroni, 1 for the rest; the fields it does not use are None."""
+    if kind is ProcedureKind.LORD_DEP:
+        return replace(spec, normalization=Normalization.XI_WEIGHTED,
+                       alpha=alpha, w0=w0, b0=b0)
+    if kind in _LOND_KINDS or kind is ProcedureKind.BONFERRONI:
+        return replace(spec, normalization=Normalization.SUM_ALPHA,
+                       alpha=alpha, w0=None, b0=None)
+    return replace(spec, normalization=Normalization.SUM_ONE, alpha=None,
+                   w0=None, b0=None)
+
+
+# defaults mirror the simulation-study specification: w0 = b0 = alpha/2 for
+# the wealth-based rules, lambda = 0.5 with w0 = (1 - lambda) * alpha / 2
+# for the adaptive rule.
 def default_sequence(kind: ProcedureKind, alpha: float,
                      bound: int | None = None) -> SequenceSpec:
-    """Per-procedure default coefficient sequence."""
+    """Per-procedure default coefficient sequence: its shape, under the
+    normalization of :func:`_rule_spec` with the default ``w0`` and ``b0``."""
     if kind in (ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORDPP):
-        return SequenceSpec(SequenceKind.JM_OPTIMAL, Normalization.SUM_ONE,
-                            bound=bound)
-    if kind is ProcedureKind.SAFFRON:
-        return SequenceSpec(SequenceKind.INVERSE_SQUARE, Normalization.SUM_ONE,
-                            bound=bound)
-    if kind is ProcedureKind.LORD_DEP:
-        w0 = alpha / 2
-        b0 = alpha - w0
-        if bound is None:
-            return SequenceSpec(SequenceKind.LOG_POWER, Normalization.XI_WEIGHTED,
-                                shape_param=3.0, alpha=alpha, w0=w0, b0=b0)
-        return SequenceSpec(SequenceKind.CONSTANT_BOUNDED, Normalization.XI_WEIGHTED,
-                            bound=bound, alpha=alpha, w0=w0, b0=b0)
-    # LOND (both forms) and Bonferroni
-    if bound is None:
-        return SequenceSpec(SequenceKind.JM_OPTIMAL, Normalization.SUM_ALPHA,
-                            alpha=alpha)
-    return SequenceSpec(SequenceKind.UNIFORM, Normalization.SUM_ALPHA,
-                        alpha=alpha, bound=bound)
+        shape = SequenceSpec(SequenceKind.JM_OPTIMAL, bound=bound)
+    elif kind is ProcedureKind.SAFFRON:
+        shape = SequenceSpec(SequenceKind.INVERSE_SQUARE, bound=bound)
+    elif kind is ProcedureKind.LORD_DEP:
+        shape = SequenceSpec(SequenceKind.LOG_POWER, shape_param=3.0) if \
+            bound is None else SequenceSpec(SequenceKind.CONSTANT_BOUNDED, bound=bound)
+    else:   # LOND (both forms) and Bonferroni
+        shape = SequenceSpec(SequenceKind.JM_OPTIMAL if bound is None
+                             else SequenceKind.UNIFORM, bound=bound)
+    return _rule_spec(kind, shape, alpha, alpha / 2, alpha / 2)
 
 
 def default_config(kind: ProcedureKind, alpha: float = 0.05,
@@ -224,7 +234,8 @@ def _cached_table(spec: SequenceSpec, length_hint: int) -> SequenceTable:
 @lru_cache(maxsize=256)
 def _check_config(config: ProcedureConfig) -> None:
     """Checks of ``config`` against its table; cached, so a config that
-    passes is checked once, not once per stream.
+    passes is checked once, not once per stream.  The table meets the
+    rule's budget by construction (:func:`_rule_spec`).
 
     The leading-coefficient check bounds the first level, ``gamma_1 w0``,
     by ``w0``, and LORD3's first level after a discovery by the wealth then
@@ -232,11 +243,6 @@ def _check_config(config: ProcedureConfig) -> None:
     nonnegative at every step.  Dependent LORD's wealth can still go
     negative: its xi sequence may sum past one."""
     table = _table_cache(config.sequence)
-    if config.kind is ProcedureKind.LORD_DEP:
-        if not validate_xi(table, config.w0, config.b0, config.alpha):
-            raise ConfigError(
-                "xi sequence violates the dependent-LORD budget inequality"
-            )
     if config.kind in _WEALTH_KINDS:
         first = table.coefficient(1)
         if first > 1 + 1e-12:
@@ -325,7 +331,7 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
             beta /= state._harmonic + 1.0 / i
         return beta * (max(k, 1) if config.lond_original else k + 1)
 
-    return _bonferroni_levels(config, table.coefficient(i))
+    return table.coefficient(i)
 
 
 # what a p-value may be: a Python or numpy real number (or bool), the kinds
@@ -497,12 +503,6 @@ def _fixpoint(p: np.ndarray, start, counted: bool = False,
         last, ordered = (int(new[-1]) if len(new) else -1), True
 
 
-def _bonferroni_levels(config: ProcedureConfig, gamma):
-    """Bonferroni's levels: its coefficients, alpha-scaled when SUM_ONE."""
-    return gamma * (config.alpha if config.sequence.normalization
-                    is Normalization.SUM_ONE else 1.0)
-
-
 def _lond_beta(config: ProcedureConfig, gamma: np.ndarray, i0: int,
                harmonic: float) -> tuple[np.ndarray, float]:
     """LOND's coefficients of hypotheses ``i0 + 1, i0 + 2, ...``: for the
@@ -561,7 +561,7 @@ def decide(config: ProcedureConfig, pvalues,
     wealth = None
 
     if kind is ProcedureKind.BONFERRONI:
-        levels = _bonferroni_levels(config, gamma)
+        levels = gamma.copy()   # not a view of the shared table
         rejected = p <= levels
 
     elif kind in _LOND_KINDS:
@@ -781,7 +781,7 @@ def decide_rows(config: ProcedureConfig, pvalues: np.ndarray) -> np.ndarray:
     g = state.table.coefficients
     kind = config.kind
     if kind is ProcedureKind.BONFERRONI:
-        return pvalues <= _bonferroni_levels(config, g[:n])
+        return pvalues <= g[:n]
     if kind in _LOND_KINDS:
         return _lond_rows(config, pvalues, _lond_beta(config, g[:n], 0, 0.0)[0])
     if kind in _WEALTH_KINDS:

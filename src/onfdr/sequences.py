@@ -76,17 +76,19 @@ class SequenceSpec:
         if self.kind is SequenceKind.POWER_LAW:
             if self.shape_param is None or self.shape_param <= 1:
                 raise SequenceError("POWER_LAW requires shape_param m > 1")
-        if self.kind is SequenceKind.LOG_POWER:
+        elif self.kind is SequenceKind.LOG_POWER:
             if self.shape_param is None or self.shape_param <= 2:
                 raise SequenceError("LOG_POWER requires shape_param nu > 2")
+        elif self.shape_param is not None:
+            raise SequenceError(f"{self.kind.value} takes no shape_param")
         if self.normalization is not Normalization.SUM_ONE:
             if self.alpha is None or not 0 < self.alpha < 1:
                 raise SequenceError(f"{self.normalization.name} requires alpha in (0, 1)")
         if self.normalization is Normalization.XI_WEIGHTED:
-            if self.w0 is None or self.w0 < 0:
-                raise SequenceError("XI_WEIGHTED requires w0 >= 0")
-            if self.b0 is None or self.b0 <= 0:
-                raise SequenceError("XI_WEIGHTED requires b0 > 0")
+            if self.w0 is None or not 0 <= self.w0 < math.inf:
+                raise SequenceError("XI_WEIGHTED requires a finite w0 >= 0")
+            if self.b0 is None or not 0 < self.b0 < math.inf:
+                raise SequenceError("XI_WEIGHTED requires a finite b0 > 0")
 
 
 def gamma_jm(i: int) -> float:

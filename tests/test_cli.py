@@ -15,6 +15,7 @@ from onfdr.procedures import Decisions, ProcedureKind, decide, \
     default_config, make_stream, rebound_stream, run_stream
 from onfdr.scenarios import KIDNEY_REALISATIONS, KidneyTrialScenario, \
     MixtureScenario, estimate_many, eval_kidney
+from onfdr.sequences import SequenceKind, SequenceSpec
 
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -132,13 +133,57 @@ class TestRun:
             "run", "--input", path, "--procedure", "saffron", "--w0", "0.03"])
         assert code == 3 and "invalid configuration" in err
 
-    def test_rejected_xi_sequence_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("options, overrides", [
+        (["--w0", "0.01", "--b0", "0.04"], dict(w0=0.01, b0=0.04)),
+        (["--sequence", "power-law", "--seq-param", "1.5"],
+         dict(sequence=SequenceSpec(SequenceKind.POWER_LAW, shape_param=1.5))),
+    ])
+    def test_lord_dep_options_set_its_xi_table(self, tmp_path, capsys,
+                                               options, overrides):
+        # the xi table is normalized for the options given
+        p = [0.001, 0.3, 1e-5, 0.02, 0.9, 1e-4, 0.5, 0.01]
+        path = write_pvalues(tmp_path, [(f"h{i}", v) for i, v in enumerate(p)])
+        code, out, err = run_cli(capsys, [
+            "run", "--input", path, "--procedure", "lord-dep", *options])
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        cfg = default_config(ProcedureKind.LORD_DEP, alpha=0.05, **overrides)
+        want = decide(cfg, p)
+        assert [float(r["alpha_i"]) for r in rows] == want.levels.tolist()
+        assert [float(r["wealth"]) for r in rows] == want.wealth.tolist()
+
+    @pytest.mark.parametrize("procedure", ["lord2", "lord3", "lord-dep"])
+    @pytest.mark.parametrize("name", ["w0", "b0"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_wealth_parameter_exits_3(self, tmp_path, capsys,
+                                                 procedure, name, value):
         path = write_pvalues(tmp_path, [("h", 0.5)])
         code, out, err = run_cli(capsys, [
-            "run", "--input", path, "--procedure", "lord-dep",
-            "--sequence", "power-law", "--seq-param", "1.5"])
-        assert code == 3 and out == ""
-        assert "invalid configuration" in err and "budget inequality" in err
+            "run", "--input", path, "--procedure", procedure,
+            f"--{name}", value])
+        assert (code, out) == (3, "")
+        assert err == (f"onfdr: invalid configuration: a finite {name} "
+                       f"{'>=' if name == 'w0' else '>'} 0 is required\n")
+
+    @pytest.mark.parametrize("kind", ["jm", "inverse-square", "uniform",
+                                      "constant"])
+    def test_stray_seq_param_exits_3(self, tmp_path, capsys, kind):
+        path = write_pvalues(tmp_path, [("h", 0.5)])
+        code, out, err = run_cli(capsys, [
+            "run", "--input", path, "--sequence", kind, "--seq-param", "7",
+            "--bound", "10"])
+        assert (code, out) == (3, "")
+        assert err == (f"onfdr: invalid configuration: {kind} takes no "
+                       "shape_param\n")
+
+    def test_no_normalization_option(self, tmp_path, capsys):
+        # the procedure sets its sequence's normalization
+        path = write_pvalues(tmp_path, [("h", 0.5)])
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", path, "--normalization", "sum-one"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --normalization" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("rebound", [["--rebound", "-3:60"],
                                          ["--rebound=-3:60"],
@@ -530,6 +575,16 @@ class TestSequence:
         code, _, err = run_cli(capsys, ["sequence", "--kind", "uniform",
                                         "--n", "4"])
         assert code == 3 and "invalid sequence spec" in err
+
+    @pytest.mark.parametrize("kind", ["jm", "inverse-square", "uniform",
+                                      "constant"])
+    def test_stray_seq_param_exits_3(self, capsys, kind):
+        code, out, err = run_cli(capsys, ["sequence", "--kind", kind, "--n",
+                                          "4", "--bound", "4", "--seq-param",
+                                          "7"])
+        assert (code, out) == (3, "")
+        assert err == (f"onfdr: invalid sequence spec: {kind} takes no "
+                       "shape_param\n")
 
     @pytest.mark.parametrize("rows", ["0", "-3"])
     def test_no_rows_exits_3(self, capsys, rows):

@@ -9,7 +9,8 @@ stream rather than as Monte Carlo averages.
 - Budget: a bounded stream of p-values 1.0, rebound part way and run to
   its new horizon, spends its whole budget, w0 for LORD2, LORD3, LORD++
   and SAFFRON and alpha for Bonferroni and LOND, before and after the
-  rebound together.  Dependent LOND divides by a running harmonic sum, so
+  rebound together; on the rule's default sequence and on other shapes,
+  whose budget the rule sets.  Dependent LOND divides by a running harmonic sum, so
   it does not spend its budget exactly; dependent LORD's xi sequence meets
   a log-weighted constraint, not a sum.
 - Wealth: for LORD3 and dependent LORD the wealth after t is the account
@@ -49,6 +50,7 @@ from onfdr.procedures import (
     rebound_stream,
     run_stream,
 )
+from onfdr.sequences import SequenceKind, SequenceSpec
 
 RTOL = 1e-12
 FDP_KINDS = [ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORDPP,
@@ -79,11 +81,15 @@ def streams(draw):
     return alpha, p, bound, cut, new_bound
 
 
-def decisions(kind, stream, path):
+def decisions(kind, stream, path, shape=None):
     """The config, and the levels, rejection flags and wealth (None for the
-    rules that keep none) of ``stream`` through ``decide`` or the fold."""
+    rules that keep none) of ``stream`` through ``decide`` or the fold; a
+    ``shape`` (kind and shape parameter) replaces the rule's default
+    sequence."""
     alpha, p, bound, cut, new_bound = stream
-    cfg = default_config(kind, alpha=alpha, bound=bound)
+    given = {} if shape is None else dict(sequence=SequenceSpec(
+        shape[0], shape_param=shape[1], bound=bound))
+    cfg = default_config(kind, alpha=alpha, bound=bound, **given)
     state = make_stream(cfg)
 
     def run(piece):
@@ -147,16 +153,25 @@ def test_wealth_is_the_budget_account(kind, path, stream):
 # (n, N, N'): n hypotheses of a stream bounded at N, then rebound to N'
 REBOUNDS = [(40, 100, 250), (1, 5, 7), (99, 100, 1000), (0, 10, 11),
             (500, 2000, 2001)]
+# the rule's default sequence (None), or a shape given as a caller gives
+# one, with SequenceSpec's default normalization: the rule sets the budget
+SHAPES = [None, (SequenceKind.JM_OPTIMAL, None),
+          (SequenceKind.INVERSE_SQUARE, None), (SequenceKind.UNIFORM, None),
+          (SequenceKind.POWER_LAW, 2.0)]
 
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("kind", [
     ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORDPP,
     ProcedureKind.SAFFRON, ProcedureKind.BONFERRONI, ProcedureKind.LOND_INDEP])
-@pytest.mark.parametrize("cut, bound, new_bound", REBOUNDS)
-def test_rebound_spends_the_whole_budget(kind, path, cut, bound, new_bound):
+@pytest.mark.parametrize("cut, bound, new_bound, shape", [
+    pytest.param(*r, s, id="-".join(map(str, r))
+                 + ("" if s is None else f"-{s[0].value}"))
+    for s in SHAPES for r in REBOUNDS])
+def test_rebound_spends_the_whole_budget(kind, path, cut, bound, new_bound,
+                                         shape):
     stream = (0.05, [1.0] * new_bound, bound, cut, new_bound)
-    cfg, levels, rejected, _ = decisions(kind, stream, path)
+    cfg, levels, rejected, _ = decisions(kind, stream, path, shape)
     assert not rejected.any()
     budget = cfg.alpha if kind in (ProcedureKind.BONFERRONI,
                                    ProcedureKind.LOND_INDEP) else cfg.w0

@@ -24,7 +24,7 @@ from onfdr.procedures import (
     run_stream,
 )
 from onfdr.sequences import Normalization, SequenceKind, SequenceSpec, \
-    build_table
+    build_table, validate_xi
 
 ALL_KINDS = list(ProcedureKind)
 # the rules whose levels never fall when a discovery is added before them
@@ -67,16 +67,55 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="alpha"):
             default_config(ProcedureKind.LORD2, alpha=1.5)
 
-    def test_lord_dep_invalid_xi(self):
-        # sequence saturating budget alpha/b0 = 2 fails once the config's
-        # actual budget alpha/b0 shrinks below that
-        seq = default_sequence(ProcedureKind.LORD_DEP, alpha=0.05)
-        cfg = ProcedureConfig(kind=ProcedureKind.LORD_DEP, alpha=0.05,
-                              w0=0.01, b0=0.04, sequence=seq)
-        with pytest.raises(ConfigError, match="budget inequality"):
-            make_stream(cfg)
-        with pytest.raises(ConfigError, match="budget inequality"):
-            make_stream(cfg)   # a failed check is not cached as a pass
+    @pytest.mark.parametrize("shape", [
+        SequenceSpec(SequenceKind.LOG_POWER, shape_param=3.0),
+        SequenceSpec(SequenceKind.POWER_LAW, shape_param=2.0),
+        SequenceSpec(SequenceKind.POWER_LAW, shape_param=2.0, bound=500),
+        SequenceSpec(SequenceKind.CONSTANT_BOUNDED, bound=100)],
+        ids=["log-power", "power-law", "power-law-500", "constant-100"])
+    @pytest.mark.parametrize("w0, b0", [(0.01, 0.04), (0.025, 0.025),
+                                        (0.04, 0.01), (0.0, 0.05)])
+    def test_lord_dep_table_meets_its_budget(self, shape, w0, b0):
+        # the config normalizes its xi table for its own w0 and b0, with
+        # the budget inequality saturated
+        alpha = 0.05
+        cfg = default_config(ProcedureKind.LORD_DEP, alpha=alpha, w0=w0,
+                             b0=b0, sequence=shape)
+        table = make_stream(cfg).table
+        assert validate_xi(table, w0, b0, alpha)
+        budget = alpha / b0 if w0 <= b0 else alpha
+        assert table.constraint_sum() == pytest.approx(budget, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", [ProcedureKind.LORD2, ProcedureKind.LORD3,
+                                      ProcedureKind.LORD_DEP])
+    @pytest.mark.parametrize("name", ["w0", "b0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_wealth_parameter_refused(self, kind, name, value):
+        params = {"w0": 0.025, "b0": 0.025, name: value}
+        with pytest.raises(ConfigError, match=f"finite {name}"):
+            ProcedureConfig(kind=kind, alpha=0.05,
+                            sequence=default_sequence(kind, 0.05), **params)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_rule_fixes_the_normalization(self, kind):
+        # the normalization given is replaced by the rule's, with the
+        # config's alpha, w0 and b0; shape and horizon are kept
+        given = SequenceSpec(SequenceKind.JM_OPTIMAL, Normalization.SUM_ALPHA,
+                             alpha=0.2, bound=50)
+        cfg = default_config(kind, alpha=0.05, sequence=given)
+        want = {ProcedureKind.LORD_DEP: Normalization.XI_WEIGHTED,
+                ProcedureKind.LOND_INDEP: Normalization.SUM_ALPHA,
+                ProcedureKind.LOND_DEP: Normalization.SUM_ALPHA,
+                ProcedureKind.BONFERRONI: Normalization.SUM_ALPHA}.get(
+                    kind, Normalization.SUM_ONE)
+        seq = cfg.sequence
+        assert (seq.kind, seq.bound, seq.normalization) == \
+            (SequenceKind.JM_OPTIMAL, 50, want)
+        assert seq.alpha == (None if want is Normalization.SUM_ONE else 0.05)
+        moved = dataclasses.replace(cfg, w0=0.01, b0=0.02)
+        dep = kind is ProcedureKind.LORD_DEP
+        assert (moved.sequence.w0, moved.sequence.b0) == \
+            ((0.01, 0.02) if dep else (None, None))
 
 
 class TestNextLevel:
@@ -486,7 +525,7 @@ def kernel_configs(draw, bounded):
     if kind in (ProcedureKind.LOND_INDEP, ProcedureKind.LOND_DEP):
         return default_config(kind, alpha=alpha, bound=bounded,
                               lond_original=draw(st.booleans()))
-    if draw(st.booleans()):   # Bonferroni on a sum-one sequence: alpha * gamma
+    if draw(st.booleans()):   # Bonferroni given a sum-one JM shape: sum-alpha
         spec = SequenceSpec(SequenceKind.JM_OPTIMAL, Normalization.SUM_ONE,
                             bound=bounded)
         return default_config(kind, alpha=alpha, sequence=spec)
@@ -682,17 +721,27 @@ class TestDecide:
             raised(run_stream, cfg, [0.5] * 4, state=folded)
         assert state.i == 2
 
+    @pytest.mark.parametrize("bound", [None, 30])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_levels_are_a_fresh_array(self, kind, bound):
+        cfg = default_config(kind, alpha=0.05, bound=bound)
+        state = make_stream(cfg)
+        levels = decide(cfg, [0.5] * 20, state).levels
+        assert levels.flags.writeable
+        assert not np.shares_memory(levels, state.table.coefficients)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_empty_stream(self, kind):
         got = decide(default_config(kind, alpha=0.05), [])
         assert len(got.levels) == len(got.rejected) == 0
 
     def test_rejected_config_raises(self):
-        seq = default_sequence(ProcedureKind.LORD_DEP, alpha=0.05)
-        cfg = ProcedureConfig(kind=ProcedureKind.LORD_DEP, alpha=0.05,
-                              w0=0.01, b0=0.04, sequence=seq)
-        with pytest.raises(ConfigError, match="budget inequality"):
+        # xi_1 = alpha / b0 = 2 at horizon one
+        cfg = default_config(ProcedureKind.LORD_DEP, alpha=0.05, bound=1)
+        with pytest.raises(ConfigError, match="leading coefficient"):
             decide(cfg, [0.5])
+        with pytest.raises(ConfigError, match="leading coefficient"):
+            decide(cfg, [0.5])   # a failed check is not cached as a pass
 
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(MONOTONE_KINDS), bounded=st.booleans(),

@@ -6,8 +6,8 @@ import pytest
 from scipy import stats
 
 from onfdr import baselines, procedures, scenarios
-from onfdr.procedures import ConfigError, ProcedureConfig, ProcedureKind, \
-    default_config, default_sequence, run_stream
+from onfdr.procedures import ConfigError, ProcedureKind, default_config, \
+    run_stream
 from onfdr.scenarios import (
     KIDNEY_REALISATIONS,
     KidneyTrialScenario,
@@ -250,10 +250,9 @@ class TestEstimate:
         monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setenv("ONFDR_THREADS", "2")
         sc = MixtureScenario(N=30, pi1=0.3, rho=0.5)
-        seq = default_sequence(ProcedureKind.LORD_DEP, alpha=0.05)
-        refused = ProcedureConfig(kind=ProcedureKind.LORD_DEP, alpha=0.05,
-                                  w0=0.01, b0=0.04, sequence=seq)
-        with pytest.raises(ConfigError, match="budget inequality"):
+        # xi_1 = alpha / b0 = 2 at horizon one
+        refused = default_config(ProcedureKind.LORD_DEP, alpha=0.05, bound=1)
+        with pytest.raises(ConfigError, match="leading coefficient"):
             estimate_many([("bh", "bh"), ("dep", refused)], sc, reps=64,
                           seed=1)
         assert RecordingPool.started == []

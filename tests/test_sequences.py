@@ -221,6 +221,22 @@ class TestSpecValidation:
             SequenceSpec(SequenceKind.LOG_POWER, Normalization.SUM_ONE,
                          shape_param=2.0, bound=10)
 
+    @pytest.mark.parametrize("kind", [SequenceKind.JM_OPTIMAL,
+                                      SequenceKind.INVERSE_SQUARE,
+                                      SequenceKind.UNIFORM,
+                                      SequenceKind.CONSTANT_BOUNDED])
+    def test_shape_param_refused_where_there_is_none(self, kind):
+        with pytest.raises(SequenceError, match="takes no shape_param"):
+            SequenceSpec(kind, shape_param=2.0, bound=10)
+
+    @pytest.mark.parametrize("name", ["w0", "b0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_xi_weighted_needs_finite_parameters(self, name, value):
+        params = {"alpha": 0.05, "w0": 0.025, "b0": 0.025, name: value}
+        with pytest.raises(SequenceError, match=f"finite {name}"):
+            SequenceSpec(SequenceKind.POWER_LAW, Normalization.XI_WEIGHTED,
+                         shape_param=2.0, **params)
+
     def test_xi_weighted_needs_parameters(self):
         with pytest.raises(SequenceError):
             SequenceSpec(SequenceKind.POWER_LAW, Normalization.XI_WEIGHTED,
