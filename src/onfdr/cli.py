@@ -20,11 +20,11 @@ import numpy as np
 
 from .baselines import OFFLINE_RULES
 from .procedures import (
-    ConfigError,
     HorizonExhaustedError,
     ProcedureConfig,
     ProcedureKind,
     _as_pvalues,
+    _rule_parameters,
     decide,
     default_config,
     make_stream,
@@ -32,7 +32,6 @@ from .procedures import (
     rebound_stream,
 )
 from .scenarios import (
-    KIDNEY_PROCEDURES,
     KIDNEY_REALISATIONS,
     KidneyTrialScenario,
     MixtureAlternative,
@@ -42,8 +41,7 @@ from .scenarios import (
     eval_kidney,
     worker_count,
 )
-from .sequences import Normalization, SequenceError, SequenceKind, SequenceSpec, \
-    build_table
+from .sequences import Normalization, SequenceKind, SequenceSpec, build_table
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -77,14 +75,10 @@ def _sequence_spec(args, **normalization) -> SequenceSpec:
 
 
 def _procedure_config(args) -> ProcedureConfig:
-    kind = ProcedureKind(args.procedure)
-    overrides = {key: getattr(args, key) for key in ("w0", "b0", "lam")
-                 if getattr(args, key) is not None}
-    if args.sequence is not None:
-        overrides["sequence"] = _sequence_spec(args)
-    if args.lond_original:
-        overrides["lond_original"] = True
-    return default_config(kind, alpha=args.alpha, bound=args.bound, **overrides)
+    sequence = {} if args.sequence is None else {"sequence": _sequence_spec(args)}
+    return default_config(ProcedureKind(args.procedure), alpha=args.alpha,
+                          bound=args.bound, w0=args.w0, b0=args.b0, lam=args.lam,
+                          lond_original=args.lond_original, **sequence)
 
 
 # CSV records read, decided and written at a time by ``onfdr run``
@@ -145,8 +139,6 @@ def _decide_rows(state, config, pvalues, lines, rebound_at, rebound_to):
                 observe(state, pvalues[done], config)
             runs.append(decide(config, p[done:stop], state))
             done = stop
-    except ConfigError as exc:
-        return runs, (EXIT_BAD_CONFIG, str(exc))
     except ValueError as exc:
         return runs, (EXIT_BAD_INPUT, f"line {lines[done]}: {exc}")
     except HorizonExhaustedError as exc:
@@ -179,7 +171,7 @@ def cmd_run(args) -> int:
     try:
         config = _procedure_config(args)
         state = make_stream(config)
-    except (ConfigError, SequenceError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_BAD_CONFIG, f"invalid configuration: {exc}")
     rebound_at = rebound_to = None
     if args.rebound is not None:
@@ -277,7 +269,7 @@ def cmd_simulate(args) -> int:
                         "" if res.power_se is None else repr(res.power_se),
                         args.seed,
                     ])
-    except (ConfigError, SequenceError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_BAD_CONFIG, str(exc))
     return EXIT_OK
 
@@ -285,15 +277,17 @@ def cmd_simulate(args) -> int:
 def cmd_sequence(args) -> int:
     if args.n < 1:
         return _fail(EXIT_BAD_CONFIG, f"--n must be at least 1, got {args.n}")
-    norm, alpha = Normalization(args.normalization), args.alpha
-    fields = {} if norm is Normalization.SUM_ONE else dict(alpha=alpha)
-    if norm is Normalization.XI_WEIGHTED:
-        fields.update(w0=alpha / 2 if args.w0 is None else args.w0,
-                      b0=alpha / 2 if args.b0 is None else args.b0)
+    norm = Normalization(args.normalization)
+    fields = dict(alpha=args.alpha, w0=args.w0, b0=args.b0)
+    if norm is not Normalization.SUM_ONE and args.alpha is None:
+        fields["alpha"] = 0.05
+    if norm is Normalization.XI_WEIGHTED:   # w0, b0 default to dependent LORD's
+        given = {key: value for key, value in fields.items() if value is not None}
+        fields = _rule_parameters(ProcedureKind.LORD_DEP, fields["alpha"], None) | given
     try:
         spec = _sequence_spec(args, normalization=norm, **fields)
         table = build_table(spec, length_hint=args.n)
-    except (SequenceError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_BAD_CONFIG, f"invalid sequence spec: {exc}")
     n = min(args.n, table.bound) if table.bound is not None else args.n
     coeffs, sums = table.head(n), table.cumulative[:n]
@@ -323,9 +317,9 @@ def cmd_kidney(args) -> int:
 
     try:
         scenario = KidneyTrialScenario(alpha=args.alpha)
-        results = {label: eval_kidney(scenario, y0, y, procedures=KIDNEY_PROCEDURES)
+        results = {label: eval_kidney(scenario, y0, y)
                    for label, (y0, y) in realisations.items()}
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_BAD_CONFIG, str(exc))
     columns = ["scenario", "procedure", "fdr", "power"]
     with _csv_out(args.output, columns) as (_, writer):
@@ -346,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--procedure", default="lord++",
                      choices=[k.value for k in ProcedureKind])
     run.add_argument("--alpha", type=float, default=0.05)
-    run.add_argument("--w0", type=float)
-    run.add_argument("--b0", type=float)
-    run.add_argument("--lambda", dest="lam", type=float)
+    run.add_argument("--w0", type=float, help="lord2, lord3, lord-dep, lord++, saffron")
+    run.add_argument("--b0", type=float, help="lord2, lord3, lord-dep")
+    run.add_argument("--lambda", dest="lam", type=float, help="saffron")
     run.add_argument("--sequence", choices=[k.value for k in SequenceKind],
                      help="coefficient shape; the procedure sets the budget")
     run.add_argument("--seq-param", type=float, help="m or nu where applicable")
@@ -356,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rebound", metavar="N:NPRIME",
                      help="rebound the horizon after n hypotheses")
     run.add_argument("--lond-original", action="store_true",
-                     help="use the original max(D,1) LOND multiplier")
+                     help="lond, lond-dep: the original max(D,1) multiplier")
     run.set_defaults(func=cmd_run)
 
     sim = sub.add_parser("simulate", help="Monte Carlo operating characteristics")
@@ -383,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     seq.add_argument("--seq-param", type=float, help="m or nu where applicable")
     seq.add_argument("--normalization", default="sum-one",
                      choices=[n.value for n in Normalization])
-    seq.add_argument("--alpha", type=float, default=0.05)
-    seq.add_argument("--w0", type=float)
-    seq.add_argument("--b0", type=float)
+    seq.add_argument("--alpha", type=float, help="sum-alpha, xi-weighted; default 0.05")
+    seq.add_argument("--w0", type=float, help="xi-weighted")
+    seq.add_argument("--b0", type=float, help="xi-weighted")
     seq.add_argument("--bound", type=int)
     seq.add_argument("--output")
     seq.set_defaults(func=cmd_sequence)

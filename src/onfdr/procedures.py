@@ -79,28 +79,37 @@ class HorizonExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProcedureConfig:
-    """Target level, wealth parameters and coefficient sequence of one rule.
+    """Target level, parameters and coefficient sequence of one rule.
 
-    ``sequence`` gives the shape and the horizon; the rule fixes the
-    normalization (:func:`_rule_spec`) and the config holds the result.
+    Unset parameters the rule reads are set to :func:`_rule_parameters`'s
+    defaults, which ``dataclasses.replace`` then keeps; one the rule does
+    not read is refused.  ``sequence`` gives the shape (by default the
+    rule's unbounded one) and the horizon; the rule fixes the
+    normalization and the config holds the result.
     ``lond_original`` switches LOND's multiplier from ``D(i-1) + 1`` to the
     original ``max(D(i-1), 1)`` form; it is off by default.
     """
 
     kind: ProcedureKind
     alpha: float = 0.05
-    w0: float = 0.0
-    b0: float = 0.0
-    lam: float = 0.5
+    w0: float | None = None
+    b0: float | None = None
+    lam: float | None = None
     sequence: SequenceSpec | None = None
     lond_original: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
             raise ConfigError("alpha must lie in (0, 1)")
-        if self.sequence is None:
-            raise ConfigError("a coefficient sequence is required")
         k = self.kind
+        defaults = _rule_parameters(k, self.alpha, self.lam)
+        for name, shown in (("w0", "w0"), ("b0", "b0"), ("lam", "lambda")):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, defaults.get(name))
+            elif name not in defaults:
+                raise ConfigError(f"{k.value} takes no {shown}")
+        if self.lond_original and k not in _LOND_KINDS:
+            raise ConfigError(f"{k.value} takes no lond_original")
         if k in (ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORD_DEP):
             if not 0 <= self.w0 < math.inf:   # False for NaN
                 raise ConfigError("a finite w0 >= 0 is required")
@@ -117,8 +126,17 @@ class ProcedureConfig:
                 raise ConfigError("lambda must lie in (0, 1)")
             if not 0 <= self.w0 < (1 - self.lam) * self.alpha:
                 raise ConfigError("w0 < (1 - lambda) * alpha is required")
-        object.__setattr__(self, "sequence", _rule_spec(
-            k, self.sequence, self.alpha, self.w0, self.b0))
+        # the budget of the rule's coefficients: the xi inequality for
+        # dependent LORD, alpha for LOND and Bonferroni, 1 for the rest
+        budget = dict(normalization=Normalization.SUM_ONE, alpha=None, w0=None,
+                      b0=None)
+        if k is ProcedureKind.LORD_DEP:
+            budget.update(normalization=Normalization.XI_WEIGHTED,
+                          alpha=self.alpha, w0=self.w0, b0=self.b0)
+        elif k in _LOND_KINDS or k is ProcedureKind.BONFERRONI:
+            budget.update(normalization=Normalization.SUM_ALPHA, alpha=self.alpha)
+        object.__setattr__(self, "sequence", replace(
+            self.sequence or _default_shape(k, None), **budget))
 
 
 @dataclass(frozen=True)
@@ -169,54 +187,47 @@ class StreamState:
         self.discoveries = end
 
 
-def _rule_spec(kind: ProcedureKind, spec: SequenceSpec, alpha: float,
-               w0: float, b0: float) -> SequenceSpec:
-    """``spec``'s shape and horizon under the budget of ``kind``'s
-    coefficients: the xi inequality for dependent LORD, alpha for LOND and
-    Bonferroni, 1 for the rest; the fields it does not use are None."""
+def _rule_parameters(kind: ProcedureKind, alpha: float,
+                     lam: float | None) -> dict[str, float]:
+    """The parameters ``kind`` reads, at the simulation-study defaults;
+    SAFFRON's ``w0`` follows ``lam`` when one is given."""
+    if kind in (ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORD_DEP):
+        return {"w0": alpha / 2, "b0": alpha / 2}
+    if kind is ProcedureKind.LORDPP:
+        return {"w0": alpha / 2}
+    if kind is ProcedureKind.SAFFRON:
+        lam = 0.5 if lam is None else lam
+        return {"lam": lam, "w0": (1 - lam) * alpha / 2}
+    return {}
+
+
+def _default_shape(kind: ProcedureKind, bound: int | None) -> SequenceSpec:
+    """The shape of ``kind``'s default sequence at horizon ``bound``."""
+    if kind in (ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORDPP):
+        return SequenceSpec(SequenceKind.JM_OPTIMAL, bound=bound)
+    if kind is ProcedureKind.SAFFRON:
+        return SequenceSpec(SequenceKind.INVERSE_SQUARE, bound=bound)
     if kind is ProcedureKind.LORD_DEP:
-        return replace(spec, normalization=Normalization.XI_WEIGHTED,
-                       alpha=alpha, w0=w0, b0=b0)
-    if kind in _LOND_KINDS or kind is ProcedureKind.BONFERRONI:
-        return replace(spec, normalization=Normalization.SUM_ALPHA,
-                       alpha=alpha, w0=None, b0=None)
-    return replace(spec, normalization=Normalization.SUM_ONE, alpha=None,
-                   w0=None, b0=None)
+        return SequenceSpec(SequenceKind.LOG_POWER, shape_param=3.0) if \
+            bound is None else SequenceSpec(SequenceKind.CONSTANT_BOUNDED, bound=bound)
+    # LOND (both forms) and Bonferroni
+    return SequenceSpec(SequenceKind.JM_OPTIMAL if bound is None
+                        else SequenceKind.UNIFORM, bound=bound)
 
 
-# defaults mirror the simulation-study specification: w0 = b0 = alpha/2 for
-# the wealth-based rules, lambda = 0.5 with w0 = (1 - lambda) * alpha / 2
-# for the adaptive rule.
 def default_sequence(kind: ProcedureKind, alpha: float,
                      bound: int | None = None) -> SequenceSpec:
-    """Per-procedure default coefficient sequence: its shape, under the
-    normalization of :func:`_rule_spec` with the default ``w0`` and ``b0``."""
-    if kind in (ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORDPP):
-        shape = SequenceSpec(SequenceKind.JM_OPTIMAL, bound=bound)
-    elif kind is ProcedureKind.SAFFRON:
-        shape = SequenceSpec(SequenceKind.INVERSE_SQUARE, bound=bound)
-    elif kind is ProcedureKind.LORD_DEP:
-        shape = SequenceSpec(SequenceKind.LOG_POWER, shape_param=3.0) if \
-            bound is None else SequenceSpec(SequenceKind.CONSTANT_BOUNDED, bound=bound)
-    else:   # LOND (both forms) and Bonferroni
-        shape = SequenceSpec(SequenceKind.JM_OPTIMAL if bound is None
-                             else SequenceKind.UNIFORM, bound=bound)
-    return _rule_spec(kind, shape, alpha, alpha / 2, alpha / 2)
+    """Per-procedure default coefficient sequence: :func:`default_config`'s."""
+    return default_config(kind, alpha, bound).sequence
 
 
 def default_config(kind: ProcedureKind, alpha: float = 0.05,
                    bound: int | None = None, **overrides) -> ProcedureConfig:
-    """Config with the simulation-study defaults for ``kind``."""
-    params = dict(kind=kind, alpha=alpha,
-                  sequence=default_sequence(kind, alpha, bound))
-    if kind in (ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORD_DEP):
-        params.update(w0=alpha / 2, b0=alpha / 2)
-    elif kind is ProcedureKind.LORDPP:
-        params.update(w0=alpha / 2)
-    elif kind is ProcedureKind.SAFFRON:
-        params.update(lam=0.5, w0=(1 - 0.5) * alpha / 2)
-    params.update(overrides)
-    return ProcedureConfig(**params)
+    """Config of ``kind`` with the simulation-study defaults: the rule's
+    default shape at horizon ``bound`` unless ``overrides`` gives a
+    ``sequence``, and :class:`ProcedureConfig`'s parameter defaults."""
+    return ProcedureConfig(kind, alpha, **{
+        "sequence": _default_shape(kind, bound), **overrides})
 
 
 @lru_cache(maxsize=256)
@@ -231,34 +242,19 @@ def _cached_table(spec: SequenceSpec, length_hint: int) -> SequenceTable:
     return table if spec.bound is not None else table.extended(length_hint)
 
 
-@lru_cache(maxsize=256)
-def _check_config(config: ProcedureConfig) -> None:
-    """Checks of ``config`` against its table; cached, so a config that
-    passes is checked once, not once per stream.  The table meets the
-    rule's budget by construction (:func:`_rule_spec`).
-
-    The leading-coefficient check bounds the first level, ``gamma_1 w0``,
-    by ``w0``, and LORD3's first level after a discovery by the wealth then
-    held; with coefficients that sum to at most one, LORD3's wealth stays
-    nonnegative at every step.  Dependent LORD's wealth can still go
-    negative: its xi sequence may sum past one."""
-    table = _table_cache(config.sequence)
-    if config.kind in _WEALTH_KINDS:
-        first = table.coefficient(1)
-        if first > 1 + 1e-12:
-            raise ConfigError("leading coefficient must be <= 1 to keep wealth "
-                              "nonnegative")
-
-
 def make_stream(config: ProcedureConfig, length_hint: int = 1024) -> StreamState:
-    """Validate ``config`` and initialize its stream state.
+    """Initialize the stream state of ``config``.
 
     Tables are immutable and cached per spec, so streams share them; an
     unbounded stream swaps in a longer table when it reaches the end of
     its own.
     """
-    _check_config(config)
     state = StreamState(table=_cached_table(config.sequence, length_hint))
+    # a leading coefficient above one spends more than the wealth held: a
+    # sum-one table's is at most one, dependent LORD's xi table's may not be
+    if config.kind is ProcedureKind.LORD_DEP and state.table.coefficient(1) > 1 + 1e-12:
+        raise ConfigError("leading coefficient must be <= 1 to keep wealth "
+                          "nonnegative")
     if config.kind in _WEALTH_KINDS:
         state.wealth = config.w0
         state.wealth_at_discovery = config.w0

@@ -255,14 +255,12 @@ def kidney_pvalues(scenario: KidneyTrialScenario, Y0: int, Y) -> list[float]:
             for y in Y]
 
 
-def eval_kidney(scenario: KidneyTrialScenario, Y0: int, Y,
-                procedures=KIDNEY_PROCEDURES) -> dict[str, KidneyCell]:
-    """Run the bounded procedures plus offline comparators on one realisation
-    and score against the scenario's true effect signs."""
+def eval_kidney(scenario: KidneyTrialScenario, Y0: int, Y) -> dict[str, KidneyCell]:
+    """Run ``KIDNEY_PROCEDURES``, bounded, on one realisation and score
+    against the scenario's true effect signs."""
     p = check_rows([kidney_pvalues(scenario, Y0, Y)])
-    procedures = list(procedures)
-    flags = np.empty((len(procedures), scenario.K), dtype=bool)
-    for row, name in zip(flags, procedures):
+    flags = np.empty((len(KIDNEY_PROCEDURES), scenario.K), dtype=bool)
+    for row, name in zip(flags, KIDNEY_PROCEDURES):
         if name in baselines.OFFLINE_RULES:
             row[:] = baselines.offline_rows(name, p, scenario.alpha)[0]
         else:
@@ -271,7 +269,7 @@ def eval_kidney(scenario: KidneyTrialScenario, Y0: int, Y,
     r, v, m1 = (c.tolist() for c in baselines._counts(
         flags, np.array(scenario.truth)))
     return {name: KidneyCell(v[j], r[j], r[j] - v[j], m1)
-            for j, name in enumerate(procedures)}
+            for j, name in enumerate(KIDNEY_PROCEDURES)}
 
 
 @lru_cache(maxsize=256)

@@ -81,14 +81,18 @@ class SequenceSpec:
                 raise SequenceError("LOG_POWER requires shape_param nu > 2")
         elif self.shape_param is not None:
             raise SequenceError(f"{self.kind.value} takes no shape_param")
-        if self.normalization is not Normalization.SUM_ONE:
-            if self.alpha is None or not 0 < self.alpha < 1:
-                raise SequenceError(f"{self.normalization.name} requires alpha in (0, 1)")
+        if self.normalization is Normalization.SUM_ONE:
+            if self.alpha is not None:
+                raise SequenceError("SUM_ONE takes no alpha")
+        elif self.alpha is None or not 0 < self.alpha < 1:
+            raise SequenceError(f"{self.normalization.name} requires alpha in (0, 1)")
         if self.normalization is Normalization.XI_WEIGHTED:
             if self.w0 is None or not 0 <= self.w0 < math.inf:
                 raise SequenceError("XI_WEIGHTED requires a finite w0 >= 0")
             if self.b0 is None or not 0 < self.b0 < math.inf:
                 raise SequenceError("XI_WEIGHTED requires a finite b0 > 0")
+        elif self.w0 is not None or self.b0 is not None:
+            raise SequenceError(f"{self.normalization.name} takes no w0 or b0")
 
 
 def gamma_jm(i: int) -> float:

@@ -15,7 +15,8 @@ from onfdr.procedures import Decisions, ProcedureKind, decide, \
     default_config, make_stream, rebound_stream, run_stream
 from onfdr.scenarios import KIDNEY_REALISATIONS, KidneyTrialScenario, \
     MixtureScenario, estimate_many, eval_kidney
-from onfdr.sequences import SequenceKind, SequenceSpec
+from onfdr.sequences import Normalization, SequenceKind, SequenceSpec, \
+    build_table, validate_xi
 
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -91,6 +92,47 @@ class TestRun:
         # after rebinding at n=4, remaining budget 0.01 spreads over 8 indices
         assert float(rows[4]["alpha_i"]) == pytest.approx(0.05 * 0.2 / 8,
                                                           abs=1e-12)
+
+    def test_lond_original_flag(self, tmp_path, capsys):
+        p = [0.001, 0.3, 0.0005, 0.02, 0.9, 0.004, 0.5]
+        path = write_pvalues(tmp_path, [(f"h{i}", v) for i, v in enumerate(p)])
+        code, out, err = run_cli(capsys, [
+            "run", "--input", path, "--procedure", "lond", "--lond-original"])
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        want = decide(default_config(ProcedureKind.LOND_INDEP,
+                                     lond_original=True), p)
+        assert [float(r["alpha_i"]) for r in rows] == want.levels.tolist()
+        assert [r["rejected"] == "true" for r in rows] == want.rejected.tolist()
+
+    @pytest.mark.parametrize("procedure", [k.value for k in ProcedureKind])
+    @pytest.mark.parametrize("option", [
+        ["--w0", "0.01"], ["--b0", "0.01"], ["--lambda", "0.3"],
+        ["--lond-original"]])
+    def test_no_option_is_ignored(self, tmp_path, capsys, procedure, option):
+        # each option is refused or moves the levels or the wealth; the
+        # first p-value is a discovery for every rule
+        p = [0.0005, 0.002, 0.4, 0.0001, 0.2, 0.9, 0.003, 0.5]
+        path = write_pvalues(tmp_path, [(f"h{i}", v) for i, v in enumerate(p)])
+        argv = ["run", "--input", path, "--procedure", procedure]
+        code, plain, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, argv + option)
+        if code == 3:
+            assert out == ""
+            assert err.startswith("onfdr: invalid configuration: ")
+        else:
+            assert (code, err) == (0, "")
+            before, after = ([(r["alpha_i"], r["wealth"])
+                              for r in csv.DictReader(io.StringIO(text))]
+                             for text in (plain, out))
+            assert after != before
+
+    def test_unreadable_input_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.csv")
+        code, out, err = run_cli(capsys, ["run", "--input", path])
+        assert (code, out) == (2, "")
+        assert err == f"onfdr: [Errno 2] No such file or directory: {path!r}\n"
 
     def test_malformed_header_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -187,7 +229,8 @@ class TestRun:
 
     @pytest.mark.parametrize("rebound", [["--rebound", "-3:60"],
                                          ["--rebound=-3:60"],
-                                         ["--rebound", "60:60"]])
+                                         ["--rebound", "60:60"],
+                                         ["--rebound", "abc"]])
     def test_bad_rebound_refused_before_output(self, tmp_path, capsys,
                                                rebound):
         path = write_pvalues(tmp_path, [(f"h{i}", 0.01) for i in range(70)])
@@ -586,6 +629,44 @@ class TestSequence:
         assert err == (f"onfdr: invalid sequence spec: {kind} takes no "
                        "shape_param\n")
 
+    @pytest.mark.parametrize("options, message", [
+        (["--w0", "0.3", "--b0", "9"], "SUM_ONE takes no w0 or b0"),
+        (["--alpha", "0.1"], "SUM_ONE takes no alpha"),
+        (["--normalization", "sum-alpha", "--b0", "9"],
+         "SUM_ALPHA takes no w0 or b0"),
+    ])
+    def test_stray_field_exits_3(self, capsys, options, message):
+        code, out, err = run_cli(capsys, ["sequence", "--kind", "jm", "--n",
+                                          "3", *options])
+        assert (code, out) == (3, "")
+        assert err == f"onfdr: invalid sequence spec: {message}\n"
+
+    @pytest.mark.parametrize("options, fields", [
+        (["--normalization", "sum-alpha"],
+         dict(normalization=Normalization.SUM_ALPHA, alpha=0.05)),
+        (["--normalization", "xi-weighted"],
+         dict(normalization=Normalization.XI_WEIGHTED, alpha=0.05, w0=0.025,
+              b0=0.025)),
+        (["--normalization", "xi-weighted", "--alpha", "0.1", "--w0", "0.01",
+          "--b0", "0.04"],
+         dict(normalization=Normalization.XI_WEIGHTED, alpha=0.1, w0=0.01,
+              b0=0.04)),
+    ])
+    def test_normalization_rows(self, capsys, options, fields):
+        # alpha defaults to 0.05, w0 and b0 to dependent LORD's alpha / 2
+        code, out, err = run_cli(capsys, [
+            "sequence", "--kind", "log-power", "--seq-param", "3", "--n", "50",
+            *options])
+        assert (code, err) == (0, "")
+        spec = SequenceSpec(SequenceKind.LOG_POWER, shape_param=3.0, **fields)
+        table = build_table(spec, length_hint=50)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [float(r["coefficient"]) for r in rows] == table.head(50).tolist()
+        assert [float(r["cumulative"]) for r in rows] == \
+            table.cumulative[:50].tolist()
+        if spec.normalization is Normalization.XI_WEIGHTED:
+            assert validate_xi(table, spec.w0, spec.b0, spec.alpha)
+
     @pytest.mark.parametrize("rows", ["0", "-3"])
     def test_no_rows_exits_3(self, capsys, rows):
         code, out, err = run_cli(capsys, ["sequence", "--kind", "jm",
@@ -629,6 +710,11 @@ class TestKidney:
     def test_counts_need_both_flags(self, capsys, argv):
         code, out, err = run_cli(capsys, ["kidney"] + argv)
         assert code == 3 and out == "" and "--y0 and --y" in err
+
+    def test_unparseable_counts_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, ["kidney", "--y0", "5", "--y", "a,b"])
+        assert (code, out) == (3, "")
+        assert err == "onfdr: unparseable counts 'a,b'\n"
 
     def test_scenario_excludes_counts(self, capsys):
         code, out, err = run_cli(capsys, ["kidney", "--scenario", "3",

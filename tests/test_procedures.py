@@ -67,6 +67,52 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="alpha"):
             default_config(ProcedureKind.LORD2, alpha=1.5)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan])
+    def test_default_sequence_checks_alpha(self, kind, alpha):
+        # the sum-one rules' sequences do not read alpha, but their
+        # configs do
+        with pytest.raises(ConfigError, match=r"alpha must lie in \(0, 1\)"):
+            default_sequence(kind, alpha)
+
+    @pytest.mark.parametrize("kind, params, message", [
+        (ProcedureKind.LORDPP, dict(w0=0.06), "0 <= w0 <= alpha is required"),
+        (ProcedureKind.SAFFRON, dict(lam=1.0), r"lambda must lie in \(0, 1\)"),
+    ])
+    def test_parameter_out_of_range(self, kind, params, message):
+        with pytest.raises(ConfigError, match=message):
+            default_config(kind, alpha=0.05, **params)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_bare_config_is_the_default(self, kind):
+        # the parameters the rule reads and its unbounded default shape
+        assert ProcedureConfig(kind) == default_config(kind)
+
+    def test_saffron_w0_follows_lambda(self):
+        cfg = default_config(ProcedureKind.SAFFRON, alpha=0.05, lam=0.9)
+        assert (cfg.lam, cfg.w0) == (0.9, (1 - 0.9) * 0.05 / 2)
+        assert make_stream(cfg).i == 0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_unread_parameter_refused(self, kind):
+        # the parameters each rule reads, as the README's table gives them
+        reads = {ProcedureKind.LORD2: ("w0", "b0"),
+                 ProcedureKind.LORD3: ("w0", "b0"),
+                 ProcedureKind.LORD_DEP: ("w0", "b0"),
+                 ProcedureKind.LORDPP: ("w0",),
+                 ProcedureKind.SAFFRON: ("lam", "w0"),
+                 ProcedureKind.LOND_INDEP: ("lond_original",),
+                 ProcedureKind.LOND_DEP: ("lond_original",)}.get(kind, ())
+        cfg = default_config(kind, alpha=0.05)
+        assert all(getattr(cfg, name) is not None for name in reads)
+        for name, value, shown in (("w0", 0.01, "w0"), ("b0", 0.01, "b0"),
+                                   ("lam", 0.3, "lambda"),
+                                   ("lond_original", True, "lond_original")):
+            if name not in reads:
+                with pytest.raises(ConfigError, match=(
+                        f"^{re.escape(kind.value)} takes no {shown}$")):
+                    default_config(kind, alpha=0.05, **{name: value})
+
     @pytest.mark.parametrize("shape", [
         SequenceSpec(SequenceKind.LOG_POWER, shape_param=3.0),
         SequenceSpec(SequenceKind.POWER_LAW, shape_param=2.0),
@@ -112,7 +158,9 @@ class TestConfigValidation:
         assert (seq.kind, seq.bound, seq.normalization) == \
             (SequenceKind.JM_OPTIMAL, 50, want)
         assert seq.alpha == (None if want is Normalization.SUM_ONE else 0.05)
-        moved = dataclasses.replace(cfg, w0=0.01, b0=0.02)
+        reads = {name: value for name, value in dict(w0=0.01, b0=0.02).items()
+                 if getattr(cfg, name) is not None}
+        moved = dataclasses.replace(cfg, **reads)
         dep = kind is ProcedureKind.LORD_DEP
         assert (moved.sequence.w0, moved.sequence.b0) == \
             ((0.01, 0.02) if dep else (None, None))
