@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onfdr import procedures
@@ -73,10 +73,16 @@ class TestDecideRows:
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(ALL_KINDS), bounded=st.booleans(),
            p=matrices())
+    @example(kind=ProcedureKind.LORD_DEP, bounded=True,
+             p=check_rows([[0.5]]))
     def test_rows_equal_decide(self, kind, bounded, p):
         n = p.shape[1]
         if kind is ProcedureKind.LORD_DEP and bounded and n == 1:
-            pytest.skip("refused: xi_1 = alpha / b0 > 1")
+            # xi_1 = alpha / b0 > 1: refused. A skip here would skip every
+            # other example of the run with it.
+            with pytest.raises(ConfigError, match="leading coefficient"):
+                config_of(kind, n, bounded)
+            return
         assert_rows_are_decides(config_of(kind, n, bounded), p)
 
     @settings(max_examples=15, deadline=None)
