@@ -16,8 +16,6 @@ import csv
 import itertools
 import sys
 
-import numpy as np
-
 from .baselines import OFFLINE_RULES
 from .procedures import (
     HorizonExhaustedError,
@@ -29,7 +27,6 @@ from .procedures import (
     default_config,
     make_stream,
     observe,
-    rebound_stream,
 )
 from .scenarios import (
     KIDNEY_REALISATIONS,
@@ -41,7 +38,7 @@ from .scenarios import (
     eval_kidney,
     worker_count,
 )
-from .sequences import Normalization, SequenceKind, SequenceSpec, build_table
+from .sequences import Normalization, SequenceKind, SequenceSpec, build_table, rebound
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -75,6 +72,8 @@ def _sequence_spec(args, **normalization) -> SequenceSpec:
 
 
 def _procedure_config(args) -> ProcedureConfig:
+    if args.sequence is None and args.seq_param is not None:
+        raise ValueError("--seq-param requires --sequence")
     sequence = {} if args.sequence is None else {"sequence": _sequence_spec(args)}
     return default_config(ProcedureKind(args.procedure), alpha=args.alpha,
                           bound=args.bound, w0=args.w0, b0=args.b0, lam=args.lam,
@@ -116,53 +115,41 @@ def _parse_each(rows, first_line: int):
     return ids, pvalues, lines, None
 
 
-def _decide_rows(state, config, pvalues, lines, rebound_at, rebound_to):
-    """Decide ``pvalues`` on ``state`` through :func:`decide`, in as few
-    calls as the rebound after ``rebound_at`` hypotheses, the horizon and
-    the first bad p-value allow.  Returns the decisions made and the
+def _decide_rows(state, config, pvalues, lines):
+    """Decide ``pvalues`` on ``state`` in one :func:`decide` call, up to the
+    horizon and the first bad p-value.  Returns the decisions made and the
     failure (exit code and message) that stopped the rows after them, or
     None."""
-    p, _, good = _as_pvalues(pvalues, 1)
-    runs, done = [], 0
+    p, _, stop = _as_pvalues(pvalues, 1)
+    if state.bound is not None:
+        stop = min(stop, state.bound - state.i)
+    decisions = decide(config, p[:stop], state)
     try:
-        while done < len(p):
-            if state.i == rebound_at:
-                rebound_stream(state, config, rebound_to)
-            stop = good
-            if rebound_at is not None and state.i < rebound_at:
-                stop = min(stop, done + rebound_at - state.i)
-            if state.bound is not None:
-                stop = min(stop, done + state.bound - state.i)
-            if stop == done:
-                # out of range or past the horizon: the fold's step raises
-                # its error for this row
-                observe(state, pvalues[done], config)
-            runs.append(decide(config, p[done:stop], state))
-            done = stop
+        if stop < len(p):
+            # out of range or past the horizon: the fold's step raises its
+            # error for this row
+            observe(state, pvalues[stop], config)
     except ValueError as exc:
-        return runs, (EXIT_BAD_INPUT, f"line {lines[done]}: {exc}")
+        return decisions, (EXIT_BAD_INPUT, f"line {lines[stop]}: {exc}")
     except HorizonExhaustedError as exc:
-        return runs, (EXIT_BAD_CONFIG, f"line {lines[done]}: {exc}")
-    return runs, None
+        return decisions, (EXIT_BAD_CONFIG, f"line {lines[stop]}: {exc}")
+    return decisions, None
 
 
-def _write_rows(out, ids, first: int, pvalues, runs) -> None:
-    """One CSV row per decision in ``runs``, indexed from ``first``, in one
-    write to ``out``; an id holding a comma, a double quote, a carriage
-    return or a newline is quoted, with its quotes doubled."""
-    if not runs:
-        return
+def _write_rows(out, ids, first: int, pvalues, decisions) -> None:
+    """One CSV row per decision, indexed from ``first``, in one write to
+    ``out``; an id holding a comma, a double quote, a carriage return or a
+    newline is quoted, with its quotes doubled."""
     if any(c in "".join(ids) for c in ',"\r\n'):
         ids = ['"%s"' % i.replace('"', '""') if any(c in i for c in ',"\r\n')
                else i for i in ids]
     # floats are written as their repr, as csv writes them
-    levels = np.concatenate([r.levels for r in runs]).tolist()
-    flags = ["true" if f else "false"
-             for f in np.concatenate([r.rejected for r in runs]).tolist()]
+    levels = decisions.levels.tolist()
+    flags = ["true" if f else "false" for f in decisions.rejected.tolist()]
     columns = [ids, range(first, first + len(levels)), pvalues, levels, flags]
     template = "%s,%d,%r,%r,%s,\n"   # an empty wealth for the rules with none
-    if runs[0].wealth is not None:
-        columns.append(np.concatenate([r.wealth for r in runs]).tolist())
+    if decisions.wealth is not None:
+        columns.append(decisions.wealth.tolist())
         template = "%s,%d,%r,%r,%s,%r\n"
     out.write("".join([template % row for row in zip(*columns)]))
 
@@ -173,7 +160,6 @@ def cmd_run(args) -> int:
         state = make_stream(config)
     except ValueError as exc:
         return _fail(EXIT_BAD_CONFIG, f"invalid configuration: {exc}")
-    rebound_at = rebound_to = None
     if args.rebound is not None:
         try:
             lhs, rhs = args.rebound.split(":")
@@ -189,6 +175,8 @@ def cmd_run(args) -> int:
         if rebound_at > state.bound:
             return _fail(EXIT_BAD_CONFIG, f"--rebound n={rebound_at} lies "
                          f"past the horizon N={state.bound}")
+        # levels 1..n read only coefficients 1..n, which rebound keeps
+        state.table = rebound(state.table, rebound_at, rebound_to)
 
     try:
         infile = open(args.input, newline="") if args.input \
@@ -207,9 +195,8 @@ def cmd_run(args) -> int:
                 ids, pvalues, lines, bad_line = _parse_rows(rows, lineno)
                 lineno += len(rows)
                 first = state.i + 1
-                runs, failure = _decide_rows(state, config, pvalues, lines,
-                                             rebound_at, rebound_to)
-                _write_rows(out, ids, first, pvalues, runs)
+                decisions, failure = _decide_rows(state, config, pvalues, lines)
+                _write_rows(out, ids, first, pvalues, decisions)
                 failure = failure or bad_line   # the earlier line first
                 if failure is not None:
                     return _fail(*failure)
@@ -257,6 +244,8 @@ def cmd_simulate(args) -> int:
         worker_count()
         if args.reps < 1:
             raise ValueError("reps must be >= 1")
+        if args.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         columns = ["scenario", "procedure", "pi1", "N", "reps",
                    "fdr", "fdr_se", "power", "power_se", "seed"]
         with _csv_out(args.output, columns) as (_, writer):

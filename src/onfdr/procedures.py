@@ -1037,7 +1037,9 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
 
 def rebound_stream(state: StreamState, config: ProcedureConfig,
                    new_bound: int) -> StreamState:
-    """Replace the stream's bounded table, conserving the unspent budget."""
+    """Replace the stream's bounded table, conserving the unspent budget.
+    The new table depends on the old one and ``state.i`` only, not on the
+    p-values, decisions or wealth."""
     if state.bound is None:
         raise ConfigError("rebound requires a bounded stream")
     if new_bound <= state.i:

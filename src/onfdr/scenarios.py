@@ -112,7 +112,6 @@ class KidneyTrialScenario:
                                 0.38, -0.03, 0.22, -0.02, -0.05)
     n0: int = 32
     n_arm: int = 20
-    p0: float = 0.3
     alpha: float = 0.1
 
     def __post_init__(self) -> None:
@@ -349,6 +348,8 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     procs = list(procs)
     # check every config and build its table here: a refused config raises
     # before any worker starts, and forked workers inherit the tables

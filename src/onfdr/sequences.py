@@ -74,11 +74,11 @@ class SequenceSpec:
         if self.bound is not None and self.bound < 1:
             raise SequenceError("bound must be a positive integer")
         if self.kind is SequenceKind.POWER_LAW:
-            if self.shape_param is None or self.shape_param <= 1:
-                raise SequenceError("POWER_LAW requires shape_param m > 1")
+            if self.shape_param is None or not 1 < self.shape_param < math.inf:
+                raise SequenceError("POWER_LAW requires a finite shape_param m > 1")
         elif self.kind is SequenceKind.LOG_POWER:
-            if self.shape_param is None or self.shape_param <= 2:
-                raise SequenceError("LOG_POWER requires shape_param nu > 2")
+            if self.shape_param is None or not 2 < self.shape_param < math.inf:
+                raise SequenceError("LOG_POWER requires a finite shape_param nu > 2")
         elif self.shape_param is not None:
             raise SequenceError(f"{self.kind.value} takes no shape_param")
         if self.normalization is Normalization.SUM_ONE:

@@ -108,7 +108,7 @@ class TestRun:
     @pytest.mark.parametrize("procedure", [k.value for k in ProcedureKind])
     @pytest.mark.parametrize("option", [
         ["--w0", "0.01"], ["--b0", "0.01"], ["--lambda", "0.3"],
-        ["--lond-original"]])
+        ["--lond-original"], ["--seq-param", "2"]])
     def test_no_option_is_ignored(self, tmp_path, capsys, procedure, option):
         # each option is refused or moves the levels or the wealth; the
         # first p-value is a discovery for every rule
@@ -272,6 +272,21 @@ class TestRun:
         assert err == ("onfdr: invalid configuration: leading coefficient "
                        "must be <= 1 to keep wealth nonnegative\n")
 
+    @pytest.mark.parametrize("options, message", [
+        (["--seq-param", "2"], "--seq-param requires --sequence"),
+        (["--seq-param", "nan"], "--seq-param requires --sequence"),
+        (["--sequence", "power-law", "--seq-param", "nan"],
+         "POWER_LAW requires a finite shape_param m > 1"),
+        (["--sequence", "log-power", "--seq-param", "inf"],
+         "LOG_POWER requires a finite shape_param nu > 2"),
+    ])
+    def test_bad_seq_param_refused(self, tmp_path, capsys, options, message):
+        path = write_pvalues(tmp_path, [("h", 0.001)])
+        code, out, err = run_cli(capsys, [
+            "run", "--input", path, "--procedure", "lord++", *options])
+        assert (code, out) == (3, "")
+        assert err == f"onfdr: invalid configuration: {message}\n"
+
     def test_horizon_exhaustion_exits_3(self, tmp_path, capsys):
         path = write_pvalues(tmp_path, [(f"h{i}", 0.9) for i in range(4)])
         code, _, err = run_cli(capsys, [
@@ -392,7 +407,7 @@ def expected_run(records, kind, bound=None, rebound=None):
     state = make_stream(cfg)
     p = np.array([pv for _, pv in records], dtype=np.float64)
     cut = len(p) if rebound is None else min(rebound[0], len(p))
-    runs = [decide(cfg, p[:cut], state)] if cut else []
+    runs = [decide(cfg, p[:cut], state)]
     if cut < len(p):
         rebound_stream(state, cfg, rebound[1])
         runs.append(decide(cfg, p[cut:], state))
@@ -454,6 +469,25 @@ _BYTES_CASES = {
         ["--procedure", "lond", "--bound", "10000", "--rebound", "9000:20000"],
         chunked_rows(12000), ProcedureKind.LOND_INDEP, 10000, (9000, 20000),
         0, ""),
+    "rebound_at_0": (
+        csv_text(chunked_rows(300)),
+        ["--procedure", "saffron", "--bound", "200", "--rebound", "0:400"],
+        chunked_rows(300), ProcedureKind.SAFFRON, 200, (0, 400), 0, ""),
+    "rebound_at_chunk_boundary": (
+        csv_text(chunked_rows(10000)),
+        ["--procedure", "lord3", "--bound", "9000", "--rebound",
+         f"{CHUNK_ROWS}:12000"],
+        chunked_rows(10000), ProcedureKind.LORD3, 9000, (CHUNK_ROWS, 12000),
+        0, ""),
+    "rebound_past_the_input": (
+        csv_text(chunked_rows(300)),
+        ["--procedure", "lord-dep", "--bound", "1000", "--rebound", "500:900"],
+        chunked_rows(300), ProcedureKind.LORD_DEP, 1000, (500, 900), 0, ""),
+    "bad_pvalue_after_rebound": (
+        csv_text(chunked_rows(9500)) + "hbad,1.5\nhnext,0.5\n",
+        ["--bound", "10000", "--rebound", "9000:20000"],
+        chunked_rows(9500), LORDPP, 10000, (9000, 20000), 2,
+        "onfdr: line 9502: p-value must lie in [0, 1], got 1.5\n"),
 }
 
 
@@ -546,9 +580,9 @@ class TestChunkHelpers:
         assert [repr(v) for v in pvalues] == [repr(v) for v in want[1]]
 
     @staticmethod
-    def draw_runs(data):
+    def draw_decisions(data):
         """Ids (more than decided, as the reader may hand over), p-values,
-        the decisions split in up to two runs, and the first index."""
+        the decisions, and the first index."""
         n = data.draw(st.integers(0, 12))
         ids = data.draw(st.lists(ids_text, min_size=n, max_size=n + 2))
         pvalues = data.draw(st.lists(st.floats(0, 1), min_size=len(ids),
@@ -558,33 +592,33 @@ class TestChunkHelpers:
         flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         wealth = data.draw(st.none() | st.lists(finite, min_size=n,
                                                 max_size=n))
-        cut = data.draw(st.integers(0, n))
-        runs = [Decisions(np.array(levels[a:b], dtype=np.float64),
-                          np.array(flags[a:b], dtype=bool),
-                          None if wealth is None
-                          else np.array(wealth[a:b], dtype=np.float64))
-                for a, b in ((0, cut), (cut, n)) if n]
-        return ids, pvalues, levels, flags, wealth, runs, \
+        decisions = Decisions(np.array(levels, dtype=np.float64),
+                              np.array(flags, dtype=bool),
+                              None if wealth is None
+                              else np.array(wealth, dtype=np.float64))
+        return ids, pvalues, levels, flags, wealth, decisions, \
             data.draw(st.integers(1, 10**9))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_write_rows_equals_csv(self, data):
-        ids, pvalues, levels, flags, wealth, runs, first = self.draw_runs(data)
+        ids, pvalues, levels, flags, wealth, decisions, first = \
+            self.draw_decisions(data)
         n = len(levels)
         want = "".join(run_line(*row) for row in zip(
             ids, range(first, first + n), pvalues, levels, flags,
             [None] * n if wealth is None else wealth))
         got = io.StringIO()
-        _write_rows(got, ids, first, pvalues, runs)
+        _write_rows(got, ids, first, pvalues, decisions)
         assert got.getvalue() == want
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_csv_reads_back_every_id(self, data):
-        ids, pvalues, levels, flags, wealth, runs, first = self.draw_runs(data)
+        ids, pvalues, levels, flags, wealth, decisions, first = \
+            self.draw_decisions(data)
         got = io.StringIO()
-        _write_rows(got, ids, first, pvalues, runs)
+        _write_rows(got, ids, first, pvalues, decisions)
         rows = list(csv.reader(io.StringIO(got.getvalue(), newline="")))
         assert [row[0] for row in rows] == ids[:len(levels)]
         assert [len(row) for row in rows] == [6] * len(levels)
@@ -618,6 +652,16 @@ class TestSequence:
         code, _, err = run_cli(capsys, ["sequence", "--kind", "uniform",
                                         "--n", "4"])
         assert code == 3 and "invalid sequence spec" in err
+
+    @pytest.mark.parametrize("kind, message", [
+        ("power-law", "POWER_LAW requires a finite shape_param m > 1"),
+        ("log-power", "LOG_POWER requires a finite shape_param nu > 2")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_shape_param_not_finite_exits_3(self, capsys, kind, message, value):
+        code, out, err = run_cli(capsys, ["sequence", "--kind", kind, "--n",
+                                          "3", "--seq-param", value])
+        assert (code, out) == (3, "")
+        assert err == f"onfdr: invalid sequence spec: {message}\n"
 
     @pytest.mark.parametrize("kind", ["jm", "inverse-square", "uniform",
                                       "constant"])
@@ -773,6 +817,17 @@ class TestSimulate:
             "--pi1-grid", "0.2,nope", "--reps", "10", "--seed", "1",
             "--procedures", "lond"])
         assert code == 3 and "invalid grid" in err
+
+    @pytest.mark.parametrize("options, message", [
+        (["--pi1-grid", "1.5"], "invalid grid: bad pi1 grid '1.5'"),
+        (["--pi1-grid", ","], "invalid grid: bad pi1 grid ','"),
+        (["--pi1-grid", "0.2", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_refused_before_the_header(self, capsys, options, message):
+        code, out, err = run_cli(capsys, [
+            "simulate", "--scenario", "gaussian", "--n", "10", "--reps", "10",
+            "--procedures", "lond", *options])
+        assert (code, out, err) == (3, "", f"onfdr: {message}\n")
 
     @pytest.mark.parametrize("threads", ["two", "0"])
     def test_bad_thread_setting_exits_3(self, capsys, monkeypatch, threads):

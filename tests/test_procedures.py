@@ -465,6 +465,11 @@ class TestLimitLevel:
         with pytest.raises(ConfigError):
             limit_level(cfg, 5)
 
+    def test_index_from_one(self):
+        cfg = default_config(ProcedureKind.LORD2, alpha=0.05)
+        with pytest.raises(ValueError, match="index must be >= 1"):
+            limit_level(cfg, 0)
+
 
 class TestBoundsAndRebound:
     def test_horizon_exhausted(self):

@@ -49,6 +49,8 @@ class TestMixtureScenario:
             assert not MixtureScenario(N=10, pi1=0.0, alternative=alt).two_sided
 
     def test_invalid_parameters(self):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            MixtureScenario(N=0, pi1=0.5)
         with pytest.raises(ValueError):
             MixtureScenario(N=10, pi1=1.5)
         with pytest.raises(ValueError):
@@ -70,6 +72,13 @@ class TestGenMixture:
         assert np.array_equal(p1, p2) and np.array_equal(t1, t2)
         p3, _ = gen_mixture(sc, 8)
         assert not np.array_equal(p1, p3)
+
+    def test_takes_a_generator(self):
+        sc = MixtureScenario(N=100, pi1=0.3, rho=0.5)
+        rng = np.random.default_rng(np.random.SeedSequence(7))
+        p1, t1 = gen_mixture(sc, rng)
+        p2, t2 = gen_mixture(sc, 7)
+        assert np.array_equal(p1, p2) and np.array_equal(t1, t2)
 
     def test_null_uniformity(self):
         sc = MixtureScenario(N=10_000, pi1=0.0, rho=0.0,
@@ -186,6 +195,18 @@ class TestEstimate:
         a = estimate(cfg, sc, reps=40, seed=11)
         b = estimate(cfg, sc, reps=40, seed=11)
         assert a == b
+
+    def test_negative_seed_refused(self, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("a worker pool was started")
+
+        # refused before the pool that 100 replicates on two workers use
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("ONFDR_THREADS", "2")
+        sc = MixtureScenario(N=50, pi1=0.2, rho=0.5)
+        cfg = default_config(ProcedureKind.LORDPP, alpha=0.05)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            estimate_many([("lord++", cfg)], sc, reps=100, seed=-1)
 
     def test_worker_count_invariance(self):
         sc = MixtureScenario(N=50, pi1=0.2, rho=0.5)

@@ -128,6 +128,17 @@ class TestBuildTable:
             grown = build_table(spec, length_hint=start).extended(5000)
             assert grown.cumulative.tobytes() == cold.cumulative.tobytes()
 
+    def test_refuses_bad_indices(self):
+        spec = SequenceSpec(SequenceKind.UNIFORM, bound=10)
+        with pytest.raises(ValueError, match="length_hint must be >= 1"):
+            build_table(spec, length_hint=0)
+        table = build_table(spec)
+        with pytest.raises(ValueError, match="index must be >= 1"):
+            table.coefficient(0)
+        with pytest.raises(SequenceError,
+                           match="index 11 beyond bounded horizon N=10"):
+            table.constraint_sum(upto=11)
+
     def test_bounded_extension_refused(self):
         spec = SequenceSpec(SequenceKind.UNIFORM, Normalization.SUM_ONE, bound=5)
         table = build_table(spec)
@@ -221,6 +232,17 @@ class TestSpecValidation:
             SequenceSpec(SequenceKind.LOG_POWER, Normalization.SUM_ONE,
                          shape_param=2.0, bound=10)
 
+    @pytest.mark.parametrize("kind,name", [(SequenceKind.POWER_LAW, "m > 1"),
+                                           (SequenceKind.LOG_POWER, "nu > 2")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_shape_param_must_be_finite(self, kind, name, value):
+        with pytest.raises(SequenceError, match=f"finite shape_param {name}"):
+            SequenceSpec(kind, shape_param=value)
+
+    def test_bound_must_be_positive(self):
+        with pytest.raises(SequenceError, match="bound must be a positive integer"):
+            SequenceSpec(SequenceKind.UNIFORM, bound=0)
+
     @pytest.mark.parametrize("kind", [SequenceKind.JM_OPTIMAL,
                                       SequenceKind.INVERSE_SQUARE,
                                       SequenceKind.UNIFORM,
@@ -264,6 +286,13 @@ class TestXiConstant:
         expected = 0.05 / (n * 0.04 + 0.005 * math.lgamma(n + 1))
         assert xi_constant_bounded(n, 0.04, 0.005, 0.05) == pytest.approx(
             expected, rel=1e-14)
+
+    @pytest.mark.parametrize("args,message", [
+        ((0, 0.02, 0.025, 0.05), "N must be >= 1"),
+        ((10, 0.02, 0.0, 0.05), "require b0 > 0")])
+    def test_refuses_bad_arguments(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            xi_constant_bounded(*args)
 
     def test_agrees_with_constant_bounded_table(self):
         spec = xi_spec(SequenceKind.CONSTANT_BOUNDED, bound=100, w0=0.02)
@@ -368,6 +397,11 @@ class TestRebound:
         table = self.uniform_table(1.0, 10)
         with pytest.raises(SequenceError):
             rebound(table, 7, 7)
+
+    def test_rejects_more_spent_than_the_horizon(self):
+        table = self.uniform_table(1.0, 10)
+        with pytest.raises(SequenceError, match="cannot have consumed 11 of 10"):
+            rebound(table, 11, 20)
 
     def test_rejects_overspent_table(self):
         table = self.uniform_table(1.0, 10)
