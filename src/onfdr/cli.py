@@ -5,7 +5,8 @@ chunks of ``CHUNK_ROWS`` records),
 ``simulate`` (Monte Carlo grids), ``sequence`` (dump a coefficient table)
 and ``kidney`` (binary-endpoint platform realisations).  Data goes to
 stdout or ``--output``; diagnostics go to stderr.  Exit codes: 0 success,
-2 malformed input, 3 invalid configuration.
+2 malformed input or an input or output file that cannot be opened, 3
+invalid configuration.
 """
 
 from __future__ import annotations
@@ -50,11 +51,19 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+class _Unwritable(Exception):
+    """``--output`` cannot be opened for writing."""
+
+
 @contextlib.contextmanager
 def _csv_out(path: str | None, header: list[str]):
     """The file ``path`` (default stdout) and a CSV writer on it, with
-    ``header`` written; the file is closed on exit, stdout is left open."""
-    out = open(path, "w", newline="") if path else sys.stdout
+    ``header`` written; the file is closed on exit, stdout is left open.
+    A file that cannot be opened raises :class:`_Unwritable`."""
+    try:
+        out = open(path, "w", newline="") if path else sys.stdout
+    except OSError as exc:
+        raise _Unwritable(str(exc)) from exc
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
@@ -231,6 +240,9 @@ def cmd_simulate(args) -> int:
                 label = f"{name}-bounded" if args.bounded else name
                 procs.append((label, default_config(
                     ProcedureKind(name), alpha=args.alpha, bound=bound)))
+        if args.scenario == "platform" and args.rho is not None:
+            raise ValueError("--rho applies to the mixture scenarios only")
+        rho = 0.5 if args.rho is None else args.rho
         scenarios = []
         for pi1 in pi1_grid:
             if args.scenario == "platform":
@@ -238,7 +250,7 @@ def cmd_simulate(args) -> int:
                                                        alpha=args.alpha))
             else:
                 scenarios.append(MixtureScenario(
-                    N=args.n, pi1=pi1, rho=args.rho,
+                    N=args.n, pi1=pi1, rho=rho,
                     alternative=MixtureAlternative(args.scenario),
                     alpha=args.alpha))
         worker_count()
@@ -349,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="hypotheses per replicate (arms K for platform)")
     sim.add_argument("--pi1-grid", required=True,
                      help="comma-separated non-null fractions")
-    sim.add_argument("--rho", type=float, default=0.5)
+    sim.add_argument("--rho", type=float,
+                     help="mixture scenarios' correlation (default 0.5)")
     sim.add_argument("--reps", type=int, default=2000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--alpha", type=float, default=0.05)
@@ -400,7 +413,10 @@ def _joined_rebound(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_joined_rebound(argv))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unwritable as exc:
+        return _fail(EXIT_BAD_INPUT, str(exc))
 
 
 if __name__ == "__main__":

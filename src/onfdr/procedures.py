@@ -14,11 +14,11 @@ without mutating the state, and ``observe`` consumes one p-value.  A stream
 is strictly sequential; distinct streams are independent.
 
 ``decide`` consumes a run of p-values at once and equals the fold of
-``observe`` over them: a fixpoint search of a few vector passes for the
-rules whose levels only grow with the discoveries, one windowed vector
-search per discovery for LORD3 and dependent LORD.  Given a state it
-resumes that stream and advances it in place, so a long stream can be
-decided in chunks, with ``observe`` and ``rebound_stream`` between them.
+``observe`` over them: one windowed vector search per discovery, and for
+LOND, whose levels only grow with the discoveries, a few passes that
+accept every hit of a window at once.  Given a state it resumes that
+stream and advances it in place, so a long stream can be decided in
+chunks, with ``observe`` and ``rebound_stream`` between them.
 
 ``decide_rows`` decides many fresh streams of one length at once, one row
 of a matrix each, with the flags ``decide`` gives each row; the Monte
@@ -26,8 +26,8 @@ Carlo harness runs every rule on a batch of replicates through it.  Its
 payout rules sweep the clocks in blocks of 64, which costs a few dozen
 numpy calls per block and up to ``N**2 / 2`` multiply-adds per row (5 10^9
 at N = 10^5), so it does not suit one long stream: on a 10^5-row stream
-with a tenth non-null it took 0.33 s against ``decide``'s 0.27 s for
-LORD++ and 0.47 s against 0.17 s for SAFFRON (best of 3, 2-CPU x86
+with a tenth non-null it took 0.39 s against ``decide``'s 0.19 s for
+LORD++ and 0.50 s against 0.08 s for SAFFRON (best of 3, 2-CPU x86
 machine).
 ``decide`` stays the tool for ``onfdr run``, ``observe``-style resumption
 and the exact-test designs.
@@ -420,83 +420,71 @@ class Decisions(NamedTuple):
 
 
 # rows filled and searched at once after a discovery; the window doubles
-# while it holds no discovery (the least a fixpoint pass proposes, too)
+# while it holds no discovery
 _WINDOW = 64
 
 
-_NO_DISCOVERIES = np.empty(0, dtype=np.intp)
+def _scan(p: np.ndarray, fill, found):
+    """Levels and rejections of a stream whose levels change only at
+    discoveries: ``fill(s, out)`` writes the levels of hypotheses ``s, s + 1,
+    ...`` (0-based) under the discoveries so far into ``out``, the first
+    ``p <= level`` among them is the next discovery, and ``found(t,
+    levels)`` records it.  Only a window after the last discovery is filled
+    and searched."""
+    n = len(p)
+    levels = np.empty(n)
+    start, width = 0, _WINDOW
+    while start < n:
+        stop = min(start + width, n)
+        fill(start, levels[start:stop])
+        hits = p[start:stop] <= levels[start:stop]
+        k = int(hits.argmax())
+        if hits[k]:
+            found(start + k, levels)
+            start, width = start + k + 1, _WINDOW
+        else:
+            start, width = stop, 2 * width
+    return levels, np.less_equal(p, levels)
 
 
-def _fixpoint(p: np.ndarray, start, counted: bool = False,
-              summed: bool = True):
-    """Levels and rejections of a monotone rule, whose level at a hypothesis
-    never falls when a discovery is added before it.
+def _lond_search(config: ProcedureConfig, p: np.ndarray, beta: np.ndarray,
+                 found: int):
+    """LOND's levels ``beta * (D + 1)`` (or ``max(D, 1)``) and rejections,
+    ``D`` the discoveries before a hypothesis, ``found`` of them before the
+    run.
 
-    Every hit ``p <= level`` under a subset of the stream's discoveries is
-    then a discovery, so the search accepts all hits at once and repeats
-    until a pass finds none; the decisions up to the first new hit of a
-    pass are final, so the next pass starts after it.  A pass proposes a
-    window of rows, so a stream whose discoveries each make only the next
-    hypothesis a hit costs a window per discovery, not the rest of the run.
-
-    ``start()`` returns a fresh ``propose(lo, new, rejected, before, out)``:
-    it adds the discoveries ``new`` (ascending, flagged in ``rejected``
-    since its last call) and writes the levels of hypotheses ``lo, lo + 1,
-    ...`` under the flagged ones into ``out``.  If ``counted``,
-    ``before[i]`` counts the flagged ones before hypothesis ``i``, up to
-    ``lo + len(out)``; else it is None.
-
-    Levels that sum payouts (``summed``) are the fold's bit for bit when the
-    discoveries are added in index order; otherwise they may round
-    differently, so they are rebuilt in index order and checked.  A level
-    depends only on the decisions before it, so where ``p <= level`` first
-    disagrees with the search, the decisions before are certified: that one
-    is corrected and the search resumes after it.
+    A level never falls when a discovery is added before it, so a hit under
+    some of the discoveries is a discovery: a pass accepts every hit of its
+    window at once (the first pass's is the run), and the next pass starts
+    after the first new one, the last hypothesis whose level it knew, with
+    a window twice as long as the hits spread; a pass that finds none
+    settles its window.  A level is one product of a coefficient and an
+    exact count, so it is the fold's whichever pass computes it.
     """
     n = len(p)
     rejected, levels = np.zeros(n, dtype=bool), np.empty(n)
-    before = np.zeros(n + 1, dtype=np.intp) if counted else None
-    propose, lo, new, width = start(), 0, _NO_DISCOVERIES, n
-    last, ordered = -1, True   # the last discovery added so far
-    while True:
-        while lo < n:
-            hi = min(lo + width, n)
-            if counted:
-                # the counts up to lo - 1 hold: every discovery since is later
-                s = max(lo - 1, 0)
-                np.add.accumulate(rejected[s:hi], dtype=np.intp,
-                                  out=before[s + 1:hi + 1])
-                before[s + 1:hi + 1] += before[s]
-            propose(lo, new, rejected, before, levels[lo:hi])
-            hits = p[lo:hi] <= levels[lo:hi]
-            if last >= lo:
-                hits &= ~rejected[lo:hi]
-            new = hits.nonzero()[0]
-            if not len(new):   # no discovery before hi is missing
-                if hi == n:
-                    break
-                lo, width = hi, 2 * width
-                continue
-            new += lo
-            rejected[new] = True
-            width = max(_WINDOW, 2 * (int(new[-1]) + 1 - lo))
-            lo = int(new[0]) + 1
-            ordered = ordered and lo > last
-            last = max(last, int(new[-1]))
-        if ordered or not summed:
-            return levels, rejected
-        # the levels up to the first discovery of the run are pass one's
-        new = rejected.nonzero()[0]
-        lo = int(new[0]) + 1
-        start()(lo, new, rejected, before, levels[lo:])
-        wrong = (np.less_equal(p, levels) != rejected).nonzero()[0]
-        if not len(wrong):
-            return levels, rejected
-        x = int(wrong[0])
-        rejected[x] = not rejected[x]
-        rejected[x + 1:] = False
-        propose, lo, new, width = start(), x + 1, rejected.nonzero()[0], n
-        last, ordered = (int(new[-1]) if len(new) else -1), True
+    before = np.zeros(n + 1, dtype=np.intp)   # flagged before each hypothesis
+    shift = found + (0 if config.lond_original else 1)
+    lo, width = 0, n
+    while lo < n:
+        hi = min(lo + width, n)
+        # the counts up to lo - 1 hold: every discovery since is later
+        s = max(lo - 1, 0)
+        np.add.accumulate(rejected[s:hi], dtype=np.intp,
+                          out=before[s + 1:hi + 1])
+        before[s + 1:hi + 1] += before[s]
+        mult = before[lo:hi] + shift
+        if config.lond_original:
+            np.maximum(mult, 1, out=mult)
+        np.multiply(beta[lo:hi], mult, out=levels[lo:hi])
+        new = ((p[lo:hi] <= levels[lo:hi]) & ~rejected[lo:hi]).nonzero()[0]
+        if len(new):
+            rejected[lo + new] = True
+            width = max(_WINDOW, 2 * (int(new[-1]) + 1))
+            lo += int(new[0]) + 1
+        else:
+            lo, width = hi, 2 * width
+    return levels, rejected
 
 
 def _lond_beta(config: ProcedureConfig, gamma: np.ndarray, i0: int,
@@ -526,15 +514,13 @@ def decide(config: ProcedureConfig, pvalues,
     value or index raises what :func:`run_stream` raises there and leaves
     ``state`` as it was.
 
-    The levels of LORD2, LORD++, SAFFRON, LOND and dependent LOND never fall
-    when a discovery is added before them, so their decisions are the
-    fixpoint of a search that accepts every hit at once and recomputes the
-    levels under them (:func:`_fixpoint`): a few vector passes per run.
-    LORD3 and dependent LORD restart their coefficients at each discovery;
-    between two discoveries their levels are a closed-form vector, filled
-    and searched in a doubling window after each discovery.  Decisions and
-    wealth equal the fold's; payout levels (LORD2, LORD++, SAFFRON) after 24
-    or more discoveries are summed in another order and agree to rounding.
+    Between two discoveries the levels of every rule but LOND are a
+    closed-form vector, so :func:`_scan` finds each discovery with one
+    search of a window after the one before; LOND's levels never fall when
+    a discovery is added before them, so :func:`_lond_search` accepts every
+    hit of a window at once.  Decisions and wealth equal the fold's; payout
+    levels (LORD2, LORD++, SAFFRON) after 24 or more discoveries are summed
+    in another order and agree to rounding.
     """
     fresh = state is None
     state = make_stream(config, length_hint=1) if fresh else state
@@ -562,60 +548,49 @@ def decide(config: ProcedureConfig, pvalues,
 
     elif kind in _LOND_KINDS:
         beta, state._harmonic = _lond_beta(config, gamma, i0, state._harmonic)
-        # D + 1 for D discoveries before a hypothesis, or max(D, 1)
-        shift = state.discoveries + (0 if config.lond_original else 1)
-
-        def lond_levels(lo, new, rejected, before, out):
-            mult = before[lo:lo + len(out)] + shift
-            if config.lond_original:
-                np.maximum(mult, 1, out=mult)
-            np.multiply(beta[lo:lo + len(out)], mult, out=out)
-
-        levels, rejected = _fixpoint(p, lambda: lond_levels, counted=True,
-                                     summed=False)
+        levels, rejected = _lond_search(config, p, beta, state.discoveries)
 
     elif kind in _WEALTH_KINDS:
         # levels gamma_{i - tau} W(tau) (LORD3) or xi_i W(tau) (dependent
-        # LORD), W(tau) the wealth after the last discovery tau: between two
-        # discoveries they are one vector, filled and searched a window at a
-        # time.  run[i + 1] is the wealth after hypothesis i, spent in the
-        # fold's order (a sequential accumulate, so in pieces too)
-        levels, run = np.empty(n), np.empty(n + 1)
+        # LORD), W(tau) the wealth after the last discovery tau.  run[i + 1]
+        # is the wealth after hypothesis i, spent in the fold's order (a
+        # sequential accumulate, so in pieces too): through each discovery
+        # as it is found, through the rest after the scan
+        run = np.empty(n + 1)
         run[0] = state.wealth
         at_discovery = state.wealth_at_discovery
         lord3 = kind is ProcedureKind.LORD3
-        # g[i + shift] is the coefficient of hypothesis i
+        # g[i + shift] is the coefficient of hypothesis i; spent the first
+        # hypothesis whose wealth is not spent yet
         shift = i0 - (int(state._tau[state.discoveries - 1])
                       if lord3 and state.discoveries else 0)
-        start, width = 0, _WINDOW
-        while start < n:
-            stop = min(start + width, n)
-            np.multiply(g[start + shift:stop + shift], at_discovery,
-                        out=levels[start:stop])
-            hits = p[start:stop] <= levels[start:stop]
-            k = int(hits.argmax())
-            # spend the wealth through the discovery, or through the window
-            end = start + k + 1 if hits[k] else stop
-            run[start + 1:end + 1] = levels[start:end]
-            np.subtract.accumulate(run[start:end + 1], out=run[start:end + 1])
-            if hits[k]:
-                run[end] += config.b0
-                at_discovery = float(run[end])
-                if lord3:
-                    shift = -end
-                start, width = end, _WINDOW
-            else:
-                start, width = stop, 2 * width
-        rejected = np.less_equal(p, levels)
+        spent = 0
+
+        def spend(end, levels):
+            run[spent + 1:end + 1] = levels[spent:end]
+            np.subtract.accumulate(run[spent:end + 1], out=run[spent:end + 1])
+
+        def fill(s, out):
+            np.multiply(g[s + shift:s + shift + len(out)], at_discovery, out=out)
+
+        def found(t, levels):
+            nonlocal spent, at_discovery, shift
+            spend(t + 1, levels)
+            run[t + 1] += config.b0
+            spent, at_discovery = t + 1, float(run[t + 1])
+            if lord3:
+                shift = -spent
+
+        levels, rejected = _scan(p, fill, found)
+        spend(n, levels)
         wealth = run[1:]
         state.wealth, state.wealth_at_discovery = float(run[n]), at_discovery
 
     else:
         candidates = np.cumsum(p <= config.lam) \
             if kind is ProcedureKind.SAFFRON else None
-        levels, rejected = _fixpoint(
-            p, _payout_levels(config, state, p, g, candidates),
-            counted=candidates is not None)
+        levels, rejected = _scan(
+            p, *_payout_levels(config, state, p, g, candidates))
 
     if fresh:   # nobody holds the state
         return Decisions(levels, rejected, wealth)
@@ -631,19 +606,19 @@ def decide(config: ProcedureConfig, pvalues,
 
 def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
                    g: np.ndarray, candidates: np.ndarray | None):
-    """:func:`_fixpoint`'s ``start`` for the payout family (LORD2, LORD++
-    and SAFFRON).
+    """:func:`_scan`'s ``fill`` and ``found`` for the payout family (LORD2,
+    LORD++ and SAFFRON).
 
     The clock is the hypothesis index, or for SAFFRON the index less the
     candidates (``p <= lambda``) up to it; ``candidates`` counts them
     through each hypothesis of the run (None for LORD2 and LORD++).  Base
     and payout are kept per clock value of the run, so each discovery is
-    one contiguous add.  The payout of the stream's earlier discoveries, on
-    their stored clocks, is added first, in discovery order, as one call
-    over the whole stream adds it.  A SAFFRON discovery is a candidate, so
-    it shares its clock with the candidates just before it, which it does
-    not pay: its gamma(1) is added to each hypothesis after it on that
-    clock instead.
+    one contiguous add, made in discovery order as the fold sums them,
+    after the payouts of the stream's earlier discoveries on their stored
+    clocks.  A SAFFRON discovery is a candidate, so it shares its clock with
+    the candidates just before it; their levels are filled when it is
+    found, so its gamma(1) on that clock reaches only the hypotheses after
+    it.
     """
     n = len(p)
     first, later = _payout_weights(config)
@@ -654,87 +629,33 @@ def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
         span = int(clock[-1]) + 1 if n else 0
     else:
         clock, span = None, n
-
-    def pay(owed, skip=0):
-        """Add in order the payouts of discoveries whose gamma(1) falls on
-        clock ``origin + 1 + q``, q in ``owed``, from ``skip`` clocks on;
-        the stream's first one joins the base term from its own clock."""
-        nonlocal first
-        for q in owed:
-            if first is None:
-                s = max(q + skip, 0)
-                payout[s:] += g[s - q:span - q]
-            else:
-                s = max(q, 0)
-                base[s:] += first * g[s - q:span - q]
-                first = None
-
     base, payout = g[origin:origin + span] * config.w0, np.zeros(span)
-    if state.discoveries:
-        pay((state._clock[:state.discoveries] - origin).tolist())
-    carried = base, payout, first
-    starts = owns = None
 
-    def propose(lo, new, rejected, before, out):
-        nonlocal starts, owns
-        hi = lo + len(out)
-        if clock is None:
-            if len(new):
-                pay((new + 1).tolist())
-            np.multiply(payout[lo:hi], later, out=out)
-            np.add(base[lo:hi], out, out=out)
-            return
-        if len(new):
-            if starts is None:
-                # first hypothesis on the clock, and after the first
-                # discovery of the stream, which paid its own clock into
-                # the base term (the same in every search)
-                starts = clock.searchsorted(clock)
-                if first is not None:
-                    np.maximum(starts, new[0] + 1, out=starts)
-                # the payout of each hypothesis's clock and its own gamma(1)
-                # adds, as the last pass over it found them; lo - 1 is the
-                # run's first discovery, with no own adds before it
-                owns = np.empty(n)
-                owns[lo - 1] = payout[clock[lo - 1]]
-            pay(clock[new].tolist(), skip=1)
-        at = clock[lo:hi]
-        level_base, own = base[at], payout[at]
-        if starts is not None:
-            # each discovery before a hypothesis on its clock adds gamma(1),
-            # in discovery order.  On the clock of lo it is a running sum on
-            # from the value of lo - 1, which no discovery since changed:
-            # gamma(1) after a discovery, 0.0 (which changes nothing) after
-            # the others
-            e = int(starts[lo:hi].searchsorted(lo, "right"))
-            if starts[lo] < lo:
-                own[0] = owns[lo - 1] + g[0] if rejected[lo - 1] \
-                    else owns[lo - 1]
-            if before[lo + e - 1] > before[lo]:
-                np.multiply(rejected[lo:lo + e - 1], g[0], out=own[1:e])
-                np.add.accumulate(own[:e], out=own[:e])
-            else:
-                own[1:e] = own[0]
-            if before[hi - 1] > before[lo + e]:
-                # the later clocks of the window, one add after the other
-                rest = own[e:]
-                m = before[lo + e:hi] - before[starts[lo + e:hi]]
-                after = m.nonzero()[0]
-                while len(after):
-                    rest[after] += g[0]
-                    m[after] -= 1
-                    after = after[m[after] > 0]
-            owns[lo:hi] = own
-        np.multiply(own, later, out=out)
-        np.add(level_base, out, out=out)
-        np.minimum(out, config.lam, out=out)
+    def pay(q):
+        """Add the payout of a discovery whose gamma(1) falls on clock
+        ``origin + 1 + q``; the stream's first one joins the base term."""
+        nonlocal first
+        s = max(q, 0)
+        if first is None:
+            payout[s:] += g[s - q:span - q]
+        else:
+            base[s:] += first * g[s - q:span - q]
+            first = None
 
-    def start():
-        nonlocal base, payout, first
-        base, payout, first = carried[0].copy(), carried[1].copy(), carried[2]
-        return propose
+    for d in state._clock[:state.discoveries].tolist():
+        pay(d - origin)
 
-    return start
+    def fill(s, out):
+        at = slice(s, s + len(out)) if clock is None else clock[s:s + len(out)]
+        np.multiply(payout[at], later, out=out)
+        np.add(base[at], out, out=out)
+        if clock is not None:
+            np.minimum(out, config.lam, out=out)
+
+    def found(t, levels):
+        pay(t + 1 if clock is None else t + 1 - int(candidates[t]))
+
+    return fill, found
 
 
 # ---------------------------------------------------------------------------
@@ -891,8 +812,7 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
     blocks of ``_BLOCK``.  The decisions on a block's clocks depend on the
     discoveries before the block, whose payouts are summed already, and on
     those inside it: they are the fixpoint of accepting every hit at once
-    under the discoveries of the pass before, as in :func:`_fixpoint`,
-    found for all rows together.  A block's payouts to the clocks after it
+    under the discoveries of the pass before, found for all rows together.  A block's payouts to the clocks after it
     are one product of its discovery counts with a strip of the Toeplitz
     matrix ``c[x - a - 1]`` (:func:`_toeplitz_strip`; ``c`` is ``g``, or
     ``g[1:]`` for SAFFRON, whose discoveries pay gamma(1) on their own

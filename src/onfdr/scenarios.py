@@ -92,6 +92,17 @@ class PlatformTrialScenario:
     alpha: float = 0.1
 
     def __post_init__(self) -> None:
+        if self.K < 1:
+            raise ValueError("K must be >= 1")
+        if self.N_target < 1:   # an empty arm is redrawn until it is not
+            raise ValueError("N_target must be >= 1")
+        # the earliest analysis (time 0.2) must see a control outcome
+        if self.N0 < 5:
+            raise ValueError("N0 = round(N_target * sqrt(K)) must be >= 5")
+        if not 0 < self.sigma < math.inf:   # False for NaN
+            raise ValueError("a finite sigma > 0 is required")
+        if not 0 <= self.pi <= 1:
+            raise ValueError("pi must lie in [0, 1]")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
 

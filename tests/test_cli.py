@@ -893,6 +893,48 @@ class TestSimulate:
             "--procedures", "lord9"])
         assert code == 3 and "unknown procedures" in err
 
+    @pytest.mark.parametrize("arms", ["0", "-3"])
+    def test_platform_without_arms_exits_3(self, capsys, arms):
+        code, out, err = run_cli(capsys, [
+            "simulate", "--scenario", "platform", "--n", arms,
+            "--pi1-grid", "0.2", "--reps", "10", "--procedures", "lond"])
+        assert (code, out, err) == (3, "", "onfdr: K must be >= 1\n")
+
+    @pytest.mark.parametrize("rho", ["7", "nan", "0.5"])
+    def test_rho_refused_for_platform(self, capsys, rho):
+        code, out, err = run_cli(capsys, [
+            "simulate", "--scenario", "platform", "--n", "25",
+            "--pi1-grid", "0.2", "--reps", "10", "--procedures", "lond",
+            "--rho", rho])
+        assert (code, out, err) == (
+            3, "", "onfdr: --rho applies to the mixture scenarios only\n")
+
+    def test_rho_defaults_to_one_half(self, capsys):
+        argv = ["simulate", "--scenario", "gaussian", "--n", "20",
+                "--pi1-grid", "0.3", "--reps", "20", "--seed", "4",
+                "--procedures", "lord++,bh"]
+        default = run_cli(capsys, argv)
+        assert default[0] == 0
+        assert run_cli(capsys, argv + ["--rho", "0.5"]) == default
+        assert run_cli(capsys, argv + ["--rho", "0.1"])[1] != default[1]
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["simulate", "--scenario", "gaussian", "--n", "10", "--pi1-grid",
+         "0.2", "--reps", "10", "--procedures", "lond"],
+        ["sequence", "--kind", "jm", "--n", "5"],
+        ["kidney", "--scenario", "1"],
+    ], ids=["run", "simulate", "sequence", "kidney"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, argv):
+        dest = str(tmp_path / "missing" / "out.csv")
+        if argv[0] == "run":
+            argv = argv + ["--input", write_pvalues(tmp_path, [("h1", 0.01)])]
+        code, out, err = run_cli(capsys, argv + ["--output", dest])
+        assert (code, out) == (2, "")
+        assert err == f"onfdr: [Errno 2] No such file or directory: {dest!r}\n"
+
 
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "onfdr.cli", "sequence",

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from onfdr import procedures
 from onfdr.procedures import (
     ConfigError,
     HorizonExhaustedError,
@@ -800,10 +799,10 @@ class TestDecide:
     @given(kind=st.sampled_from(MONOTONE_KINDS), bounded=st.booleans(),
            data=st.data())
     def test_ties_at_the_fold_level(self, kind, bounded, data):
-        # p-values at the fold's level and one ulp either side: the search
-        # may round another way, and its check must find and correct that
-        # (under 24 discoveries the fold sums in discovery order too, so
-        # its levels are the kernel's bit for bit)
+        # p-values at the fold's level and one ulp either side: a level
+        # rounded another way would decide one of them otherwise (under 24
+        # discoveries the fold sums in discovery order too, so its levels
+        # are the kernel's bit for bit)
         n = data.draw(st.integers(1, 23), label="n")
         cfg = default_config(kind, alpha=0.05, bound=n if bounded else None)
         state, p = make_stream(cfg), []
@@ -817,10 +816,9 @@ class TestDecide:
             p.append(v)
         assert_levels_are_the_folds(cfg, p)
 
-    def test_resume_after_rounding(self, monkeypatch):
-        # a stream whose search adds discoveries out of index order and
-        # rounds one tie the other way: the check corrects it and the
-        # search resumes after it
+    def test_resume_after_rounding(self):
+        # a LORD2 stream that a search accepting every hit at once would add
+        # discoveries to out of index order, rounding one tie the other way
         p = [0.0013379192728150214, 0.0005923628693439936,
              1.4059085148911854e-05, 0.002082777038724266,
              0.0022574987814579658, 0.0024086462899995872,
@@ -830,24 +828,12 @@ class TestDecide:
              0.003113582304960104, 0.0031852636625890733,
              0.0019145627931343174, 0.8584353255541872,
              0.0014988305341595302]
-        searches = []
-        fixpoint = procedures._fixpoint
-
-        def counting(pvalues, start, counted=False):
-            def started():
-                searches.append(1)
-                return start()
-            return fixpoint(pvalues, started, counted)
-
-        monkeypatch.setattr(procedures, "_fixpoint", counting)
         assert_levels_are_the_folds(default_config(ProcedureKind.LORD2), p)
-        # the search, the rebuild in index order, the resumed search
-        assert len(searches) >= 3
 
     @pytest.mark.parametrize("kind", MONOTONE_KINDS)
     def test_chain_stream(self, kind):
-        # each discovery makes only the next hypothesis a hit, the worst
-        # case for the number of search passes
+        # each discovery makes only the next hypothesis a hit: one window
+        # search per hypothesis, and for LOND one pass per discovery
         cfg = default_config(kind, alpha=0.05)
         state, p = make_stream(cfg), []
         for _ in range(300):
@@ -866,7 +852,7 @@ class TestDecide:
     def test_row_by_row_equals_one_call(self, kind, shape):
         # one row at a time, the carried discoveries pay in discovery order;
         # one call must sum every level the same way, also after hundreds of
-        # discoveries, runs of them on one SAFFRON clock, and search passes
+        # discoveries, runs of them on one SAFFRON clock, and LOND passes
         # that each take a window of rows
         cfg = default_config(kind, alpha=0.05)
         rng = np.random.default_rng(11)
@@ -894,9 +880,9 @@ class TestDecide:
 
     @pytest.mark.parametrize("bounded", [False, True])
     def test_saffron_chain_then_candidates(self, bounded):
-        # a chain of discoveries on one clock, one per search pass, then a
-        # long run of candidates that are not discoveries: the passes over
-        # that run carry the chain's gamma(1) adds on from the pass before
+        # a chain of discoveries on one clock, each found by its own window
+        # search, then a long run of candidates that are not discoveries:
+        # every hypothesis of that run reads the chain's gamma(1) adds
         cfg = default_config(ProcedureKind.SAFFRON, alpha=0.05,
                              bound=400 if bounded else None)
         state, p = make_stream(cfg), [0.9, 0.7]

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,28 @@ class TestMixtureScenario:
             MixtureScenario(N=10, pi1=1.5)
         with pytest.raises(ValueError):
             MixtureScenario(N=10, pi1=0.5, rho=1.0)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(K=0), "K must be >= 1"),
+        (dict(K=-3), "K must be >= 1"),
+        (dict(K=5, N_target=0), "N_target must be >= 1"),
+        (dict(K=1, N_target=2), "N0 = round(N_target * sqrt(K)) must be >= 5"),
+        (dict(K=5, sigma=0.0), "a finite sigma > 0 is required"),
+        (dict(K=5, sigma=-1.0), "a finite sigma > 0 is required"),
+        (dict(K=5, sigma=math.inf), "a finite sigma > 0 is required"),
+        (dict(K=5, sigma=math.nan), "a finite sigma > 0 is required"),
+        (dict(K=5, pi=-0.1), "pi must lie in [0, 1]"),
+        (dict(K=5, pi=1.5), "pi must lie in [0, 1]"),
+        (dict(K=5, pi=math.nan), "pi must lie in [0, 1]"),
+    ])
+    def test_invalid_platform(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PlatformTrialScenario(**fields)
+
+    def test_smallest_platform_draws(self):
+        # one arm, and a control of five: every analysis sees one outcome
+        p, truth = gen_platform(PlatformTrialScenario(K=1, N_target=5), 3)
+        assert len(p) == len(truth) == 1 and 0 <= p[0] <= 1
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, float("nan")])
     def test_invalid_alpha(self, alpha):
