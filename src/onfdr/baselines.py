@@ -67,9 +67,16 @@ OFFLINE_RULES = {
 }
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse a level outside (0, 1), as ``ProcedureConfig`` does."""
+    if not 0 < alpha < 1:   # False for NaN
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 def _one_row(rule: str, pvalues, alpha: float) -> BatchResult:
     """The offline ``rule`` on one sequence of p-values, refused as the
     online rules' ``observe`` refuses them."""
+    _check_alpha(alpha)
     p, given, k = _as_pvalues(pvalues, 1)
     if k < p.size:
         raise ValueError(f"p-value must lie in [0, 1], got {_shown(given[k])} "
@@ -99,6 +106,7 @@ def offline_rows(rule: str, pvalues: np.ndarray, alpha: float) -> np.ndarray:
     """Rejection flags of the offline ``rule`` (a key of ``OFFLINE_RULES``)
     on each row of a checked (replicates x N) matrix, equal to the rule's
     flags on that row."""
+    _check_alpha(alpha)
     return OFFLINE_RULES[rule](pvalues, alpha)[0]
 
 

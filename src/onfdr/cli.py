@@ -238,8 +238,10 @@ def cmd_simulate(args) -> int:
                 procs.append((name, name))
             else:
                 label = f"{name}-bounded" if args.bounded else name
-                procs.append((label, default_config(
-                    ProcedureKind(name), alpha=args.alpha, bound=bound)))
+                config = default_config(ProcedureKind(name), alpha=args.alpha,
+                                        bound=bound)
+                make_stream(config)   # refuses dependent LORD's xi_1 > 1
+                procs.append((label, config))
         if args.scenario == "platform" and args.rho is not None:
             raise ValueError("--rho applies to the mixture scenarios only")
         rho = 0.5 if args.rho is None else args.rho

@@ -16,9 +16,10 @@ is strictly sequential; distinct streams are independent.
 ``decide`` consumes a run of p-values at once and equals the fold of
 ``observe`` over them: one windowed vector search per discovery, and for
 LOND, whose levels only grow with the discoveries, a few passes that
-accept every hit of a window at once.  Given a state it resumes that
-stream and advances it in place, so a long stream can be decided in
-chunks, with ``observe`` and ``rebound_stream`` between them.
+accept every hit of a window at once (over a matrix in ``decide_rows``).
+Given a state it resumes that stream and advances it in place, so a long
+stream can be decided in chunks, with ``observe`` and ``rebound_stream``
+between them.
 
 ``decide_rows`` decides many fresh streams of one length at once, one row
 of a matrix each, with the flags ``decide`` gives each row; the Monte
@@ -449,37 +450,40 @@ def _scan(p: np.ndarray, fill, found):
 
 def _lond_search(config: ProcedureConfig, p: np.ndarray, beta: np.ndarray,
                  found: int):
-    """LOND's levels ``beta * (D + 1)`` (or ``max(D, 1)``) and rejections,
-    ``D`` the discoveries before a hypothesis, ``found`` of them before the
-    run.
+    """LOND's levels ``beta * (D + 1)`` (or ``max(D, 1)``) and rejections
+    on each row of a (streams x n) matrix, ``D`` the discoveries of the row
+    before a hypothesis, ``found`` of them before the run.
 
     A level never falls when a discovery is added before it, so a hit under
     some of the discoveries is a discovery: a pass accepts every hit of its
-    window at once (the first pass's is the run), and the next pass starts
-    after the first new one, the last hypothesis whose level it knew, with
-    a window twice as long as the hits spread; a pass that finds none
-    settles its window.  A level is one product of a coefficient and an
-    exact count, so it is the fold's whichever pass computes it.
+    window in every row at once (the first pass's window is the run), and
+    the next pass starts after the first column where a row gained one, the
+    last column whose levels it knew in every row, with a window twice as
+    long as the farthest new hit; a pass that finds none settles its
+    window.  A level is one product of a coefficient and an exact count, so
+    it is the fold's whichever pass computes it.
     """
-    n = len(p)
-    rejected, levels = np.zeros(n, dtype=bool), np.empty(n)
-    before = np.zeros(n + 1, dtype=np.intp)   # flagged before each hypothesis
+    n = p.shape[1]
+    rejected, levels = np.zeros(p.shape, dtype=bool), np.empty(p.shape)
+    before = np.zeros((len(p), n + 1), np.intp)   # flagged before each one
     shift = found + (0 if config.lond_original else 1)
     lo, width = 0, n
     while lo < n:
         hi = min(lo + width, n)
         # the counts up to lo - 1 hold: every discovery since is later
         s = max(lo - 1, 0)
-        np.add.accumulate(rejected[s:hi], dtype=np.intp,
-                          out=before[s + 1:hi + 1])
-        before[s + 1:hi + 1] += before[s]
-        mult = before[lo:hi] + shift
+        np.add.accumulate(rejected[:, s:hi], axis=1, dtype=np.intp,
+                          out=before[:, s + 1:hi + 1])
+        before[:, s + 1:hi + 1] += before[:, s:s + 1]
+        mult = before[:, lo:hi] + shift
         if config.lond_original:
             np.maximum(mult, 1, out=mult)
-        np.multiply(beta[lo:hi], mult, out=levels[lo:hi])
-        new = ((p[lo:hi] <= levels[lo:hi]) & ~rejected[lo:hi]).nonzero()[0]
+        np.multiply(beta[lo:hi], mult, out=levels[:, lo:hi])
+        # a flag stays a hit as its level only grows: new hits are the rest
+        hits = p[:, lo:hi] <= levels[:, lo:hi]
+        new = np.greater(hits, rejected[:, lo:hi]).any(axis=0).nonzero()[0]
         if len(new):
-            rejected[lo + new] = True
+            rejected[:, lo:hi] = hits
             width = max(_WINDOW, 2 * (int(new[-1]) + 1))
             lo += int(new[0]) + 1
         else:
@@ -548,7 +552,8 @@ def decide(config: ProcedureConfig, pvalues,
 
     elif kind in _LOND_KINDS:
         beta, state._harmonic = _lond_beta(config, gamma, i0, state._harmonic)
-        levels, rejected = _lond_search(config, p, beta, state.discoveries)
+        levels, rejected = _lond_search(config, p[None], beta, state.discoveries)
+        levels, rejected = levels[0], rejected[0]
 
     elif kind in _WEALTH_KINDS:
         # levels gamma_{i - tau} W(tau) (LORD3) or xi_i W(tau) (dependent
@@ -679,15 +684,15 @@ def decide_rows(config: ProcedureConfig, pvalues: np.ndarray) -> np.ndarray:
     ``decide(config, pvalues[r]).rejected``.
 
     Built for Monte Carlo replicates, many short streams of one length:
-    Bonferroni is one comparison with its levels; LOND repeats integer-count
-    passes over the rows until no decision changes; LORD3 and dependent
-    LORD sweep the columns, spending each row's wealth in the fold's order;
-    LORD2, LORD++ and SAFFRON run :func:`_payout_rows`, whose products
-    with a Toeplitz strip of the coefficients cost up to ``N**2 / 2``
-    multiply-adds per row (5 10^9 for one 10^5-row stream, which
-    :func:`decide` adds up one discovery at a time), and a row with a
-    decision that its rounding bound does not certify is decided again by
-    :func:`decide`.
+    Bonferroni is one comparison with its levels; LOND runs
+    :func:`decide`'s passes (:func:`_lond_search`) over the matrix, one
+    window shared by every row; LORD3 and dependent LORD sweep the columns,
+    spending each row's wealth in the fold's order; LORD2, LORD++ and
+    SAFFRON run :func:`_payout_rows`, whose products with a Toeplitz strip
+    of the coefficients cost up to ``N**2 / 2`` multiply-adds per row (5
+    10^9 for one 10^5-row stream, which :func:`decide` adds up one
+    discovery at a time), and a row with a decision that its rounding
+    bound does not certify is decided again by :func:`decide`.
     """
     n = pvalues.shape[1]
     state = make_stream(config, length_hint=n + 1)
@@ -700,38 +705,13 @@ def decide_rows(config: ProcedureConfig, pvalues: np.ndarray) -> np.ndarray:
     if kind is ProcedureKind.BONFERRONI:
         return pvalues <= g[:n]
     if kind in _LOND_KINDS:
-        return _lond_rows(config, pvalues, _lond_beta(config, g[:n], 0, 0.0)[0])
+        beta = _lond_beta(config, g[:n], 0, 0.0)[0]
+        return _lond_search(config, pvalues, beta, 0)[1]
     if kind in _WEALTH_KINDS:
         return _wealth_rows(config, pvalues, g)
     rejected, unsure = _payout_rows(config, pvalues, g)
     for r in unsure.nonzero()[0]:
         rejected[r] = decide(config, pvalues[r]).rejected
-    return rejected
-
-
-def _lond_rows(config: ProcedureConfig, p: np.ndarray,
-               beta: np.ndarray) -> np.ndarray:
-    """LOND on each row: the levels ``beta * (D + 1)`` (or ``max(D, 1)``)
-    under the discoveries of the pass before, until a pass changes nothing.
-
-    The levels are :func:`decide`'s products, exact in any order, and never
-    fall when a discovery is added, so the passes only add discoveries and
-    stop at the fold's; a row is dropped once a pass leaves it as it was.
-    """
-    shift = 0 if config.lond_original else 1
-    rejected = np.zeros(p.shape, dtype=bool)
-    rows = np.arange(len(p))
-    while len(rows):
-        flags = rejected[rows]
-        mult = np.cumsum(flags, axis=1)
-        mult -= flags   # the discoveries before each hypothesis
-        mult += shift
-        if config.lond_original:
-            np.maximum(mult, 1, out=mult)
-        hits = p[rows] <= np.multiply(beta, mult)
-        moved = (hits != flags).any(axis=1)
-        rejected[rows[moved]] = hits[moved]
-        rows = rows[moved]
     return rejected
 
 

@@ -362,11 +362,16 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     procs = list(procs)
-    # check every config and build its table here: a refused config raises
-    # before any worker starts, and forked workers inherit the tables
-    for _, proc in procs:
-        if not isinstance(proc, str):
+    # check every rule and build each config's table here: a refused one
+    # raises before any worker starts, and forked workers inherit the tables
+    for label, proc in procs:
+        if isinstance(proc, ProcedureConfig):
             make_stream(proc)
+        elif not isinstance(proc, str):
+            raise TypeError(f"{label}: expected a ProcedureConfig or an "
+                            f"offline rule name, got {type(proc).__name__}")
+        elif proc not in baselines.OFFLINE_RULES:
+            raise ValueError(f"{label}: unknown offline rule {proc!r}")
     workers = worker_count()
     if workers == 1 or reps < 64:
         _, fdps, powers = _replicate_chunk((scenario, procs, seed, 0, reps))

@@ -136,6 +136,20 @@ def test_entry_points_refuse_what_is_not_a_real_number(entry, value):
         entry([0.2, value])
 
 
+@pytest.mark.parametrize("entry", [
+    *(lambda alpha, rule=rule: rule([0.01, 0.5, 0.9], alpha)
+      for rule in (bh, bh_adjusted, uncorrected)),
+    *(lambda alpha, rule=rule: offline_rows(rule, np.full((2, 3), 0.5), alpha)
+      for rule in ("bh", "bh-adjusted", "uncorrected"))],
+    ids=["bh", "bh_adjusted", "uncorrected", "rows-bh", "rows-bh-adjusted",
+         "rows-uncorrected"])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -1.0, float("nan")])
+def test_offline_rules_refuse_alpha_outside_the_unit_interval(entry, alpha):
+    with pytest.raises(ValueError, match=re.escape(
+            f"alpha must lie in (0, 1), got {alpha!r}")):
+        entry(alpha)
+
+
 @pytest.mark.parametrize("rule", [bh, bh_adjusted, uncorrected])
 @pytest.mark.parametrize("pvalues", [
     [[0.01, 0.2], [0.5, 0.03]], np.full((2, 3), 0.5), np.array(0.5),
@@ -228,6 +242,11 @@ class TestMask:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != uncorrected([0.01, 0.5], 0.05)   # same flags, other cutoff
         assert a != bh([0.01, 0.5, 0.9], 0.05)
+
+    def test_not_equal_to_other_types(self):
+        a = bh([0.01, 0.5], 0.05)
+        assert a.__eq__((a.rejected, a.threshold)) is NotImplemented
+        assert a != 0.05 and a != [True, False]
 
 
 class TestBHAdjustedLevel:

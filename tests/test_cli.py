@@ -822,6 +822,10 @@ class TestSimulate:
         (["--pi1-grid", "1.5"], "invalid grid: bad pi1 grid '1.5'"),
         (["--pi1-grid", ","], "invalid grid: bad pi1 grid ','"),
         (["--pi1-grid", "0.2", "--seed", "-1"], "seed must be >= 0, got -1"),
+        # bounded dependent LORD at horizon one has xi_1 = alpha / b0 = 2
+        (["--pi1-grid", "0.1", "--n", "1", "--procedures", "lord-dep",
+          "--bounded"],
+         "leading coefficient must be <= 1 to keep wealth nonnegative"),
     ])
     def test_refused_before_the_header(self, capsys, options, message):
         code, out, err = run_cli(capsys, [

@@ -20,6 +20,8 @@ from onfdr.procedures import (
     decide_rows,
     default_config,
     make_stream,
+    next_level,
+    observe,
 )
 from onfdr.scenarios import (
     MixtureScenario,
@@ -91,6 +93,29 @@ class TestDecideRows:
     def test_lond_original(self, kind, bounded, p):
         assert_rows_are_decides(
             config_of(kind, p.shape[1], bounded, lond_original=True), p)
+
+    @pytest.mark.parametrize("kind", LOND_KINDS)
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("lond_original", [False, True])
+    def test_lond_chain_sets_every_rows_window(self, kind, bounded,
+                                               lond_original):
+        # each p-value of the chain row is its level under every earlier
+        # discovery, so each pass over the batch finds about one of them
+        # and the window shared by every row creeps along the chain
+        n = 300
+        cfg = config_of(kind, n, bounded, lond_original)
+        state, chain = make_stream(cfg), []
+        for _ in range(n):
+            chain.append(next_level(state, cfg))
+            observe(state, chain[-1], cfg)
+        assert decide(cfg, chain).levels.tolist() == chain
+        rng = np.random.default_rng(11)
+        mixtures = np.where(rng.random((4, n)) < rng.random((4, 1)),
+                            rng.random((4, n)) * 1e-3, rng.random((4, n)))
+        p = check_rows([chain, np.zeros(n), np.ones(n), *mixtures])
+        got = decide_rows(cfg, p)
+        assert got[0].all() and got[1].all() and not got[2].any()
+        assert_rows_are_decides(cfg, p)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("bounded", [False, True])

@@ -129,6 +129,18 @@ class TestGenMixture:
         p, truth = gen_mixture(sc, 21)
         assert p[truth].mean() < 0.15 < p[~truth].mean()
 
+    def test_exponential_alternative(self):
+        # one-sided tests of positive exponential means: seeded, and the
+        # p-values of an all-non-null stream sit below 0.5
+        sc = MixtureScenario(N=2_000, pi1=1.0, rho=0.0,
+                             alternative=MixtureAlternative.EXPONENTIAL)
+        p1, t1 = gen_mixture(sc, 7)
+        p2, t2 = gen_mixture(sc, 7)
+        assert np.array_equal(p1, p2) and np.array_equal(t1, t2)
+        assert not np.array_equal(p1, gen_mixture(sc, 8)[0])
+        assert t1.all()
+        assert p1.mean() < 0.2 and (p1 < 0.5).mean() > 0.85
+
 
 class TestGenPlatform:
     def test_control_sizing(self):
@@ -151,6 +163,29 @@ class TestGenPlatform:
         p_sorted, truth_sorted = gen_platform(sc, 17)
         assert np.array_equal(truth_sorted, nonnull[order])
         assert np.all(np.diff(tau[order]) >= 0)
+
+    def test_empty_arms_are_redrawn(self):
+        # N_target = 1 leaves an arm empty with probability 0.1, so most
+        # replicates of 25 arms redraw one; an empty arm's mean would warn
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.binomial_calls = rng, 0
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def binomial(self, *args, **kwargs):
+                self.binomial_calls += 1
+                return self.rng.binomial(*args, **kwargs)
+
+        sc = PlatformTrialScenario(K=25, N_target=1)
+        redraws = 0
+        for r in range(20):
+            rng = CountingRng(np.random.default_rng(r))
+            _, z, _ = _platform_draw(sc, rng)
+            assert np.isfinite(z).all()
+            redraws += rng.binomial_calls > 1
+        assert redraws >= 10
 
     def test_global_null_per_test_level(self):
         sc = PlatformTrialScenario(K=25, pi=0.0, alpha=0.1)
@@ -230,6 +265,30 @@ class TestEstimate:
         cfg = default_config(ProcedureKind.LORDPP, alpha=0.05)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             estimate_many([("lord++", cfg)], sc, reps=100, seed=-1)
+
+    @pytest.mark.parametrize("proc, error, message", [
+        ("bhh", ValueError, "x: unknown offline rule 'bhh'"),
+        (3, TypeError, "x: expected a ProcedureConfig or an offline rule "
+                       "name, got int")])
+    def test_unknown_rule_refused_before_the_pool(self, monkeypatch, proc,
+                                                  error, message):
+        class RecordingPool:
+            started = []
+
+            def __init__(self, max_workers):
+                self.started.append(max_workers)
+
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("ONFDR_THREADS", "2")
+        sc = MixtureScenario(N=20, pi1=0.2, rho=0.5)
+        with pytest.raises(error, match=re.escape(message)):
+            estimate_many([("bh", "bh"), ("x", proc)], sc, reps=64, seed=1)
+        assert RecordingPool.started == []
+
+    def test_only_mixture_and_platform_scenarios_generate(self):
+        with pytest.raises(TypeError,
+                           match="cannot generate from KidneyTrialScenario"):
+            estimate_many([("bh", "bh")], KidneyTrialScenario(), reps=5, seed=1)
 
     def test_worker_count_invariance(self):
         sc = MixtureScenario(N=50, pi1=0.2, rho=0.5)
