@@ -67,6 +67,14 @@ OFFLINE_RULES = {
 }
 
 
+def _offline_rule(rule: str):
+    """``OFFLINE_RULES[rule]``, refusing a name it lacks with the ones it has."""
+    if rule not in OFFLINE_RULES:
+        raise ValueError(f"unknown offline rule {rule!r}, expected one of "
+                         f"{', '.join(OFFLINE_RULES)}")
+    return OFFLINE_RULES[rule]
+
+
 def _check_alpha(alpha: float) -> None:
     """Refuse a level outside (0, 1), as ``ProcedureConfig`` does."""
     if not 0 < alpha < 1:   # False for NaN
@@ -107,7 +115,7 @@ def offline_rows(rule: str, pvalues: np.ndarray, alpha: float) -> np.ndarray:
     on each row of a checked (replicates x N) matrix, equal to the rule's
     flags on that row."""
     _check_alpha(alpha)
-    return OFFLINE_RULES[rule](pvalues, alpha)[0]
+    return _offline_rule(rule)(pvalues, alpha)[0]
 
 
 def _flags(values) -> np.ndarray:

@@ -6,8 +6,8 @@ exact tests.  ``estimate``/``estimate_many`` run seeded replicates and report
 mean false discovery proportion and power with Monte Carlo standard errors.
 
 Replicates are drawn one generator per (seed, replicate) and
-decided in batches of 32: each rule decides the batch's (replicates x N)
-matrix in one call (``procedures.decide_rows``, or
+decided in tasks of at most ``_BATCH``: each rule decides a task's
+(replicates x N) matrix in one call (``procedures.decide_rows``, or
 ``baselines.offline_rows``) and ``baselines.score`` scores it per row.
 ``eval_kidney`` checks its one realisation as a 1 x K matrix and decides it
 through ``offline_rows`` (offline rules) or ``decide`` (online rules).
@@ -198,15 +198,13 @@ def _platform_draw(scenario: PlatformTrialScenario, rng: np.random.Generator):
     while np.any(n_arm == 0):   # test statistic undefined on an empty arm
         redo = n_arm == 0
         n_arm[redo] = rng.binomial(scenario.N_target, 0.9, size=int(redo.sum()))
-    control = rng.normal(0.0, sigma, size=n0_total)
-    control_cum = np.cumsum(control)
-    z = np.empty(K)
-    for j in range(K):
-        nj = int(n_arm[j])
-        ybar_j = rng.normal(theta[j], sigma, size=nj).mean()
-        n0j = int(tau[j] * n0_total)
-        ybar_0 = control_cum[n0j - 1] / n0j
-        z[j] = (ybar_j - ybar_0) / (sigma * math.sqrt(1.0 / n0j + 1.0 / nj))
+    control_cum = np.cumsum(rng.normal(0.0, sigma, size=n0_total))
+    # the arms' outcomes in one call, each arm's mean by np.mean's own steps
+    y = rng.normal(np.repeat(theta, n_arm), sigma)
+    ybar = np.array([y[e - n:e].sum() for n, e in zip(
+        n_arm.tolist(), np.cumsum(n_arm).tolist())]) / n_arm
+    n0 = (tau * n0_total).astype(int)
+    z = (ybar - control_cum[n0 - 1] / n0) / (sigma * np.sqrt(1.0 / n0 + 1.0 / n_arm))
     return tau, z, nonnull
 
 
@@ -314,28 +312,21 @@ def _generate(scenario, seed):
     raise TypeError(f"cannot generate from {type(scenario).__name__}")
 
 
-# replicates decided as one (replicates x N) matrix
-_BATCH = 32
+# the most replicates one task draws and decides as one (replicates x N) matrix
+_BATCH = 128
 
 
 def _replicate_chunk(args):
-    """FDP and power of every rule on replicates ``lo, ..., hi - 1``, in
-    batches of ``_BATCH``: the batch's p-values are stacked and checked
+    """FDP and power of every rule on replicates ``lo, ..., hi - 1``, as a
+    (rules x 2 x replicates) array: their p-values are stacked and checked
     once, and each rule decides the whole matrix in one call."""
     scenario, procs, seed, lo, hi = args
-    fdps = np.empty((hi - lo, len(procs)))
-    powers = np.empty((hi - lo, len(procs)))
-    for s in range(lo, hi, _BATCH):
-        draws = [_generate(scenario, np.random.SeedSequence((seed, r)))
-                 for r in range(s, min(s + _BATCH, hi))]
-        p = check_rows([pvalues for pvalues, _ in draws])
-        truth = np.array([nonnull for _, nonnull in draws])
-        out = slice(s - lo, s - lo + len(draws))
-        for c, (_, proc) in enumerate(procs):
-            decisions = baselines.offline_rows(proc, p, scenario.alpha) \
-                if isinstance(proc, str) else decide_rows(proc, p)
-            fdps[out, c], powers[out, c] = baselines.score(decisions, truth)
-    return lo, fdps, powers
+    p, truth = zip(*(_generate(scenario, np.random.SeedSequence((seed, r)))
+                     for r in range(lo, hi)))
+    p, truth = check_rows(list(p)), np.array(truth)
+    decisions = (baselines.offline_rows(proc, p, scenario.alpha)
+                 if isinstance(proc, str) else decide_rows(proc, p) for _, proc in procs)
+    return np.array([baselines.score(d, truth) for d in decisions])
 
 
 def worker_count() -> int:
@@ -370,28 +361,28 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
         elif not isinstance(proc, str):
             raise TypeError(f"{label}: expected a ProcedureConfig or an "
                             f"offline rule name, got {type(proc).__name__}")
-        elif proc not in baselines.OFFLINE_RULES:
-            raise ValueError(f"{label}: unknown offline rule {proc!r}")
+        else:
+            try:
+                baselines._offline_rule(proc)
+            except ValueError as exc:
+                raise ValueError(f"{label}: {exc}") from None
     workers = worker_count()
+    chunk = min(_BATCH, max(32, math.ceil(reps / (workers * 8))))
+    tasks = [(scenario, procs, seed, lo, min(lo + chunk, reps))
+             for lo in range(0, reps, chunk)]
     if workers == 1 or reps < 64:
-        _, fdps, powers = _replicate_chunk((scenario, procs, seed, 0, reps))
+        parts = list(map(_replicate_chunk, tasks))
     else:
-        fdps = np.empty((reps, len(procs)))
-        powers = np.empty((reps, len(procs)))
-        chunk = max(32, math.ceil(reps / (workers * 8)))
-        tasks = [(scenario, procs, seed, lo, min(lo + chunk, reps))
-                 for lo in range(0, reps, chunk)]
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            for lo, f, w in pool.map(_replicate_chunk, tasks):
-                fdps[lo:lo + len(f)] = f
-                powers[lo:lo + len(w)] = w
+            parts = list(pool.map(_replicate_chunk, tasks))
+    fdps, powers = np.concatenate(parts, axis=2).swapaxes(0, 1)
 
     results = []
-    for c, (label, _) in enumerate(procs):
-        # per column: a reduction over the matrix would sum in another order
-        power = powers[:, c][~np.isnan(powers[:, c])]
-        results.append(EstimateResult(label, *_mean_se(fdps[:, c]),
-                                      *_mean_se(power), reps, len(power)))
+    # per rule: a reduction over the matrix would sum in another order
+    for (label, _), fdp, power in zip(procs, fdps, powers):
+        power = power[~np.isnan(power)]
+        results.append(EstimateResult(label, *_mean_se(fdp), *_mean_se(power),
+                                      reps, len(power)))
     return results
 
 

@@ -150,6 +150,14 @@ def test_offline_rules_refuse_alpha_outside_the_unit_interval(entry, alpha):
         entry(alpha)
 
 
+@pytest.mark.parametrize("rule", ["bhh", "BH", "", "lord++"])
+def test_offline_rows_refuses_an_unknown_rule(rule):
+    with pytest.raises(ValueError, match=re.escape(
+            f"unknown offline rule {rule!r}, expected one of bh, "
+            f"bh-adjusted, uncorrected")):
+        offline_rows(rule, np.full((1, 3), 0.5), 0.05)
+
+
 @pytest.mark.parametrize("rule", [bh, bh_adjusted, uncorrected])
 @pytest.mark.parametrize("pvalues", [
     [[0.01, 0.2], [0.5, 0.03]], np.full((2, 3), 0.5), np.array(0.5),

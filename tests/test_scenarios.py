@@ -187,6 +187,42 @@ class TestGenPlatform:
             redraws += rng.binomial_calls > 1
         assert redraws >= 10
 
+    @pytest.mark.parametrize("K, N_target", [
+        (K, n) for K in (1, 3, 25, 100) for n in (1, 5, 70)
+        if round(n * math.sqrt(K)) >= 5])
+    def test_draw_is_the_per_arm_loop(self, K, N_target):
+        # one generator call per arm, as the draw was first written: the
+        # one-call draw must read the same stream and round the same way
+        def per_arm(scenario, rng):
+            nonnull = rng.random(K) < scenario.pi
+            theta = np.where(nonnull, scenario.effect, 0.0)
+            tau = rng.uniform(0.2, 1.0, size=K)
+            n_arm = rng.binomial(N_target, 0.9, size=K)
+            while np.any(n_arm == 0):
+                redo = n_arm == 0
+                n_arm[redo] = rng.binomial(N_target, 0.9, size=int(redo.sum()))
+            control_cum = np.cumsum(rng.normal(0.0, scenario.sigma,
+                                               size=scenario.N0))
+            z = np.empty(K)
+            for j in range(K):
+                nj = int(n_arm[j])
+                ybar_j = rng.normal(theta[j], scenario.sigma, size=nj).mean()
+                n0j = int(tau[j] * scenario.N0)
+                ybar_0 = control_cum[n0j - 1] / n0j
+                z[j] = (ybar_j - ybar_0) / (
+                    scenario.sigma * math.sqrt(1.0 / n0j + 1.0 / nj))
+            return tau, z, nonnull
+
+        sc = PlatformTrialScenario(K=K, N_target=N_target, pi=0.5)
+        for seed in range(25):
+            want_rng = np.random.default_rng(seed)
+            got_rng = np.random.default_rng(seed)
+            want = per_arm(sc, want_rng)
+            got = _platform_draw(sc, got_rng)
+            for w, g in zip(want, got):
+                np.testing.assert_array_equal(g, w, strict=True)
+            assert got_rng.random() == want_rng.random()
+
     def test_global_null_per_test_level(self):
         sc = PlatformTrialScenario(K=25, pi=0.0, alpha=0.1)
         reps, hits, total = 400, 0, 0
@@ -330,6 +366,57 @@ class TestEstimate:
         assert RecordingPool.sizes == [2]
         monkeypatch.setenv("ONFDR_THREADS", "1")
         assert estimate(cfg, sc, reps=64, seed=3) == pooled
+
+    @pytest.mark.parametrize("scenario", [
+        MixtureScenario(N=40, pi1=0.3, rho=0.5),
+        PlatformTrialScenario(K=10, pi=0.3)], ids=["mixture", "platform"])
+    def test_estimates_do_not_depend_on_the_task_split(self, monkeypatch,
+                                                       scenario):
+        # 301 replicates leave an uneven last task under every cap
+        n = scenario.N if isinstance(scenario, MixtureScenario) else scenario.K
+        procs = [(f"{k.value}-{b}", default_config(k, alpha=scenario.alpha,
+                                                     bound=b))
+                 for k in ProcedureKind for b in (None, n)]
+        procs += [(rule, rule) for rule in baselines.OFFLINE_RULES]
+        got = []
+        for cap in (7, 32, 128):
+            monkeypatch.setattr(scenarios, "_BATCH", cap)
+            for threads in ("1", "2"):
+                monkeypatch.setenv("ONFDR_THREADS", threads)
+                got.append(estimate_many(procs, scenario, reps=301, seed=5))
+        assert len(got[0]) == 19
+        assert all(res == got[0] for res in got[1:])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_no_task_decides_more_than_the_cap(self, monkeypatch, threads):
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        sizes = []
+        chunk = scenarios._replicate_chunk
+
+        def recording_chunk(args):
+            *_, lo, hi = args
+            sizes.append(hi - lo)
+            return chunk(args)
+
+        monkeypatch.setattr(scenarios, "_replicate_chunk", recording_chunk)
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setenv("ONFDR_THREADS", threads)
+        sc = MixtureScenario(N=5, pi1=0.3, rho=0.5)
+        estimate_many([("bh", "bh")], sc, reps=2000, seed=1)
+        assert sum(sizes) == 2000
+        assert max(sizes) <= scenarios._BATCH
 
     def test_tables_built_before_the_pool(self, monkeypatch):
         # configs are checked and their tables built before the pool
