@@ -9,6 +9,11 @@ Replicates are drawn one generator per (seed, replicate) and
 decided in tasks of at most ``_BATCH``: each rule decides a task's
 (replicates x N) matrix in one call (``procedures.decide_rows``, or
 ``baselines.offline_rows``) and ``baselines.score`` scores it per row.
+A call of at least 64 replicates on more than one worker deals its tasks
+round-robin into one share per worker: the calling process computes the
+first share and an ``os.fork`` child each other share, whose arrays come
+back pickled through a pipe and are put back in task order, so estimates
+are the same bits for every worker count.
 ``eval_kidney`` checks its one realisation as a 1 x K matrix and decides it
 through ``offline_rows`` (offline rules) or ``decide`` (online rules).
 """
@@ -17,7 +22,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -330,7 +336,8 @@ def _replicate_chunk(args):
 
 
 def worker_count() -> int:
-    """Process-pool size: ``ONFDR_THREADS`` if set, else min(cpu_count, 8)."""
+    """Processes per Monte Carlo call: ``ONFDR_THREADS`` if set, else
+    min(cpu_count, 8)."""
     env = os.environ.get(THREADS_ENV)
     if env is None:
         return max(1, min(os.cpu_count() or 1, 8))
@@ -338,6 +345,87 @@ def worker_count() -> int:
     if not value.isdecimal() or int(value) < 1:
         raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
     return int(value)
+
+
+def _run_tasks(tasks, workers: int) -> list[np.ndarray]:
+    """``_replicate_chunk`` of every task, in task order.
+
+    The tasks are dealt round-robin into ``min(workers, len(tasks))``
+    shares. This process computes share 0 while one ``os.fork`` child per
+    other share computes it and sends its arrays back pickled through a
+    pipe. A child's exception is raised here; on any exception here, the
+    children not yet waited for are killed and reaped.
+    """
+    n = min(workers, len(tasks))
+    children = []   # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(tasks[k::n], w)
+            children.append((pid, open(r, "rb")))
+            os.close(w)   # later children must not hold it, or no EOF comes
+        shares = [[_replicate_chunk(t) for t in tasks[::n]]]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                blob = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if not blob:
+                raise RuntimeError(f"worker {pid} ended with status "
+                                   f"{os.waitstatus_to_exitcode(status)} "
+                                   "and sent no results")
+            done, value = pickle.loads(blob)
+            if not done:
+                raise value
+            shares.append(value)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    parts = [None] * len(tasks)
+    for k, share in enumerate(shares):
+        parts[k::n] = share
+    return parts
+
+
+def _child(tasks, w: int) -> None:
+    """The body of a forked child: write ``(True, parts)`` or ``(False,
+    exception)`` to ``w`` pickled, then ``os._exit``, so that nothing of the
+    parent's (its buffered stdout, its exit handlers) runs here."""
+    status = 1
+    try:
+        try:
+            blob = pickle.dumps((True, [_replicate_chunk(t) for t in tasks]),
+                                pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            blob = _pickled_error(exc)
+        view = memoryview(blob)
+        while view:   # a signal handler can cut a write short
+            view = view[os.write(w, view):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    """``(False, exc)`` pickled, or a ``RuntimeError`` carrying its text if
+    ``exc`` does not survive a round trip through pickle."""
+    try:
+        blob = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(blob)
+        return blob
+    except Exception:
+        error = RuntimeError(f"{type(exc).__qualname__}: {exc}")
+        return pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL)
 
 
 def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]:
@@ -354,7 +442,7 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
         raise ValueError(f"seed must be >= 0, got {seed}")
     procs = list(procs)
     # check every rule and build each config's table here: a refused one
-    # raises before any worker starts, and forked workers inherit the tables
+    # raises before any fork, and forked children inherit the tables
     for label, proc in procs:
         if isinstance(proc, ProcedureConfig):
             make_stream(proc)
@@ -370,11 +458,7 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
     chunk = min(_BATCH, max(32, math.ceil(reps / (workers * 8))))
     tasks = [(scenario, procs, seed, lo, min(lo + chunk, reps))
              for lo in range(0, reps, chunk)]
-    if workers == 1 or reps < 64:
-        parts = list(map(_replicate_chunk, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            parts = list(pool.map(_replicate_chunk, tasks))
+    parts = _run_tasks(tasks, 1 if reps < 64 else workers)
     fdps, powers = np.concatenate(parts, axis=2).swapaxes(0, 1)
 
     results = []

@@ -922,6 +922,24 @@ class TestSimulate:
         assert run_cli(capsys, argv + ["--rho", "0.5"]) == default
         assert run_cli(capsys, argv + ["--rho", "0.1"])[1] != default[1]
 
+    def test_piped_output_equal_for_every_worker_count(self):
+        # stdout to a pipe is block-buffered: a forked child that flushed
+        # its copy of the buffer on exit would repeat the rows before it
+        argv = [sys.executable, "-m", "onfdr.cli", "simulate", "--scenario",
+                "gaussian", "--n", "20", "--pi1-grid", "0.1,0.3,0.5",
+                "--reps", "64", "--seed", "3", "--procedures", "lond,bh"]
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(argv, capture_output=True,
+                                  env={**env, "ONFDR_THREADS": threads})
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        rows = outs[1].splitlines()
+        assert len(rows) == len(set(rows)) == 1 + 3 * 2
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -282,6 +283,36 @@ class TestKidney:
         assert cells["bh"].true_positives == 4
 
 
+def _record_forks(monkeypatch) -> list:
+    """Wrap ``os.fork`` so that each fork made by this process appends the
+    table cache's miss count at that moment to the returned list."""
+    forks, fork, pid = [], os.fork, os.getpid()
+
+    def recording_fork():
+        if os.getpid() == pid:
+            forks.append(procedures._table_cache.cache_info().misses)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
+def _record_tasks(monkeypatch, path):
+    """Wrap ``_replicate_chunk`` so that every process that computes a task
+    appends (pid, lo, hi) to ``path``; returns a reader of those lines."""
+    chunk = scenarios._replicate_chunk
+
+    def recording_chunk(args):
+        *_, lo, hi = args
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {lo} {hi}\n")
+        return chunk(args)
+
+    monkeypatch.setattr(scenarios, "_replicate_chunk", recording_chunk)
+    return lambda: [tuple(map(int, line.split()))
+                    for line in path.read_text().splitlines()]
+
+
 class TestEstimate:
     def test_reproducible(self):
         sc = MixtureScenario(N=50, pi1=0.2, rho=0.5)
@@ -291,11 +322,11 @@ class TestEstimate:
         assert a == b
 
     def test_negative_seed_refused(self, monkeypatch):
-        def no_pool(max_workers):
-            raise AssertionError("a worker pool was started")
+        def no_fork():
+            raise AssertionError("a worker was forked")
 
-        # refused before the pool that 100 replicates on two workers use
-        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", no_pool)
+        # refused before the fork that 100 replicates on two workers make
+        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setenv("ONFDR_THREADS", "2")
         sc = MixtureScenario(N=50, pi1=0.2, rho=0.5)
         cfg = default_config(ProcedureKind.LORDPP, alpha=0.05)
@@ -308,18 +339,14 @@ class TestEstimate:
                        "name, got int")])
     def test_unknown_rule_refused_before_the_pool(self, monkeypatch, proc,
                                                   error, message):
-        class RecordingPool:
-            started = []
-
-            def __init__(self, max_workers):
-                self.started.append(max_workers)
-
-        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
+        forks = _record_forks(monkeypatch)
         monkeypatch.setenv("ONFDR_THREADS", "2")
         sc = MixtureScenario(N=20, pi1=0.2, rho=0.5)
         with pytest.raises(error, match=re.escape(message)):
             estimate_many([("bh", "bh"), ("x", proc)], sc, reps=64, seed=1)
-        assert RecordingPool.started == []
+        assert forks == []
+        estimate_many([("bh", "bh")], sc, reps=64, seed=1)
+        assert len(forks) == 1   # the same call with a good rule forks
 
     def test_only_mixture_and_platform_scenarios_generate(self):
         with pytest.raises(TypeError,
@@ -342,30 +369,21 @@ class TestEstimate:
                 os.environ["ONFDR_THREADS"] = old
         assert serial == parallel
 
-    def test_pool_capped_at_chunks(self, monkeypatch):
-        class RecordingPool:
-            sizes = []
-
-            def __init__(self, max_workers):
-                self.sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_capped_at_chunks(self, monkeypatch, tmp_path):
+        forks = _record_forks(monkeypatch)
+        tasks = _record_tasks(monkeypatch, tmp_path / "tasks")
         monkeypatch.setenv("ONFDR_THREADS", "16")
         sc = MixtureScenario(N=20, pi1=0.2, rho=0.5)
         cfg = default_config(ProcedureKind.LOND_INDEP, alpha=0.05)
-        pooled = estimate(cfg, sc, reps=64, seed=3)   # two chunks of 32
-        assert RecordingPool.sizes == [2]
+        forked = estimate(cfg, sc, reps=64, seed=3)   # two tasks of 32
+        # this process computes one task and one forked child the other
+        assert len(forks) == 1
+        assert sorted((lo, hi) for _, lo, hi in tasks()) == [(0, 32),
+                                                               (32, 64)]
+        assert len({pid for pid, _, _ in tasks()}) == 2
         monkeypatch.setenv("ONFDR_THREADS", "1")
-        assert estimate(cfg, sc, reps=64, seed=3) == pooled
+        assert estimate(cfg, sc, reps=64, seed=3) == forked
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("scenario", [
         MixtureScenario(N=40, pi1=0.3, rho=0.5),
@@ -388,56 +406,24 @@ class TestEstimate:
         assert all(res == got[0] for res in got[1:])
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_no_task_decides_more_than_the_cap(self, monkeypatch, threads):
-        class InProcessPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        sizes = []
-        chunk = scenarios._replicate_chunk
-
-        def recording_chunk(args):
-            *_, lo, hi = args
-            sizes.append(hi - lo)
-            return chunk(args)
-
-        monkeypatch.setattr(scenarios, "_replicate_chunk", recording_chunk)
-        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InProcessPool)
+    def test_no_task_decides_more_than_the_cap(self, monkeypatch, tmp_path,
+                                               threads):
+        tasks = _record_tasks(monkeypatch, tmp_path / "tasks")
         monkeypatch.setenv("ONFDR_THREADS", threads)
         sc = MixtureScenario(N=5, pi1=0.3, rho=0.5)
         estimate_many([("bh", "bh")], sc, reps=2000, seed=1)
-        assert sum(sizes) == 2000
-        assert max(sizes) <= scenarios._BATCH
+        spans = sorted((lo, hi) for _, lo, hi in tasks())
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == 2000
+        assert max(hi - lo for lo, hi in spans) <= scenarios._BATCH
+        assert len({pid for pid, _, _ in tasks()}) == int(threads)
 
     def test_tables_built_before_the_pool(self, monkeypatch):
-        # configs are checked and their tables built before the pool
-        # starts: a refused config raises first, and workers build nothing
-        class RecordingPool:
-            started = []
-
-            def __init__(self, max_workers):
-                self.started.append(
-                    procedures._table_cache.cache_info().misses)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return list(map(fn, tasks))
-
-        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
+        # configs are checked and their tables built before the first
+        # fork: a refused config raises first, and no process builds one
+        # after it (this one's later misses would show; a child's would
+        # not, and it inherits the tables built here)
+        forks = _record_forks(monkeypatch)
         monkeypatch.setenv("ONFDR_THREADS", "2")
         sc = MixtureScenario(N=30, pi1=0.3, rho=0.5)
         # xi_1 = alpha / b0 = 2 at horizon one
@@ -445,12 +431,24 @@ class TestEstimate:
         with pytest.raises(ConfigError, match="leading coefficient"):
             estimate_many([("bh", "bh"), ("dep", refused)], sc, reps=64,
                           seed=1)
-        assert RecordingPool.started == []
+        assert forks == []
         procs = [(k.value, default_config(k, alpha=0.0431))
                  for k in (ProcedureKind.LORD2, ProcedureKind.SAFFRON)]
+        procedures._table_cache.cache_clear()   # so that the call builds
         estimate_many(procs, sc, reps=64, seed=1)
-        assert RecordingPool.started == [
-            procedures._table_cache.cache_info().misses]
+        misses = procedures._table_cache.cache_info().misses
+        assert forks == [misses] and misses > 0
+
+    @pytest.mark.parametrize("reps", [63, 64, 301])
+    def test_estimates_equal_for_every_worker_count(self, monkeypatch, reps):
+        sc = MixtureScenario(N=30, pi1=0.3, rho=0.5)
+        procs = [(k.value, default_config(k, alpha=0.05))
+                 for k in ProcedureKind] + [("bh", "bh")]
+        got = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("ONFDR_THREADS", threads)
+            got.append(estimate_many(procs, sc, reps=reps, seed=6))
+        assert got[1] == got[0] and got[2] == got[0]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_summaries_match_a_serial_recomposition(self, monkeypatch,
@@ -531,3 +529,100 @@ class TestEstimate:
         cfg = default_config(ProcedureKind.LORD2, alpha=0.05)
         with pytest.raises(ValueError):
             estimate(cfg, sc, reps=0, seed=1)
+
+
+def _no_children_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TwoArgError(Exception):
+    """Pickles, but unpickling calls it with its one message argument."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+class TestForkedShares:
+    """Two workers on 64 replicates: this process computes the task at
+    ``lo = 0`` and one forked child the task at ``lo = 32``."""
+
+    SCENARIO = MixtureScenario(N=20, pi1=0.3, rho=0.5)
+
+    def before_task_in(self, monkeypatch, where, action):
+        """Run ``action()`` before each task that this process
+        (``where="parent"``) or the child computes."""
+        chunk, pid = scenarios._replicate_chunk, os.getpid()
+
+        def acting_chunk(args):
+            if (os.getpid() == pid) == (where == "parent"):
+                action()
+            return chunk(args)
+
+        monkeypatch.setattr(scenarios, "_replicate_chunk", acting_chunk)
+        monkeypatch.setenv("ONFDR_THREADS", "2")
+
+    def fail_in(self, monkeypatch, where, exc):
+        def fail():
+            raise exc
+
+        self.before_task_in(monkeypatch, where, fail)
+
+    def run(self):
+        return estimate_many([("bh", "bh")], self.SCENARIO, reps=64, seed=2)
+
+    def test_no_child_outlives_a_call(self, monkeypatch):
+        monkeypatch.setenv("ONFDR_THREADS", "2")
+        self.run()
+        assert _no_children_left()
+
+    def test_child_exception_raised_with_its_type_and_message(self,
+                                                              monkeypatch):
+        self.fail_in(monkeypatch, "child", KeyError("no such arm"))
+        with pytest.raises(KeyError, match="no such arm"):
+            self.run()
+        assert _no_children_left()
+
+    def test_unpicklable_child_exception_arrives_as_runtime_error(
+            self, monkeypatch):
+        class LocalError(Exception):   # a local class does not pickle
+            pass
+
+        self.fail_in(monkeypatch, "child", LocalError("cannot travel"))
+        with pytest.raises(RuntimeError, match="LocalError: cannot travel"):
+            self.run()
+        assert _no_children_left()
+
+    def test_exception_that_does_not_unpickle_arrives_as_runtime_error(
+            self, monkeypatch):
+        self.fail_in(monkeypatch, "child", TwoArgError("one", "two"))
+        with pytest.raises(RuntimeError, match="TwoArgError: one and two"):
+            self.run()
+        assert _no_children_left()
+
+    @pytest.mark.parametrize("exc", [ValueError("in the parent's share"),
+                                     KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_parent_failure_reaps_the_children(self, monkeypatch, exc):
+        self.fail_in(monkeypatch, "parent", exc)
+        with pytest.raises(type(exc)):
+            self.run()
+        assert _no_children_left()
+
+    def test_parent_failure_kills_a_child_still_computing(self, monkeypatch):
+        self.before_task_in(monkeypatch, "child", lambda: time.sleep(60))
+        self.fail_in(monkeypatch, "parent", ValueError("in the parent's share"))
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="in the parent's share"):
+            self.run()
+        assert time.perf_counter() - t0 < 30
+        assert _no_children_left()
+
+    def test_child_that_dies_without_results_is_an_error(self, monkeypatch):
+        self.before_task_in(monkeypatch, "child", lambda: os._exit(7))
+        with pytest.raises(RuntimeError, match="status 7 and sent no results"):
+            self.run()
+        assert _no_children_left()
