@@ -16,6 +16,7 @@ import contextlib
 import csv
 import itertools
 import sys
+from dataclasses import replace
 
 from .baselines import OFFLINE_RULES
 from .procedures import (
@@ -39,7 +40,7 @@ from .scenarios import (
     eval_kidney,
     worker_count,
 )
-from .sequences import Normalization, SequenceKind, SequenceSpec, build_table, rebound
+from .sequences import Normalization, SequenceKind, SequenceSpec, build_table
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -171,21 +172,24 @@ def cmd_run(args) -> int:
         return _fail(EXIT_BAD_CONFIG, f"invalid configuration: {exc}")
     if args.rebound is not None:
         try:
-            lhs, rhs = args.rebound.split(":")
-            rebound_at, rebound_to = int(lhs), int(rhs)
+            n, new_bound = map(int, args.rebound.split(":"))
         except ValueError:
             return _fail(EXIT_BAD_CONFIG, "--rebound expects n:NPRIME")
-        if not 0 <= rebound_at < rebound_to:
+        if not 0 <= n < new_bound:
             return _fail(EXIT_BAD_CONFIG, "--rebound expects n:NPRIME with "
                          f"0 <= n < NPRIME, got {args.rebound!r}")
-        if state.bound is None:
+        if args.bound is None:
             return _fail(EXIT_BAD_CONFIG,
                          "--rebound requires a bounded stream (--bound)")
-        if rebound_at > state.bound:
-            return _fail(EXIT_BAD_CONFIG, f"--rebound n={rebound_at} lies "
-                         f"past the horizon N={state.bound}")
+        if n > args.bound:
+            return _fail(EXIT_BAD_CONFIG, f"--rebound n={n} lies "
+                         f"past the horizon N={args.bound}")
         # levels 1..n read only coefficients 1..n, which rebound keeps
-        state.table = rebound(state.table, rebound_at, rebound_to)
+        config = replace(config, sequence=config.sequence.rebounded(n, new_bound))
+        try:
+            state = make_stream(config)
+        except ValueError as exc:
+            return _fail(EXIT_BAD_CONFIG, f"invalid configuration: {exc}")
 
     try:
         infile = open(args.input, newline="") if args.input \

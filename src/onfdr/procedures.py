@@ -50,7 +50,6 @@ from .sequences import (
     SequenceSpec,
     SequenceTable,
     build_table,
-    rebound,
 )
 
 
@@ -937,16 +936,14 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
 
 def rebound_stream(state: StreamState, config: ProcedureConfig,
                    new_bound: int) -> StreamState:
-    """Replace the stream's bounded table, conserving the unspent budget.
-    The new table depends on the old one and ``state.i`` only, not on the
-    p-values, decisions or wealth."""
-    if state.bound is None:
-        raise ConfigError("rebound requires a bounded stream")
-    if new_bound <= state.i:
-        raise ConfigError(
-            f"new horizon {new_bound} must exceed the {state.i} hypotheses tested"
-        )
-    state.table = rebound(state.table, state.i, new_bound)
+    """Replace the stream's bounded table by ``config``'s with the table's
+    spec rebound after ``state.i`` hypotheses, conserving the unspent
+    budget: it depends on the old table and ``state.i`` only."""
+    try:
+        spec = state.table.spec.rebounded(state.i, new_bound)
+    except ValueError as exc:   # the spec's refusal
+        raise ConfigError(str(exc)) from exc
+    state.table = make_stream(replace(config, sequence=spec)).table
     return state
 
 

@@ -1,8 +1,9 @@
 """Coefficient sequences that drive the online testing procedures.
 
-A sequence is described by a :class:`SequenceSpec` (shape family plus the
-normalization constraint its scaling constant must satisfy) and materialized
-as a :class:`SequenceTable`.  Three constraint families are supported:
+A sequence is described by a :class:`SequenceSpec` (shape family, the
+normalization constraint its scaling constant must satisfy, and a horizon
+with the rebounds that led to it) and materialized, by :func:`build_table`
+alone, as a :class:`SequenceTable`.  Three constraint families are supported:
 
 * ``SUM_ONE``      -- sum of coefficients equals 1 (gamma sequences),
 * ``SUM_ALPHA``    -- sum of coefficients equals alpha (beta sequences),
@@ -57,7 +58,7 @@ class SequenceError(ValueError):
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Shape family, normalization constraint and optional horizon."""
+    """Shape family, normalization constraint, horizon and its rebounds."""
 
     kind: SequenceKind
     normalization: Normalization = Normalization.SUM_ONE
@@ -66,13 +67,22 @@ class SequenceSpec:
     alpha: float | None = None         # SUM_ALPHA and XI_WEIGHTED
     w0: float | None = None            # XI_WEIGHTED
     b0: float | None = None            # XI_WEIGHTED
+    rebounds: tuple[tuple[int, int], ...] = ()   # (n, horizon before), in order
 
     def __post_init__(self) -> None:
         if self.kind in (SequenceKind.CONSTANT_BOUNDED, SequenceKind.UNIFORM):
             if self.bound is None:
                 raise SequenceError(f"{self.kind.value} requires a finite bound")
-        if self.bound is not None and self.bound < 1:
+        horizons = [before for _, before in self.rebounds] + [self.bound]
+        if any(h is not None and h < 1 for h in horizons):
             raise SequenceError("bound must be a positive integer")
+        for (n, before), after in zip(self.rebounds, horizons[1:]):
+            if before is None:
+                raise SequenceError("rebound requires a bounded table")
+            if after is None or not 0 <= n < after:
+                raise SequenceError("need 0 <= n < new horizon")
+            if n > before:
+                raise SequenceError(f"cannot have consumed {n} of {before} terms")
         if self.kind is SequenceKind.POWER_LAW:
             if self.shape_param is None or not 1 < self.shape_param < math.inf:
                 raise SequenceError("POWER_LAW requires a finite shape_param m > 1")
@@ -93,6 +103,10 @@ class SequenceSpec:
                 raise SequenceError("XI_WEIGHTED requires a finite b0 > 0")
         elif self.w0 is not None or self.b0 is not None:
             raise SequenceError(f"{self.normalization.name} takes no w0 or b0")
+
+    def rebounded(self, n: int, new_bound: int) -> SequenceSpec:
+        """This spec rebound after ``n`` hypotheses to ``new_bound``."""
+        return replace(self, bound=new_bound, rebounds=(*self.rebounds, (n, self.bound)))
 
 
 def gamma_jm(i: int) -> float:
@@ -353,6 +367,10 @@ def build_table(spec: SequenceSpec, length_hint: int = 1024) -> SequenceTable:
     """Materialize a table for ``spec``; bounded specs materialize fully."""
     if length_hint < 1:
         raise ValueError("length_hint must be >= 1")
+    if spec.rebounds:   # the last rebound, replayed on the table before it
+        *earlier, (n, before) = spec.rebounds
+        table = build_table(replace(spec, bound=before, rebounds=tuple(earlier)))
+        return rebound(table, n, spec.bound)
     scale = _scale_constant(spec)
     n = spec.bound if spec.bound is not None else length_hint
     idx = np.arange(1, n + 1)
@@ -384,27 +402,16 @@ def rebound(table: SequenceTable, n: int, new_bound: int) -> SequenceTable:
 
     The first ``n`` coefficients are kept as spent; indices ``n+1..new_bound``
     get same-family coefficients rescaled so spent-plus-remaining equals the
-    original budget under the table's normalization constraint.
+    original budget under the table's normalization constraint.  The new
+    table's spec is ``table.spec.rebounded(n, new_bound)``.
     """
-    if table.bound is None:
-        raise SequenceError("rebound requires a bounded table")
-    if n < 0 or n >= new_bound:
-        raise SequenceError("need 0 <= n < new horizon")
-    if n > table.bound:
-        raise SequenceError(f"cannot have consumed {n} of {table.bound} terms")
-    spec = table.spec
+    spec = table.spec.rebounded(n, new_bound)
     weights, budget = _constraint(spec)
     remaining = budget - table.constraint_sum(upto=n)
     if remaining < -_TOL:
         raise SequenceError("already-spent mass exceeds the budget")
-    tail_idx = np.arange(n + 1, new_bound + 1)
-    tail_shape = _shape(spec, tail_idx)
+    tail_shape = _shape(spec, np.arange(n + 1, new_bound + 1))
     tail_norm = float(np.sum(_weighted(tail_shape, n + 1, weights)))
     tail_scale = max(remaining, 0.0) / tail_norm
-    coeffs = np.concatenate([table.coefficients[:n], tail_scale * tail_shape])
-    new_spec = replace(spec, bound=new_bound)
-    return SequenceTable(
-        spec=new_spec,
-        scale_constant=tail_scale,
-        coefficients=coeffs,
-    )
+    return SequenceTable(spec, tail_scale, np.concatenate(
+        [table.coefficients[:n], tail_scale * tail_shape]))

@@ -264,13 +264,15 @@ class TestRun:
 
     def test_lord_dep_at_horizon_one_refused(self, tmp_path, capsys):
         # xi_1 = alpha / b0 = 2 > 1: the published constant is kept, so the
-        # configuration is refused (README, Limits)
+        # configuration is refused (README, Limits), also when a rebound
+        # before the first hypothesis makes the horizon one
         path = write_pvalues(tmp_path, [("h", 0.001)])
-        code, out, err = run_cli(capsys, [
-            "run", "--input", path, "--procedure", "lord-dep", "--bound", "1"])
-        assert (code, out) == (3, "")
-        assert err == ("onfdr: invalid configuration: leading coefficient "
-                       "must be <= 1 to keep wealth nonnegative\n")
+        for horizon in (["--bound", "1"], ["--bound", "2", "--rebound", "0:1"]):
+            code, out, err = run_cli(capsys, [
+                "run", "--input", path, "--procedure", "lord-dep", *horizon])
+            assert (code, out) == (3, ""), horizon
+            assert err == ("onfdr: invalid configuration: leading coefficient "
+                           "must be <= 1 to keep wealth nonnegative\n"), horizon
 
     @pytest.mark.parametrize("options, message", [
         (["--seq-param", "2"], "--seq-param requires --sequence"),

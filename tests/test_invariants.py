@@ -43,6 +43,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onfdr.procedures import (
+    ConfigError,
     ProcedureKind,
     decide,
     default_config,
@@ -141,6 +142,12 @@ def test_running_fdp_hat_within_alpha(kind, path, stream):
 @given(stream=streams())
 @example(stream=SPENT_ON_ONE)
 def test_wealth_is_the_budget_account(kind, path, stream):
+    if kind is ProcedureKind.LORD_DEP and stream[3:] == (0, 1):
+        # rebound to horizon 1 before any hypothesis: xi_1 = alpha / b0 = 2,
+        # refused as a fresh stream at horizon 1 is
+        with pytest.raises(ConfigError, match="leading coefficient"):
+            decisions(kind, stream, path)
+        return
     cfg, levels, rejected, wealth = decisions(kind, stream, path)
     earned = cfg.w0 + cfg.b0 * np.cumsum(rejected)
     account = earned - np.cumsum(levels)

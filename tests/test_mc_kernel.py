@@ -2,6 +2,7 @@
 every row the flags ``decide`` gives it, and estimates do not depend on the
 worker count."""
 
+import dataclasses
 import math
 import re
 
@@ -22,6 +23,7 @@ from onfdr.procedures import (
     make_stream,
     next_level,
     observe,
+    rebound_stream,
 )
 from onfdr.scenarios import (
     MixtureScenario,
@@ -74,10 +76,11 @@ def matrices(draw, max_rows=6, max_n=300):
 class TestDecideRows:
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(ALL_KINDS), bounded=st.booleans(),
-           p=matrices())
+           p=matrices(), rebound=st.none() | st.tuples(st.floats(0, 1),
+                                                      st.integers(0, 300)))
     @example(kind=ProcedureKind.LORD_DEP, bounded=True,
-             p=check_rows([[0.5]]))
-    def test_rows_equal_decide(self, kind, bounded, p):
+             p=check_rows([[0.5]]), rebound=None)
+    def test_rows_equal_decide(self, kind, bounded, p, rebound):
         n = p.shape[1]
         if kind is ProcedureKind.LORD_DEP and bounded and n == 1:
             # xi_1 = alpha / b0 > 1: refused. A skip here would skip every
@@ -85,7 +88,23 @@ class TestDecideRows:
             with pytest.raises(ConfigError, match="leading coefficient"):
                 config_of(kind, n, bounded)
             return
-        assert_rows_are_decides(config_of(kind, n, bounded), p)
+        cfg = config_of(kind, n, bounded)
+        assert_rows_are_decides(cfg, p)
+        if bounded and rebound is not None:
+            # a config rebound after ``at`` hypotheses: each row is decided
+            # to ``at``, rebound and decided on, with no code of its own
+            at = round(rebound[0] * n)
+            new_bound = max(n, at + 1) + rebound[1]
+            rebound_cfg = dataclasses.replace(
+                cfg, sequence=cfg.sequence.rebounded(at, new_bound))
+            got = decide_rows(rebound_cfg, p)
+            for r, row in enumerate(p):
+                state = make_stream(cfg)
+                head = decide(cfg, row[:at], state).rejected
+                rebound_stream(state, cfg, new_bound)
+                tail = decide(cfg, row[at:], state).rejected
+                np.testing.assert_array_equal(
+                    got[r], np.concatenate([head, tail]), err_msg=f"row {r}")
 
     @settings(max_examples=15, deadline=None)
     @given(kind=st.sampled_from(LOND_KINDS), bounded=st.booleans(),

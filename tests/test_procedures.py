@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from onfdr import procedures
 from onfdr.procedures import (
     ConfigError,
     HorizonExhaustedError,
@@ -512,6 +513,21 @@ class TestBoundsAndRebound:
         with pytest.raises(HorizonExhaustedError):
             next_level(state, cfg)
 
+    def test_rebound_table_is_its_specs(self):
+        # LORD++ bounded at 100, rebound after 40 to 300: the table a caller
+        # gets from the stream's spec is the stream's, not the fresh table
+        # of horizon 300 (whose coefficients differ by up to 44%)
+        cfg = default_config(ProcedureKind.LORDPP, alpha=0.05, bound=100)
+        state = make_stream(cfg)
+        decide(cfg, np.full(40, 0.5), state)
+        rebound_stream(state, cfg, 300)
+        table = procedures._cached_table(state.table.spec, 300)
+        assert table.coefficients.tobytes() == state.table.coefficients.tobytes()
+        fresh = make_stream(default_config(ProcedureKind.LORDPP, alpha=0.05,
+                                           bound=300)).table
+        assert state.table.spec != fresh.spec
+        assert np.abs(table.coefficients / fresh.coefficients - 1).max() > 0.4
+
     def test_rebound_requires_future_horizon(self):
         cfg = default_config(ProcedureKind.LORD2, alpha=0.05, bound=10)
         state = make_stream(cfg)
@@ -794,6 +810,13 @@ class TestDecide:
             decide(cfg, [0.5])
         with pytest.raises(ConfigError, match="leading coefficient"):
             decide(cfg, [0.5])   # a failed check is not cached as a pass
+        # the same table through a rebound at i = 0: the rebound table is
+        # its config's, with its refusal
+        cfg = default_config(ProcedureKind.LORD_DEP, alpha=0.05, bound=2)
+        state = make_stream(cfg)
+        with pytest.raises(ConfigError, match="leading coefficient"):
+            rebound_stream(state, cfg, 1)
+        assert state.table.bound == 2
 
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(MONOTONE_KINDS), bounded=st.booleans(),

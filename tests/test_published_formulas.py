@@ -3,15 +3,19 @@ under general histories, where discoveries and non-discoveries interleave.
 
 The formulas are the benchmark's own oracles (``bench/oracles.py``), each
 read from the discovery times and, for SAFFRON, the candidates:
-LORD++ (Ramdas et al., NeurIPS 2017), SAFFRON (Ramdas et al., ICML 2018)
-and dependent LORD (Javanmard & Montanari, Ann. Stat. 2018).  LOND in both
-forms, dependent LOND and Bonferroni are written here from their formulas
-(Javanmard & Montanari, Ann. Stat. 2018), and ``decide_rows``' flags are
-checked against them too.
+LORD++ (Ramdas et al., NeurIPS 2017), SAFFRON (Ramdas et al., ICML 2018),
+dependent LORD (Javanmard & Montanari, Ann. Stat. 2018) and LOND after a
+rebound (the bounded modification).  LORD2, LORD3, LOND in both forms,
+dependent LOND and Bonferroni are written here from their formulas
+(Javanmard & Montanari, Ann. Stat. 2018) over the table's coefficients,
+with sums and wealth kept exact or rounded once, and ``decide_rows``'
+flags are checked against the LOND and Bonferroni ones too.
 """
 
+import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +31,7 @@ sys.path.insert(0, os.path.join(
 from oracles import (  # noqa: E402
     close_rel,
     coefficients,
+    lond_rebound_levels,
     lord_dep_levels,
     lordpp_level,
     saffron_level,
@@ -47,10 +52,53 @@ def pvalues(draw) -> np.ndarray:
     return np.where(rng.random(n) < share, signal, rng.random(n))
 
 
+def assert_follows(got, want, p, flags=None) -> None:
+    """``decide``'s levels ``got`` within ``close_rel`` of the formula's
+    ``want`` at every index, and its decisions (and ``decide_rows``'
+    ``flags``) those of ``want`` wherever ``p`` is not that close to it."""
+    if flags is None:
+        flags = got.rejected
+    for i, (level, w, pv, rejected, flag) in enumerate(zip(
+            got.levels.tolist(), np.asarray(want).tolist(), p.tolist(),
+            got.rejected.tolist(), flags.tolist()), start=1):
+        assert close_rel(level, w), f"level at {i}: {level!r}, formula {w!r}"
+        if not close_rel(pv, w):
+            assert rejected == flag == (pv <= w), \
+                f"decision at {i}: p {pv!r}, formula level {w!r}"
+
+
+def lord_levels(config, rejected) -> list[float]:
+    """LORD2's and LORD3's level at every index, given the discovery times
+    ``tau_1 < tau_2 < ...`` that ``rejected`` marks:
+    - LORD2: ``gamma_i w0 + b0 sum_{tau_j < i} gamma_{i - tau_j}``, the sum
+      rounded once (``math.fsum``);
+    - LORD3: ``gamma_{i - tau} W(tau)``, ``tau`` the last discovery before
+      ``i`` (0 if none) and ``W(t) = W(t - 1) - alpha_t + b0 R_t`` the
+      wealth after hypothesis ``t``, ``W(0) = w0``, kept exactly."""
+    gamma = coefficients(config, len(rejected))
+    w0, b0 = Fraction(config.w0), Fraction(config.b0)
+    levels, tau, wealth, last, at_last = [], [], w0, 0, w0
+    for i, rej in enumerate(rejected.tolist(), start=1):
+        if config.kind is ProcedureKind.LORD2:
+            paid = math.fsum(gamma[i - np.array(tau, dtype=int)])
+            level = Fraction(float(gamma[i])) * w0 + b0 * Fraction(paid)
+        else:
+            level = Fraction(float(gamma[i - last])) * at_last
+        levels.append(float(level))
+        wealth -= level
+        if rej:
+            tau.append(i)
+            wealth += b0
+            last, at_last = i, wealth
+    return levels
+
+
 def published_levels(config, p, rejected) -> list[float]:
     """The level at every index from the rule's formula, given the
     discovery times ``rejected`` marks."""
     n = len(p)
+    if config.kind in (ProcedureKind.LORD2, ProcedureKind.LORD3):
+        return lord_levels(config, rejected)
     gamma = coefficients(config, n)
     tau = np.nonzero(rejected)[0] + 1
     if config.kind is ProcedureKind.LORDPP:
@@ -63,21 +111,15 @@ def published_levels(config, p, rejected) -> list[float]:
 
 
 @pytest.mark.parametrize("bound", [None, HORIZON], ids=["unbounded", "bounded"])
-@pytest.mark.parametrize("kind", [ProcedureKind.LORDPP, ProcedureKind.SAFFRON,
+@pytest.mark.parametrize("kind", [ProcedureKind.LORD2, ProcedureKind.LORD3,
+                                  ProcedureKind.LORDPP, ProcedureKind.SAFFRON,
                                   ProcedureKind.LORD_DEP], ids=lambda k: k.value)
 @settings(max_examples=40, deadline=None)
 @given(p=pvalues())
 def test_decide_follows_the_published_formula(kind, bound, p):
     config = default_config(kind, bound=bound)
     got = decide(config, p)
-    want = published_levels(config, p, got.rejected)
-    for i, (level, w, pv, rejected) in enumerate(zip(
-            got.levels.tolist(), want, p.tolist(), got.rejected.tolist()),
-            start=1):
-        assert close_rel(level, w), f"level at {i}: {level!r}, formula {w!r}"
-        if not close_rel(pv, w):
-            assert rejected == (pv <= w), \
-                f"decision at {i}: p {pv!r}, formula level {w!r}"
+    assert_follows(got, published_levels(config, p, got.rejected), p)
 
 
 def beta_levels(config, rejected) -> list[float]:
@@ -122,12 +164,18 @@ def test_lond_and_bonferroni_follow_their_formulas(rule, bound, p):
     kind, original = BETA_RULES[rule]
     config = default_config(kind, bound=bound, lond_original=original)
     got = decide(config, p)
-    want = beta_levels(config, got.rejected)
-    flags = decide_rows(config, check_rows([p]))[0]
-    for i, (level, w, pv, rejected, flag) in enumerate(zip(
-            got.levels.tolist(), want, p.tolist(), got.rejected.tolist(),
-            flags.tolist()), start=1):
-        assert close_rel(level, w), f"level at {i}: {level!r}, formula {w!r}"
-        if not close_rel(pv, w):
-            assert rejected == flag == (pv <= w), \
-                f"decision at {i}: p {pv!r}, formula level {w!r}"
+    assert_follows(got, beta_levels(config, got.rejected), p,
+                   decide_rows(config, check_rows([p]))[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=pvalues(), data=st.data())
+def test_lond_after_a_rebound_follows_its_formula(p, data):
+    # a config bounded at HORIZON / 2 and rebound to HORIZON after ``at``
+    # hypotheses, against the benchmark's formula on the rebound table
+    at = data.draw(st.integers(0, HORIZON // 2), label="at")
+    base = default_config(ProcedureKind.LOND_INDEP, bound=HORIZON // 2)
+    config = replace(base, sequence=base.sequence.rebounded(at, HORIZON))
+    got = decide(config, p)
+    assert_follows(got, lond_rebound_levels(base, got.rejected, at, HORIZON),
+                   p, decide_rows(config, check_rows([p]))[0])

@@ -242,6 +242,9 @@ class TestSpecValidation:
     def test_bound_must_be_positive(self):
         with pytest.raises(SequenceError, match="bound must be a positive integer"):
             SequenceSpec(SequenceKind.UNIFORM, bound=0)
+        # also each horizon a rebound started from
+        with pytest.raises(SequenceError, match="bound must be a positive integer"):
+            SequenceSpec(SequenceKind.UNIFORM, bound=5, rebounds=((0, 0),))
 
     @pytest.mark.parametrize("kind", [SequenceKind.JM_OPTIMAL,
                                       SequenceKind.INVERSE_SQUARE,
@@ -381,6 +384,17 @@ class TestRebound:
         spent = table.cumulative_sum(n)
         assert spent + new.coefficients[n:].sum() == pytest.approx(1.0,
                                                                    abs=1e-10)
+        # the table is its spec's, which is not a fresh table's of the new
+        # horizon, and a second rebound replays the first
+        assert build_table(new.spec).coefficients.tobytes() == \
+            new.coefficients.tobytes()
+        assert new.spec != dataclasses.replace(spec, bound=new_bound)
+        again = data.draw(st.integers(0, new_bound), label="again")
+        twice = rebound(new, again, data.draw(st.integers(again + 1, 200),
+                                              label="again_to"))
+        replayed = build_table(twice.spec)
+        assert replayed.coefficients.tobytes() == twice.coefficients.tobytes()
+        assert replayed.scale_constant == twice.scale_constant
 
     def test_double_rebound_conserves(self):
         table = self.uniform_table(1.0, 10)
