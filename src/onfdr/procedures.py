@@ -10,16 +10,21 @@ discoveries; Bonferroni's levels are its coefficients.
 Every procedure is driven through the same three operations:
 ``make_stream`` builds a fresh :class:`StreamState` from a validated
 :class:`ProcedureConfig`, ``next_level`` computes the upcoming test level
-without mutating the state, and ``observe`` consumes one p-value.  A stream
-is strictly sequential; distinct streams are independent.
+without advancing the stream, and ``observe`` consumes one p-value.  A
+stream is strictly sequential; distinct streams are independent.  A payout
+rule's state carries an account (:class:`_Account`): the later
+discoveries' payouts summed, in discovery order, on a block of upcoming
+clocks, so a step reads one sum instead of one coefficient per discovery.
 
 ``decide`` consumes a run of p-values at once and equals the fold of
-``observe`` over them: one windowed vector search per discovery, and for
-LOND, whose levels only grow with the discoveries, a few passes that
-accept every hit of a window at once (over a matrix in ``decide_rows``).
-Given a state it resumes that stream and advances it in place, so a long
-stream can be decided in chunks, with ``observe`` and ``rebound_stream``
-between them.
+``observe`` over them, levels included, bit for bit: one windowed vector
+search per discovery, and for LOND, whose levels only grow with the
+discoveries, a few passes that accept every hit of a window at once (over
+a matrix in ``decide_rows``).  Given a state it resumes that stream and
+advances it in place, so a long stream can be decided in chunks, with
+``observe`` and ``rebound_stream`` between them; a payout rule's chunk
+takes the earlier discoveries' payouts from the account and leaves one for
+the clocks after it.
 
 ``decide_rows`` decides many fresh streams of one length at once, one row
 of a matrix each, with the flags ``decide`` gives each row; the Monte
@@ -150,6 +155,28 @@ class DecisionRecord:
     wealth_after: float | None = None
 
 
+@dataclass(eq=False)
+class _Account:
+    """Payout sums of a stream's discoveries on a run of clocks: ``sums[x]``
+    adds up, in discovery order, ``gamma(start + x - d)`` over the clocks
+    ``d < start + x`` of the discoveries ``skip, ..., paid - 1`` (``skip``
+    is 1 for LORD++ and SAFFRON, whose first discovery joins the base term).
+
+    A cache of the table's spec, the clock buffer and the count paid: it is
+    read only while its ``spec`` and ``clocks`` are the state's and ``paid``
+    is at most the state's discoveries, so a rebound, a new clock buffer
+    (grown, or given through ``dataclasses.replace``) or fewer discoveries
+    make it be rebuilt; a deep copy keeps it, keyed on the copied buffer.
+    """
+
+    spec: SequenceSpec
+    clocks: np.ndarray
+    skip: int
+    paid: int
+    start: int
+    sums: np.ndarray
+
+
 @dataclass
 class StreamState:
     """Sufficient statistics of one running stream; its horizon is its table's."""
@@ -165,6 +192,8 @@ class StreamState:
     # (the time less the candidates through it for SAFFRON, the time else)
     _tau: np.ndarray = field(default_factory=lambda: np.zeros(16, dtype=np.int64))
     _clock: np.ndarray = field(default_factory=lambda: np.zeros(16, dtype=np.int64))
+    # LORD2, LORD++, SAFFRON: the payout sums of the clocks ahead
+    _account: _Account | None = field(default=None, repr=False, compare=False)
 
     @property
     def bound(self) -> int | None:
@@ -237,8 +266,11 @@ def _table_cache(spec: SequenceSpec) -> SequenceTable:
 
 def _cached_table(spec: SequenceSpec, length_hint: int) -> SequenceTable:
     """The shared table for ``spec``; an infinite one is extended to
-    ``length_hint`` terms as a new value, leaving the cached one as it is."""
-    table = _table_cache(spec)
+    ``length_hint`` terms as a new value, leaving the cached one as it is.
+    The table of a rebound spec is :func:`build_table`'s, which keeps only
+    the last two, so a long chain of rebounds does not hold every table it
+    passed through."""
+    table = build_table(spec) if spec.rebounds else _table_cache(spec)
     return table if spec.bound is not None else table.extended(length_hint)
 
 
@@ -281,23 +313,56 @@ def _horizon_error(bound: int, located: bool = False) -> HorizonExhaustedError:
         f"at stream index {bound + 1}: {message}" if located else message)
 
 
-def _payout_sum(table: SequenceTable, gaps: np.ndarray) -> float:
-    """Sum of coefficients at the given 1-based index gaps."""
-    coeffs = table.coefficients
-    if len(gaps) < 24:
-        # in discovery order, faster than numpy on few terms.  This order at
-        # every length would make decide equal the fold bit for bit, but it
-        # made a 10^5-row observe loop about 24% slower (2-CPU x86 machine).
-        return float(sum(coeffs[g - 1] for g in gaps.tolist()))
-    return float(coeffs[gaps - 1].sum())
+# clocks a payout stream's account is rebuilt over when its clock leaves it
+_ACCOUNT = 4096
+
+
+def _account_of(state: StreamState, skip: int) -> _Account | None:
+    """The state's payout account while it is its table's and clock
+    buffer's (see :class:`_Account`), else None."""
+    acc = state._account
+    if acc is None or acc.spec is not state.table.spec or \
+            acc.clocks is not state._clock or acc.skip != skip or \
+            acc.paid > state.discoveries:
+        return None
+    return acc
+
+
+def _account_sum(state: StreamState, skip: int, c: int) -> float:
+    """The payout sum of the state's discoveries after the first ``skip``
+    on clock ``c``, read from its account, which is filled here first: one
+    that does not hold ``c`` is replaced by the ``_ACCOUNT`` clocks from
+    ``c`` (as far as the table reaches), and the discoveries not paid yet
+    are added in order, one slice add each over the rest of the account."""
+    acc = _account_of(state, skip)
+    k, g = state.discoveries, state.table.coefficients
+    if acc is None or not acc.start <= c < acc.start + len(acc.sums):
+        sums = np.zeros(min(_ACCOUNT, len(g) + 1 - c))
+        # every discovery is before c: gamma(c - d) on, from g[c - 1 - d]
+        for o in ((c - 1) - state._clock[skip:k]).tolist():
+            sums += g[o:o + len(sums)]
+        acc = state._account = _Account(state.table.spec, state._clock, skip,
+                                        k, c, sums)
+    elif acc.paid < k:
+        start, sums = acc.start, acc.sums
+        end = start + len(sums)
+        for d in state._clock[max(acc.paid, skip):k].tolist():
+            lo = max(d + 1, start)
+            sums[lo - start:] += g[lo - d - 1:end - d - 1]
+        acc.paid = k
+    return float(acc.sums[c - acc.start])
 
 
 def next_level(state: StreamState, config: ProcedureConfig) -> float:
-    """Test level for hypothesis ``state.i + 1``; does not mutate the state.
+    """Test level for hypothesis ``state.i + 1``.
 
     One branch per family: payout (the clock is the index, less the
     candidates for SAFFRON, whose level is capped at lambda), wealth (LORD3
-    restarts its coefficients at each discovery), LOND and Bonferroni."""
+    restarts its coefficients at each discovery), LOND and Bonferroni.
+    The stream is not advanced; a payout rule's level reads the sum of its
+    later discoveries' payouts from the state's account, which this call
+    fills lazily (:func:`_account_sum`), so a step costs O(1) but for one
+    O(D) rebuild every ``_ACCOUNT`` clocks."""
     i = state.i + 1
     table = state.table
     if table.bound is not None and i > table.bound:
@@ -307,14 +372,14 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
 
     if kind in _PAYOUT_KINDS:
         first, later = _payout_weights(config)
+        skip = 0 if first is None else 1
         c = i - state.candidates_total
-        level = table.coefficient(c) * config.w0
-        if k:
-            gaps = c - state._clock[:k]
-            if first is not None:
-                level += first * table.coefficient(int(gaps[0]))
-                gaps = gaps[1:]
-            level += later * _payout_sum(table, gaps)
+        g = table.coefficients   # holds clock c: c <= i
+        level = float(g[c - 1]) * config.w0
+        if k and first is not None:
+            level += first * float(g[c - 1 - state._clock[0]])
+        if k > skip:
+            level += later * _account_sum(state, skip, c)
         return min(config.lam, level) if kind is ProcedureKind.SAFFRON else level
 
     if kind in _WEALTH_KINDS:
@@ -521,9 +586,14 @@ def decide(config: ProcedureConfig, pvalues,
     closed-form vector, so :func:`_scan` finds each discovery with one
     search of a window after the one before; LOND's levels never fall when
     a discovery is added before them, so :func:`_lond_search` accepts every
-    hit of a window at once.  Decisions and wealth equal the fold's; payout
-    levels (LORD2, LORD++, SAFFRON) after 24 or more discoveries are summed
-    in another order and agree to rounding.
+    hit of a window at once.  Levels, decisions and wealth equal the
+    fold's bit for bit: payouts (LORD2, LORD++, SAFFRON) are summed in
+    discovery order, as the fold's account sums them.  On a resumed payout
+    stream the earlier discoveries' payouts come from the state's account
+    where it covers the run, and the call leaves in the state an account
+    of at least as many clocks after the run as the run has hypotheses, so
+    a chunk no longer than the one before pays no stored discovery over
+    its own clocks again.
     """
     fresh = state is None
     state = make_stream(config, length_hint=1) if fresh else state
@@ -538,12 +608,14 @@ def decide(config: ProcedureConfig, pvalues,
                          f"in [0, 1], got {given[k]!r}")
     if room < n:
         raise _horizon_error(state.bound, located=True)
+    kind = config.kind
+    # a resumed payout stream keeps the payout sums of the clocks after the run
+    ahead = 0 if fresh or kind not in _PAYOUT_KINDS else max(n, _ACCOUNT)
     if state.bound is None:   # the fold keeps one term past the last index
-        state.table = state.table.extended(i0 + n + 1)
+        state.table = state.table.extended(i0 + n + 1 + ahead)
     g = state.table.coefficients
     gamma = g[i0:i0 + n]
-    kind = config.kind
-    wealth = None
+    wealth = account = None
 
     if kind is ProcedureKind.BONFERRONI:
         levels = gamma.copy()   # not a view of the shared table
@@ -593,8 +665,9 @@ def decide(config: ProcedureConfig, pvalues,
     else:
         candidates = np.cumsum(p <= config.lam) \
             if kind is ProcedureKind.SAFFRON else None
-        levels, rejected = _scan(
-            p, *_payout_levels(config, state, p, g, candidates))
+        fill, found, account = _payout_levels(config, state, p, g, candidates,
+                                              resumed=not fresh)
+        levels, rejected = _scan(p, fill, found)
 
     if fresh:   # nobody holds the state
         return Decisions(levels, rejected, wealth)
@@ -605,13 +678,17 @@ def decide(config: ProcedureConfig, pvalues,
         state.candidates_total += int(candidates[-1]) if n else 0
     state._push_rejections(tau, clocks)
     state.i = i0 + n
+    if account is not None:   # keyed on the clock buffer pushed to
+        account.clocks, account.paid = state._clock, state.discoveries
+        state._account = account
     return Decisions(levels, rejected, wealth)
 
 
 def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
-                   g: np.ndarray, candidates: np.ndarray | None):
+                   g: np.ndarray, candidates: np.ndarray | None, resumed: bool):
     """:func:`_scan`'s ``fill`` and ``found`` for the payout family (LORD2,
-    LORD++ and SAFFRON).
+    LORD++ and SAFFRON), and on a ``resumed`` stream the account to leave
+    in its state (its clock buffer and count paid still to be set).
 
     The clock is the hypothesis index, or for SAFFRON the index less the
     candidates (``p <= lambda``) up to it; ``candidates`` counts them
@@ -623,9 +700,17 @@ def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
     the candidates just before it; their levels are filled when it is
     found, so its gamma(1) on that clock reaches only the hypotheses after
     it.
+
+    On a resumed stream the payouts also run on past the run, over at least
+    as many clocks as the run has hypotheses (as far as the table reaches),
+    and those clocks become the account it leaves: as far as the state's
+    account reaches, or if that is not so far, ``_ACCOUNT`` clocks at
+    least.  Where the state's account covers the clocks, its sums are taken
+    and the earlier discoveries it holds are not paid again.
     """
     n = len(p)
     first, later = _payout_weights(config)
+    skip = 0 if first is None else 1
     origin = state.i - state.candidates_total   # clock before the run
     if candidates is not None:
         clock = np.arange(n)   # clock - origin - 1
@@ -633,7 +718,22 @@ def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
         span = int(clock[-1]) + 1 if n else 0
     else:
         clock, span = None, n
-    base, payout = g[origin:origin + span] * config.w0, np.zeros(span)
+    base = g[origin:origin + span] * config.w0
+    size, have, paid = span, 0, 0   # clocks paid; from the account; its count
+    if resumed:
+        # the clock after the run, less origin + 1
+        after = n - int(candidates[-1]) if candidates is not None and n else n
+        room = len(g) - origin
+        acc = _account_of(state, skip)
+        if acc is not None and acc.start <= origin + 1:
+            off = origin + 1 - acc.start
+            have = max(0, min(len(acc.sums) - off, room))
+            paid = acc.paid
+        size = min(room, have if have >= after + n
+                   else after + max(n, _ACCOUNT))
+    payout = np.zeros(size)
+    if have:
+        payout[:have] = acc.sums[off:off + have]
 
     def pay(q):
         """Add the payout of a discovery whose gamma(1) falls on clock
@@ -641,13 +741,24 @@ def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
         nonlocal first
         s = max(q, 0)
         if first is None:
-            payout[s:] += g[s - q:span - q]
+            payout[s:] += g[s - q:size - q]
         else:
             base[s:] += first * g[s - q:span - q]
             first = None
 
-    for d in state._clock[:state.discoveries].tolist():
-        pay(d - origin)
+    if state.discoveries:   # of a resumed stream
+        stored = state._clock[:state.discoveries].tolist()
+        if skip:   # the first joins the base term
+            pay(stored[0] - origin)
+        # the later ones, on clocks d <= origin: those in the account from
+        # the first clock past it, the rest from the run's first;
+        # gamma(origin + 1 + x - d) is g[origin + x - d]
+        for lo, clocks in ((have, stored[skip:paid]),
+                           (0, stored[max(paid, skip):])):
+            tail = payout[lo:]
+            for d in clocks:
+                o = origin + lo - d
+                tail += g[o:o + len(tail)]
 
     def fill(s, out):
         at = slice(s, s + len(out)) if clock is None else clock[s:s + len(out)]
@@ -659,7 +770,9 @@ def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
     def found(t, levels):
         pay(t + 1 if clock is None else t + 1 - int(candidates[t]))
 
-    return fill, found
+    account = _Account(state.table.spec, None, skip, 0, origin + after + 1,
+                       payout[after:]) if resumed else None
+    return fill, found, account
 
 
 # ---------------------------------------------------------------------------
@@ -944,6 +1057,7 @@ def rebound_stream(state: StreamState, config: ProcedureConfig,
     except ValueError as exc:   # the spec's refusal
         raise ConfigError(str(exc)) from exc
     state.table = make_stream(replace(config, sequence=spec)).table
+    state._account = None   # paid from the old table
     return state
 
 

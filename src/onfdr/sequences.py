@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -367,10 +367,8 @@ def build_table(spec: SequenceSpec, length_hint: int = 1024) -> SequenceTable:
     """Materialize a table for ``spec``; bounded specs materialize fully."""
     if length_hint < 1:
         raise ValueError("length_hint must be >= 1")
-    if spec.rebounds:   # the last rebound, replayed on the table before it
-        *earlier, (n, before) = spec.rebounds
-        table = build_table(replace(spec, bound=before, rebounds=tuple(earlier)))
-        return rebound(table, n, spec.bound)
+    if spec.rebounds:
+        return _replayed(spec)
     scale = _scale_constant(spec)
     n = spec.bound if spec.bound is not None else length_hint
     idx = np.arange(1, n + 1)
@@ -379,6 +377,17 @@ def build_table(spec: SequenceSpec, length_hint: int = 1024) -> SequenceTable:
         scale_constant=scale,
         coefficients=scale * _shape(spec, idx),
     )
+
+
+@lru_cache(maxsize=2)
+def _replayed(spec: SequenceSpec) -> SequenceTable:
+    """The table of a rebound spec: its last rebound replayed on the table
+    of the spec before it.  Cached, so that each table of a chain of
+    rebounds is built once, not once for every later rebound; two entries
+    hold a chain's last table and the one before it."""
+    *earlier, (n, before) = spec.rebounds
+    table = build_table(replace(spec, bound=before, rebounds=tuple(earlier)))
+    return rebound(table, n, spec.bound)
 
 
 def validate_xi(table: SequenceTable, w0: float, b0: float, alpha: float) -> bool:

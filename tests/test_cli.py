@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onfdr import cli
 from onfdr.cli import CHUNK_ROWS, _parse_rows, _write_rows, main
 from onfdr.procedures import Decisions, ProcedureKind, decide, \
     default_config, make_stream, rebound_stream, run_stream
@@ -348,8 +349,7 @@ class TestRunInChunks:
         assert [r["rejected"] == "true" for r in rows] == \
             [rec.rejected for rec in recs]
         assert any(rec.rejected for rec in recs)
-        assert np.allclose([float(r["alpha_i"]) for r in rows],
-                           [rec.level for rec in recs], rtol=1e-12, atol=0)
+        assert [float(r["alpha_i"]) for r in rows] == [rec.level for rec in recs]
         assert [float(r["wealth"]) if r["wealth"] else None for r in rows] == \
             [rec.wealth_after for rec in recs]
 
@@ -491,6 +491,41 @@ _BYTES_CASES = {
         chunked_rows(9500), LORDPP, 10000, (9000, 20000), 2,
         "onfdr: line 9502: p-value must lie in [0, 1], got 1.5\n"),
 }
+
+
+@pytest.fixture(scope="module")
+def dense_stream(tmp_path_factory):
+    """A 20 000-row CSV in which 8% of the p-values are below 1e-6, so that
+    each payout rule makes well over 1000 discoveries."""
+    rng = np.random.default_rng(24)
+    p = np.where(rng.random(LONG_ROWS) < 0.08, rng.random(LONG_ROWS) * 1e-6,
+                 rng.random(LONG_ROWS))
+    path = tmp_path_factory.mktemp("dense") / "p.csv"
+    path.write_text("id,pvalue\n" + "".join(f"h{i},{v!r}\n"
+                                            for i, v in enumerate(p.tolist())))
+    return str(path)
+
+
+class TestChunkSize:
+    # each chunk's decide call resumes the stream's payout account, whether
+    # chunks are far shorter than the account's block, shorter or longer
+    @pytest.mark.parametrize("extra", [
+        [], ["--bound", "12000", "--rebound", "10000:20000"]],
+        ids=["unbounded", "rebound"])
+    @pytest.mark.parametrize("kind", ["lord2", "lord++", "saffron"])
+    def test_output_does_not_depend_on_it(self, dense_stream, tmp_path,
+                                          monkeypatch, kind, extra):
+        def run(name):
+            out = tmp_path / name
+            assert main(["run", "--input", dense_stream, "--output", str(out),
+                         "--procedure", kind, *extra]) == 0
+            return out.read_bytes()
+
+        want = run("default.csv")
+        assert want.count(b",true,") > 1000
+        for rows in (7, 64, 5000):
+            monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+            assert run(f"chunks-{rows}.csv") == want, rows
 
 
 class TestRunBytes:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import re
@@ -632,7 +633,7 @@ def assert_kernel_equals_fold(cfg, p):
         return
     got = decide(cfg, np.asarray(p, dtype=float))
     assert got.rejected.tolist() == [r.rejected for r in recs]
-    assert np.allclose(got.levels, [r.level for r in recs], rtol=1e-12, atol=0)
+    assert got.levels.tolist() == [r.level for r in recs]
     if cfg.kind in (ProcedureKind.LORD3, ProcedureKind.LORD_DEP):
         assert got.wealth.tolist() == [r.wealth_after for r in recs]
     else:
@@ -727,7 +728,7 @@ class TestDecide:
                 else got.wealth.tolist()
         recs += run_stream(cfg, p[len(recs):], state=fold)
         assert rejected == [r.rejected for r in recs]
-        assert np.allclose(levels, [r.level for r in recs], rtol=1e-12, atol=0)
+        assert levels == [r.level for r in recs]
         assert wealth == [r.wealth_after for r in recs]
         assert_same_state(state, fold, cfg)
 
@@ -742,8 +743,8 @@ class TestDecide:
         assert_kernel_equals_fold(data.draw(kernel_configs(None)), p.tolist())
 
     def test_many_discoveries_reorder_payout_sums(self):
-        # more than 24 discoveries: the fold sums payouts pairwise, the
-        # kernel in discovery order; decisions still agree exactly
+        # hundreds of discoveries: the fold's account and the kernel both
+        # sum the payouts in discovery order, so the levels agree bit for bit
         p = [0.0] * 40 + [1e-4, 0.3, 2e-3] * 100
         for kind in (ProcedureKind.LORD2, ProcedureKind.LORDPP,
                      ProcedureKind.SAFFRON):
@@ -823,9 +824,9 @@ class TestDecide:
            data=st.data())
     def test_ties_at_the_fold_level(self, kind, bounded, data):
         # p-values at the fold's level and one ulp either side: a level
-        # rounded another way would decide one of them otherwise (under 24
-        # discoveries the fold sums in discovery order too, so its levels
-        # are the kernel's bit for bit)
+        # rounded another way would decide one of them otherwise (the fold
+        # sums payouts in discovery order too, so its levels are the
+        # kernel's bit for bit)
         n = data.draw(st.integers(1, 23), label="n")
         cfg = default_config(kind, alpha=0.05, bound=n if bounded else None)
         state, p = make_stream(cfg), []
@@ -947,13 +948,130 @@ class TestDecide:
 
 
 def assert_levels_are_the_folds(cfg, p):
-    """Decisions equal the fold's; so do the levels, bit for bit, while the
-    fold sums its payouts in discovery order (under 24 discoveries)."""
+    """Decisions and levels equal the fold's, bit for bit."""
     recs = run_stream(cfg, p)
     got = decide(cfg, p)
     assert got.rejected.tolist() == [r.rejected for r in recs]
-    if sum(r.rejected for r in recs) < 24:
-        assert got.levels.tolist() == [r.level for r in recs]
-    else:
-        assert np.allclose(got.levels, [r.level for r in recs], rtol=1e-12,
-                           atol=0)
+    assert got.levels.tolist() == [r.level for r in recs]
+
+
+PAYOUT_KINDS = [ProcedureKind.LORD2, ProcedureKind.LORDPP, ProcedureKind.SAFFRON]
+
+
+def free_rejection(state, p, cfg):
+    """An index before ``state.i`` that a rejection could be added at (a
+    candidate for SAFFRON) and its clock, or None."""
+    taken = set(state.rejection_times)
+    for t in range(state.i, 0, -1):
+        if t not in taken and (cfg.kind is not ProcedureKind.SAFFRON
+                               or p[t - 1] <= cfg.lam):
+            clock = t - int(np.sum(p[:t] <= cfg.lam)) \
+                if cfg.kind is ProcedureKind.SAFFRON else t
+            return t, clock
+    return None
+
+
+class TestAccount:
+    """The payout sums a payout rule's state carries for the clocks ahead."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(PAYOUT_KINDS), bounded=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_every_path_equals_a_fresh_fold(self, kind, bounded, seed, data):
+        # a stream longer than one account block, with hundreds of
+        # discoveries, through observe steps, decide chunks shorter and
+        # longer than the block, rebounds, deep copies and copies with new
+        # clock buffers (given a rejection as with_rejection gives one, or
+        # not), against a fold stepped alongside: every level and decision
+        # bit for bit, and the same state after each step
+        block = procedures._ACCOUNT
+        n = data.draw(st.integers(block + 1, block + 1500), label="n")
+        rng = np.random.default_rng(seed)
+        p = np.where(rng.random(n) < 0.15, 1e-6 * rng.random(n), rng.random(n))
+        cfg = default_config(kind, alpha=0.05, bound=n if bounded else None)
+        state, fold = make_stream(cfg), make_stream(cfg)
+        while state.i < n:
+            step = data.draw(st.sampled_from(
+                ["long", "short", "observe", "rebound", "deepcopy", "copy"]),
+                label="step")
+            a = state.i
+            if step == "observe":
+                rec = observe(state, p[a], cfg)
+                got = [rec.level], [rec.rejected]
+            elif step in ("short", "long"):
+                size = data.draw(st.integers(1, 300) if step == "short" else
+                                 st.integers(block + 1, 2 * block), label="size")
+                b = min(a + size, n)
+                d = decide(cfg, p[a:b], state)
+                got = d.levels.tolist(), d.rejected.tolist()
+                # the account starts at the next clock and covers at least
+                # as many clocks as the run had hypotheses, as far as the
+                # table reaches
+                acc = state._account
+                nxt = state.i - state.candidates_total + 1
+                assert acc.start == nxt and acc.paid == state.discoveries
+                assert len(acc.sums) >= min(b - a, len(state.table) + 1 - nxt)
+            else:
+                if step == "rebound" and bounded:
+                    new_bound = state.bound + data.draw(st.integers(0, 3000),
+                                                        label="extra horizon")
+                    rebound_stream(state, cfg, new_bound)
+                    rebound_stream(fold, cfg, new_bound)
+                elif step == "deepcopy":
+                    state = copy.deepcopy(state)
+                elif step == "copy":
+                    free = free_rejection(fold, p, cfg)
+                    if free is not None and data.draw(st.booleans(),
+                                                      label="add rejection"):
+                        state, fold = (with_rejection(s, *free)
+                                       for s in (state, fold))
+                    else:
+                        state = dataclasses.replace(
+                            state, _tau=state._tau.copy(),
+                            _clock=state._clock.copy())
+                assert_same_state(state, fold, cfg)
+                continue
+            recs = run_stream(cfg, p[a:state.i], state=fold)
+            assert got == ([r.level for r in recs], [r.rejected for r in recs])
+            assert_same_state(state, fold, cfg)
+        assert fold.discoveries >= 100
+
+    def test_decide_chunks_take_the_account(self):
+        # a chunk whose clocks the account covers reads its payouts from it:
+        # a wrong account shows in the chunk's levels
+        cfg = default_config(ProcedureKind.LORD2, alpha=0.05)
+        p = np.where(np.arange(3000) % 10 == 0, 0.0, 0.9)
+        state = make_stream(cfg)
+        decide(cfg, p[:1000], state)
+        state._account.sums[:] += 1.0
+        got = decide(cfg, p[1000:2000], state)
+        want = decide(cfg, p).levels[1000:2000]
+        assert np.allclose(got.levels, want + cfg.b0, rtol=1e-12, atol=0)
+
+    def test_a_copy_with_fewer_discoveries_rebuilds(self):
+        # a copy that shares the clock buffer but holds one discovery less
+        # must not read the payout the account holds for the one it lacks
+        cfg = default_config(ProcedureKind.LORD2, alpha=0.05)
+        state = make_stream(cfg)
+        run_stream(cfg, [0.0] * 5 + [0.9] * 5, state=state)
+        before = copy.deepcopy(state)
+        observe(before, 0.9, cfg)
+        observe(state, 0.0, cfg)
+        observe(state, 0.9, cfg)   # pays that discovery from clock 12 on
+        back = dataclasses.replace(state, i=before.i,
+                                   discoveries=before.discoveries)
+        assert next_level(back, cfg) == next_level(before, cfg)
+
+    def test_a_copy_on_another_clock_buffer_rebuilds(self):
+        # with_rejection's copy holds an earlier rejection more, on a new
+        # clock buffer, and shares the account object: neither state may
+        # read the other's sums
+        cfg = default_config(ProcedureKind.LORD2, alpha=0.05)
+        state = make_stream(cfg)
+        run_stream(cfg, [0.0, 0.9, 0.9, 0.0, 0.9, 0.9, 0.9], state=state)
+        level = next_level(state, cfg)
+        more = with_rejection(state, 2, 2)
+        assert more._account is state._account
+        want = next_level(dataclasses.replace(more, _account=None), cfg)
+        assert next_level(more, cfg) == want > level
+        assert next_level(state, cfg) == level

@@ -1,5 +1,7 @@
-"""``decide``'s levels and decisions against the rules' published formulas
-under general histories, where discoveries and non-discoveries interleave.
+"""``decide``'s levels and decisions, and those of the ``observe`` fold and
+of a stream that takes turns between the two, against the rules' published
+formulas under general histories, where discoveries and non-discoveries
+interleave.
 
 The formulas are the benchmark's own oracles (``bench/oracles.py``), each
 read from the discovery times and, for SAFFRON, the candidates:
@@ -23,8 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onfdr.procedures import ProcedureKind, check_rows, decide, \
-    decide_rows, default_config
+from onfdr.procedures import Decisions, ProcedureKind, check_rows, decide, \
+    decide_rows, default_config, make_stream, observe, run_stream
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
@@ -65,6 +67,40 @@ def assert_follows(got, want, p, flags=None) -> None:
         if not close_rel(pv, w):
             assert rejected == flag == (pv <= w), \
                 f"decision at {i}: p {pv!r}, formula level {w!r}"
+
+
+def folded(config, p) -> Decisions:
+    """The levels and decisions of folding ``observe`` over ``p``."""
+    recs = run_stream(config, p)
+    return Decisions(np.array([r.level for r in recs]),
+                     np.array([r.rejected for r in recs]), None)
+
+
+def interleaved(config, p) -> Decisions:
+    """The levels and decisions of one stream decided in turns: one
+    ``observe`` step, then a ``decide`` call on the next 1, 2, 3, ...
+    hypotheses, and so on."""
+    state, levels, rejected = make_stream(config), [], []
+    a, size = 0, 1
+    while a < len(p):
+        rec = observe(state, p[a], config)
+        levels.append(rec.level)
+        rejected.append(rec.rejected)
+        got = decide(config, p[a + 1:a + 1 + size], state)
+        levels += got.levels.tolist()
+        rejected += got.rejected.tolist()
+        a, size = a + 1 + size, size + 1
+    return Decisions(np.array(levels), np.array(rejected), None)
+
+
+def assert_paths_follow(config, p, want, flags=None) -> None:
+    """``decide``, the fold and the interleaved stream all follow ``want``
+    (from ``decide``'s decisions, which the other two share)."""
+    got = decide(config, p)
+    assert_follows(got, want, p, flags)
+    for other in (folded(config, p), interleaved(config, p)):
+        assert other.rejected.tolist() == got.rejected.tolist()
+        assert_follows(other, want, p)
 
 
 def lord_levels(config, rejected) -> list[float]:
@@ -118,8 +154,8 @@ def published_levels(config, p, rejected) -> list[float]:
 @given(p=pvalues())
 def test_decide_follows_the_published_formula(kind, bound, p):
     config = default_config(kind, bound=bound)
-    got = decide(config, p)
-    assert_follows(got, published_levels(config, p, got.rejected), p)
+    assert_paths_follow(config, p, published_levels(
+        config, p, decide(config, p).rejected))
 
 
 def beta_levels(config, rejected) -> list[float]:
@@ -163,9 +199,9 @@ BETA_RULES = {
 def test_lond_and_bonferroni_follow_their_formulas(rule, bound, p):
     kind, original = BETA_RULES[rule]
     config = default_config(kind, bound=bound, lond_original=original)
-    got = decide(config, p)
-    assert_follows(got, beta_levels(config, got.rejected), p,
-                   decide_rows(config, check_rows([p]))[0])
+    assert_paths_follow(config, p,
+                        beta_levels(config, decide(config, p).rejected),
+                        decide_rows(config, check_rows([p]))[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,6 +212,6 @@ def test_lond_after_a_rebound_follows_its_formula(p, data):
     at = data.draw(st.integers(0, HORIZON // 2), label="at")
     base = default_config(ProcedureKind.LOND_INDEP, bound=HORIZON // 2)
     config = replace(base, sequence=base.sequence.rebounded(at, HORIZON))
-    got = decide(config, p)
-    assert_follows(got, lond_rebound_levels(base, got.rejected, at, HORIZON),
-                   p, decide_rows(config, check_rows([p]))[0])
+    assert_paths_follow(config, p, lond_rebound_levels(
+        base, decide(config, p).rejected, at, HORIZON),
+        decide_rows(config, check_rows([p]))[0])
