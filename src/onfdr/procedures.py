@@ -15,6 +15,8 @@ stream is strictly sequential; distinct streams are independent.  A payout
 rule's state carries an account (:class:`_Account`): the later
 discoveries' payouts summed, in discovery order, on a block of upcoming
 clocks, so a step reads one sum instead of one coefficient per discovery.
+One routine fills it (:func:`_fill_account`), for ``observe`` and
+``decide`` alike.
 
 ``decide`` consumes a run of p-values at once and equals the fold of
 ``observe`` over them, levels included, bit for bit: one windowed vector
@@ -23,8 +25,8 @@ discoveries, a few passes that accept every hit of a window at once (over
 a matrix in ``decide_rows``).  Given a state it resumes that stream and
 advances it in place, so a long stream can be decided in chunks, with
 ``observe`` and ``rebound_stream`` between them; a payout rule's chunk
-takes the earlier discoveries' payouts from the account and leaves one for
-the clocks after it.
+takes the earlier discoveries' payouts on its clocks from the account, and
+the next call pays the chunk's own discoveries into it.
 
 ``decide_rows`` decides many fresh streams of one length at once, one row
 of a matrix each, with the flags ``decide`` gives each row; the Monte
@@ -167,6 +169,8 @@ class _Account:
     is at most the state's discoveries, so a rebound, a new clock buffer
     (grown, or given through ``dataclasses.replace``) or fewer discoveries
     make it be rebuilt; a deep copy keeps it, keyed on the copied buffer.
+    Discoveries made since it was filled (by ``observe`` steps or a
+    ``decide`` chunk) are paid into it when it is next read.
     """
 
     spec: SequenceSpec
@@ -328,17 +332,18 @@ def _account_of(state: StreamState, skip: int) -> _Account | None:
     return acc
 
 
-def _account_sum(state: StreamState, skip: int, c: int) -> float:
-    """The payout sum of the state's discoveries after the first ``skip``
-    on clock ``c``, read from its account, which is filled here first: one
-    that does not hold ``c`` is replaced by the ``_ACCOUNT`` clocks from
-    ``c`` (as far as the table reaches), and the discoveries not paid yet
-    are added in order, one slice add each over the rest of the account."""
+def _fill_account(state: StreamState, skip: int, c: int, n: int = 1) -> _Account:
+    """The state's payout account, filled to hold the payout sums of its
+    discoveries after the first ``skip`` on clocks ``c, ..., c + n - 1``:
+    one that does not cover them is replaced by ``max(n, _ACCOUNT)`` clocks
+    from ``c`` (as far as the table reaches), and the discoveries not paid
+    yet are added in order, one slice add each over the rest of the
+    account.  Every discovery is before ``c``."""
     acc = _account_of(state, skip)
     k, g = state.discoveries, state.table.coefficients
-    if acc is None or not acc.start <= c < acc.start + len(acc.sums):
-        sums = np.zeros(min(_ACCOUNT, len(g) + 1 - c))
-        # every discovery is before c: gamma(c - d) on, from g[c - 1 - d]
+    if acc is None or not acc.start <= c <= acc.start + len(acc.sums) - n:
+        sums = np.zeros(min(max(n, _ACCOUNT), len(g) + 1 - c))
+        # gamma(c - d) on, from g[c - 1 - d]
         for o in ((c - 1) - state._clock[skip:k]).tolist():
             sums += g[o:o + len(sums)]
         acc = state._account = _Account(state.table.spec, state._clock, skip,
@@ -350,7 +355,7 @@ def _account_sum(state: StreamState, skip: int, c: int) -> float:
             lo = max(d + 1, start)
             sums[lo - start:] += g[lo - d - 1:end - d - 1]
         acc.paid = k
-    return float(acc.sums[c - acc.start])
+    return acc
 
 
 def next_level(state: StreamState, config: ProcedureConfig) -> float:
@@ -360,9 +365,9 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
     candidates for SAFFRON, whose level is capped at lambda), wealth (LORD3
     restarts its coefficients at each discovery), LOND and Bonferroni.
     The stream is not advanced; a payout rule's level reads the sum of its
-    later discoveries' payouts from the state's account, which this call
-    fills lazily (:func:`_account_sum`), so a step costs O(1) but for one
-    O(D) rebuild every ``_ACCOUNT`` clocks."""
+    later discoveries' payouts on clock ``c`` from the state's account, one
+    entry, which this call fills lazily (:func:`_fill_account`), so a step
+    costs O(1) but for one O(D) rebuild every ``_ACCOUNT`` clocks."""
     i = state.i + 1
     table = state.table
     if table.bound is not None and i > table.bound:
@@ -379,7 +384,8 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
         if k and first is not None:
             level += first * float(g[c - 1 - state._clock[0]])
         if k > skip:
-            level += later * _account_sum(state, skip, c)
+            acc = _fill_account(state, skip, c)
+            level += later * float(acc.sums[c - acc.start])
         return min(config.lam, level) if kind is ProcedureKind.SAFFRON else level
 
     if kind in _WEALTH_KINDS:
@@ -589,11 +595,12 @@ def decide(config: ProcedureConfig, pvalues,
     hit of a window at once.  Levels, decisions and wealth equal the
     fold's bit for bit: payouts (LORD2, LORD++, SAFFRON) are summed in
     discovery order, as the fold's account sums them.  On a resumed payout
-    stream the earlier discoveries' payouts come from the state's account
-    where it covers the run, and the call leaves in the state an account
-    of at least as many clocks after the run as the run has hypotheses, so
-    a chunk no longer than the one before pays no stored discovery over
-    its own clocks again.
+    stream the earlier discoveries' payouts on the run's clocks are copied
+    from the state's account, filled as ``observe`` fills it
+    (:func:`_fill_account`): it is rebuilt only when it does not cover the
+    run, and the discoveries paid into it before are not paid again.  The
+    run's own discoveries are not paid into it here; the next call that
+    reads it pays them.
     """
     fresh = state is None
     state = make_stream(config, length_hint=1) if fresh else state
@@ -609,13 +616,11 @@ def decide(config: ProcedureConfig, pvalues,
     if room < n:
         raise _horizon_error(state.bound, located=True)
     kind = config.kind
-    # a resumed payout stream keeps the payout sums of the clocks after the run
-    ahead = 0 if fresh or kind not in _PAYOUT_KINDS else max(n, _ACCOUNT)
     if state.bound is None:   # the fold keeps one term past the last index
-        state.table = state.table.extended(i0 + n + 1 + ahead)
+        state.table = state.table.extended(i0 + n + 1)
     g = state.table.coefficients
     gamma = g[i0:i0 + n]
-    wealth = account = None
+    wealth = None
 
     if kind is ProcedureKind.BONFERRONI:
         levels = gamma.copy()   # not a view of the shared table
@@ -665,8 +670,7 @@ def decide(config: ProcedureConfig, pvalues,
     else:
         candidates = np.cumsum(p <= config.lam) \
             if kind is ProcedureKind.SAFFRON else None
-        fill, found, account = _payout_levels(config, state, p, g, candidates,
-                                              resumed=not fresh)
+        fill, found = _payout_levels(config, state, p, g, candidates)
         levels, rejected = _scan(p, fill, found)
 
     if fresh:   # nobody holds the state
@@ -678,35 +682,25 @@ def decide(config: ProcedureConfig, pvalues,
         state.candidates_total += int(candidates[-1]) if n else 0
     state._push_rejections(tau, clocks)
     state.i = i0 + n
-    if account is not None:   # keyed on the clock buffer pushed to
-        account.clocks, account.paid = state._clock, state.discoveries
-        state._account = account
     return Decisions(levels, rejected, wealth)
 
 
 def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
-                   g: np.ndarray, candidates: np.ndarray | None, resumed: bool):
+                   g: np.ndarray, candidates: np.ndarray | None):
     """:func:`_scan`'s ``fill`` and ``found`` for the payout family (LORD2,
-    LORD++ and SAFFRON), and on a ``resumed`` stream the account to leave
-    in its state (its clock buffer and count paid still to be set).
+    LORD++ and SAFFRON).
 
     The clock is the hypothesis index, or for SAFFRON the index less the
     candidates (``p <= lambda``) up to it; ``candidates`` counts them
     through each hypothesis of the run (None for LORD2 and LORD++).  Base
     and payout are kept per clock value of the run, so each discovery is
-    one contiguous add, made in discovery order as the fold sums them,
-    after the payouts of the stream's earlier discoveries on their stored
-    clocks.  A SAFFRON discovery is a candidate, so it shares its clock with
-    the candidates just before it; their levels are filled when it is
-    found, so its gamma(1) on that clock reaches only the hypotheses after
-    it.
-
-    On a resumed stream the payouts also run on past the run, over at least
-    as many clocks as the run has hypotheses (as far as the table reaches),
-    and those clocks become the account it leaves: as far as the state's
-    account reaches, or if that is not so far, ``_ACCOUNT`` clocks at
-    least.  Where the state's account covers the clocks, its sums are taken
-    and the earlier discoveries it holds are not paid again.
+    one contiguous add, made in discovery order as the fold sums them.  A
+    resumed stream's payouts start from those of its earlier discoveries,
+    copied from its account (:func:`_fill_account`) over the run's clocks,
+    and its first discovery joins the base term.  A SAFFRON discovery is a
+    candidate, so it shares its clock with the candidates just before it;
+    their levels are filled when it is found, so its gamma(1) on that clock
+    reaches only the hypotheses after it.
     """
     n = len(p)
     first, later = _payout_weights(config)
@@ -719,21 +713,12 @@ def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
     else:
         clock, span = None, n
     base = g[origin:origin + span] * config.w0
-    size, have, paid = span, 0, 0   # clocks paid; from the account; its count
-    if resumed:
-        # the clock after the run, less origin + 1
-        after = n - int(candidates[-1]) if candidates is not None and n else n
-        room = len(g) - origin
-        acc = _account_of(state, skip)
-        if acc is not None and acc.start <= origin + 1:
-            off = origin + 1 - acc.start
-            have = max(0, min(len(acc.sums) - off, room))
-            paid = acc.paid
-        size = min(room, have if have >= after + n
-                   else after + max(n, _ACCOUNT))
-    payout = np.zeros(size)
-    if have:
-        payout[:have] = acc.sums[off:off + have]
+    if state.discoveries > skip and span:
+        acc = _fill_account(state, skip, origin + 1, span)
+        off = origin + 1 - acc.start
+        payout = acc.sums[off:off + span].copy()
+    else:
+        payout = np.zeros(span)
 
     def pay(q):
         """Add the payout of a discovery whose gamma(1) falls on clock
@@ -741,24 +726,13 @@ def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
         nonlocal first
         s = max(q, 0)
         if first is None:
-            payout[s:] += g[s - q:size - q]
+            payout[s:] += g[s - q:span - q]
         else:
             base[s:] += first * g[s - q:span - q]
             first = None
 
-    if state.discoveries:   # of a resumed stream
-        stored = state._clock[:state.discoveries].tolist()
-        if skip:   # the first joins the base term
-            pay(stored[0] - origin)
-        # the later ones, on clocks d <= origin: those in the account from
-        # the first clock past it, the rest from the run's first;
-        # gamma(origin + 1 + x - d) is g[origin + x - d]
-        for lo, clocks in ((have, stored[skip:paid]),
-                           (0, stored[max(paid, skip):])):
-            tail = payout[lo:]
-            for d in clocks:
-                o = origin + lo - d
-                tail += g[o:o + len(tail)]
+    if state.discoveries and skip:
+        pay(int(state._clock[0]) - origin)
 
     def fill(s, out):
         at = slice(s, s + len(out)) if clock is None else clock[s:s + len(out)]
@@ -770,9 +744,7 @@ def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
     def found(t, levels):
         pay(t + 1 if clock is None else t + 1 - int(candidates[t]))
 
-    account = _Account(state.table.spec, None, skip, 0, origin + after + 1,
-                       payout[after:]) if resumed else None
-    return fill, found, account
+    return fill, found
 
 
 # ---------------------------------------------------------------------------

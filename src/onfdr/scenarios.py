@@ -441,6 +441,8 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     procs = list(procs)
+    if not procs:
+        raise ValueError("procs must name at least one rule")
     # check every rule and build each config's table here: a refused one
     # raises before any fork, and forked children inherit the tables
     for label, proc in procs:

@@ -507,8 +507,10 @@ def dense_stream(tmp_path_factory):
 
 
 class TestChunkSize:
-    # each chunk's decide call resumes the stream's payout account, whether
-    # chunks are far shorter than the account's block, shorter or longer
+    # each chunk's decide call reads the stream's payout account and pays
+    # the chunks before it into it, whether chunks are far shorter than the
+    # account's block (many calls per block), shorter or longer (a rebuild
+    # per call)
     @pytest.mark.parametrize("extra", [
         [], ["--bound", "12000", "--rebound", "10000:20000"]],
         ids=["unbounded", "rebound"])

@@ -1004,13 +1004,15 @@ class TestAccount:
                 b = min(a + size, n)
                 d = decide(cfg, p[a:b], state)
                 got = d.levels.tolist(), d.rejected.tolist()
-                # the account starts at the next clock and covers at least
-                # as many clocks as the run had hypotheses, as far as the
-                # table reaches
+                # an account left in the state is the state's, with the
+                # chunk's discoveries still to pay; a clock buffer grown by
+                # the chunk retires it
                 acc = state._account
-                nxt = state.i - state.candidates_total + 1
-                assert acc.start == nxt and acc.paid == state.discoveries
-                assert len(acc.sums) >= min(b - a, len(state.table) + 1 - nxt)
+                if acc is not None:
+                    assert acc.spec is state.table.spec
+                    assert acc.paid <= state.discoveries
+                    assert acc.clocks is not state._clock or \
+                        procedures._account_of(state, acc.skip) is acc
             else:
                 if step == "rebound" and bounded:
                     new_bound = state.bound + data.draw(st.integers(0, 3000),
@@ -1038,15 +1040,42 @@ class TestAccount:
 
     def test_decide_chunks_take_the_account(self):
         # a chunk whose clocks the account covers reads its payouts from it:
-        # a wrong account shows in the chunk's levels
+        # a wrong account, built by observe steps, shows in the chunk's
+        # levels as the later weight (b0) times the error
         cfg = default_config(ProcedureKind.LORD2, alpha=0.05)
         p = np.where(np.arange(3000) % 10 == 0, 0.0, 0.9)
-        state = make_stream(cfg)
+        state = make_stream(cfg, length_hint=3001)
         decide(cfg, p[:1000], state)
-        state._account.sums[:] += 1.0
-        got = decide(cfg, p[1000:2000], state)
-        want = decide(cfg, p).levels[1000:2000]
+        run_stream(cfg, p[1000:1005], state=state)
+        acc = state._account
+        assert acc.start <= 1006 and acc.start + len(acc.sums) > 2000
+        acc.sums[:] += 1.0
+        got = decide(cfg, p[1005:2000], state)
+        assert state._account is acc
+        want = decide(cfg, p).levels[1005:2000]
         assert np.allclose(got.levels, want + cfg.b0, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", PAYOUT_KINDS)
+    def test_small_chunks_keep_the_account(self, kind):
+        # 7-row chunks of a dense stream pay their discoveries into the
+        # account that is there: it is replaced only when the clock leaves
+        # it (once per block, or sooner where the table ended the block) or
+        # a grown clock buffer retires it, not on every call
+        cfg = default_config(kind, alpha=0.05)
+        rng = np.random.default_rng(25)
+        n = 20000
+        p = np.where(rng.random(n) < 0.08, rng.random(n) * 1e-6, rng.random(n))
+        state = make_stream(cfg)
+        held = [None, state._clock, state.table]
+        changes = [0, 0, 0]   # accounts, clock buffers, tables
+        for a in range(0, n, 7):
+            decide(cfg, p[a:a + 7], state)
+            for j, now in enumerate((state._account, state._clock, state.table)):
+                if now is not held[j]:
+                    held[j], changes[j] = now, changes[j] + 1
+        assert state.discoveries > 1000
+        blocks = math.ceil((state.i - state.candidates_total) / procedures._ACCOUNT)
+        assert changes[0] <= blocks + changes[1] + changes[2] + 1, changes
 
     def test_a_copy_with_fewer_discoveries_rebuilds(self):
         # a copy that shares the clock buffer but holds one discovery less

@@ -333,6 +333,13 @@ class TestEstimate:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             estimate_many([("lord++", cfg)], sc, reps=100, seed=-1)
 
+    def test_no_rule_refused_before_the_pool(self, monkeypatch):
+        forks = _record_forks(monkeypatch)
+        monkeypatch.setenv("ONFDR_THREADS", "2")
+        with pytest.raises(ValueError, match="procs must name at least one rule"):
+            estimate_many([], MixtureScenario(N=10, pi1=0.1), reps=64, seed=0)
+        assert forks == []
+
     @pytest.mark.parametrize("proc, error, message", [
         ("bhh", ValueError, "x: unknown offline rule 'bhh'"),
         (3, TypeError, "x: expected a ProcedureConfig or an offline rule "
