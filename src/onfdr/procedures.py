@@ -12,11 +12,12 @@ Every procedure is driven through the same three operations:
 :class:`ProcedureConfig`, ``next_level`` computes the upcoming test level
 without advancing the stream, and ``observe`` consumes one p-value.  A
 stream is strictly sequential; distinct streams are independent.  A payout
-rule's state carries an account (:class:`_Account`): the later
+rule's state owns an account (:class:`_Account`): the later
 discoveries' payouts summed, in discovery order, on a block of upcoming
 clocks, so a step reads one sum instead of one coefficient per discovery.
 One routine fills it (:func:`_fill_account`), for ``observe`` and
-``decide`` alike.
+``decide`` alike; it outlives growth of the clock buffer, whose earlier
+entries do not change.
 
 ``decide`` consumes a run of p-values at once and equals the fold of
 ``observe`` over them, levels included, bit for bit: one windowed vector
@@ -106,9 +107,14 @@ class ProcedureConfig:
     lond_original: bool = False
 
     def __post_init__(self) -> None:
+        try:
+            k = ProcedureKind(self.kind)
+        except ValueError:
+            raise ConfigError(f"unknown procedure {self.kind!r}, expected one "
+                              f"of {', '.join(ProcedureKind)}") from None
+        object.__setattr__(self, "kind", k)
         if not 0 < self.alpha < 1:
             raise ConfigError("alpha must lie in (0, 1)")
-        k = self.kind
         defaults = _rule_parameters(k, self.alpha, self.lam)
         for name, shown in (("w0", "w0"), ("b0", "b0"), ("lam", "lambda")):
             if getattr(self, name) is None:
@@ -164,18 +170,12 @@ class _Account:
     ``d < start + x`` of the discoveries ``skip, ..., paid - 1`` (``skip``
     is 1 for LORD++ and SAFFRON, whose first discovery joins the base term).
 
-    A cache of the table's spec, the clock buffer and the count paid: it is
-    read only while its ``spec`` and ``clocks`` are the state's and ``paid``
-    is at most the state's discoveries, so a rebound, a new clock buffer
-    (grown, or given through ``dataclasses.replace``) or fewer discoveries
-    make it be rebuilt; a deep copy keeps it, keyed on the copied buffer.
+    The state's own value: a deep copy carries its own, while
+    ``dataclasses.replace`` and ``rebound_stream`` start without one.
     Discoveries made since it was filled (by ``observe`` steps or a
     ``decide`` chunk) are paid into it when it is next read.
     """
 
-    spec: SequenceSpec
-    clocks: np.ndarray
-    skip: int
     paid: int
     start: int
     sums: np.ndarray
@@ -197,7 +197,8 @@ class StreamState:
     _tau: np.ndarray = field(default_factory=lambda: np.zeros(16, dtype=np.int64))
     _clock: np.ndarray = field(default_factory=lambda: np.zeros(16, dtype=np.int64))
     # LORD2, LORD++, SAFFRON: the payout sums of the clocks ahead
-    _account: _Account | None = field(default=None, repr=False, compare=False)
+    _account: _Account | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def bound(self) -> int | None:
@@ -321,33 +322,23 @@ def _horizon_error(bound: int, located: bool = False) -> HorizonExhaustedError:
 _ACCOUNT = 4096
 
 
-def _account_of(state: StreamState, skip: int) -> _Account | None:
-    """The state's payout account while it is its table's and clock
-    buffer's (see :class:`_Account`), else None."""
-    acc = state._account
-    if acc is None or acc.spec is not state.table.spec or \
-            acc.clocks is not state._clock or acc.skip != skip or \
-            acc.paid > state.discoveries:
-        return None
-    return acc
-
-
 def _fill_account(state: StreamState, skip: int, c: int, n: int = 1) -> _Account:
     """The state's payout account, filled to hold the payout sums of its
     discoveries after the first ``skip`` on clocks ``c, ..., c + n - 1``:
-    one that does not cover them is replaced by ``max(n, _ACCOUNT)`` clocks
-    from ``c`` (as far as the table reaches), and the discoveries not paid
-    yet are added in order, one slice add each over the rest of the
-    account.  Every discovery is before ``c``."""
-    acc = _account_of(state, skip)
+    one that is missing, has paid more discoveries than the state holds
+    or does not cover them is replaced by ``max(n, _ACCOUNT)`` clocks from
+    ``c`` (as far as the table reaches), and the discoveries not paid yet
+    are added in order, one slice add each over the rest of the account.
+    Every discovery is before ``c``."""
+    acc = state._account
     k, g = state.discoveries, state.table.coefficients
-    if acc is None or not acc.start <= c <= acc.start + len(acc.sums) - n:
+    if acc is None or acc.paid > k or \
+            not acc.start <= c <= acc.start + len(acc.sums) - n:
         sums = np.zeros(min(max(n, _ACCOUNT), len(g) + 1 - c))
         # gamma(c - d) on, from g[c - 1 - d]
         for o in ((c - 1) - state._clock[skip:k]).tolist():
             sums += g[o:o + len(sums)]
-        acc = state._account = _Account(state.table.spec, state._clock, skip,
-                                        k, c, sums)
+        acc = state._account = _Account(k, c, sums)
     elif acc.paid < k:
         start, sums = acc.start, acc.sums
         end = start + len(sums)
