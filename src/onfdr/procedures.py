@@ -2,21 +2,25 @@
 
 The rules form four families.  Payout rules (LORD2, LORD++, SAFFRON) add
 to a base ``w0 gamma(c)`` a payout ``gamma(c - d)`` per discovery, ``c`` the
-clock of the hypothesis and ``d`` that of the discovery, weighted by
-:func:`_payout_weights`.  Wealth rules (LORD3, dependent LORD) scale a
-coefficient by the wealth after the last discovery, LOND by the number of
-discoveries; Bonferroni's levels are its coefficients.
+clock of the hypothesis and ``d`` that of the discovery, weighted by the
+config's ``_payout_weights``, computed once per config.  Wealth rules
+(LORD3, dependent LORD) scale a coefficient by the wealth after the last
+discovery, LOND by the number of discoveries; Bonferroni's levels are its
+coefficients.
 
 Every procedure is driven through the same three operations:
 ``make_stream`` builds a fresh :class:`StreamState` from a validated
 :class:`ProcedureConfig`, ``next_level`` computes the upcoming test level
-without advancing the stream, and ``observe`` consumes one p-value.  A
-stream is strictly sequential; distinct streams are independent.  A payout
-rule's state owns an account (:class:`_Account`): the later
-discoveries' payouts summed, in discovery order, on a block of upcoming
-clocks, so a step reads one sum instead of one coefficient per discovery.
-One routine fills it (:func:`_fill_account`), for ``observe`` and
-``decide`` alike; it outlives growth of the clock buffer, whose earlier
+without advancing the stream, and ``observe`` consumes one p-value and
+returns a :class:`DecisionRecord`, a ``NamedTuple``.  A stream is strictly
+sequential; distinct streams are independent, also a copy made with
+``dataclasses.replace``, which owns its buffers.  A payout rule's state
+owns an account (:class:`_Account`): the later discoveries' payouts
+summed, in discovery order, on a block of upcoming clocks, so a step reads
+one sum instead of one coefficient per discovery.  One routine fills it
+(:func:`_fill_account`), for ``observe`` and ``decide`` alike; a step whose
+clock the account holds, with every discovery paid, reads it without that
+call.  The account outlives growth of the clock buffer, whose earlier
 entries do not change.
 
 ``decide`` consumes a run of p-values at once and equals the fold of
@@ -47,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -151,9 +155,20 @@ class ProcedureConfig:
         object.__setattr__(self, "sequence", replace(
             self.sequence or _default_shape(k, None), **budget))
 
+    @cached_property
+    def _payout_weights(self) -> tuple[float | None, float]:
+        """Payout weights of LORD2, LORD++ or SAFFRON: that of the stream's
+        first discovery (None for LORD2, which pays ``b0`` for every one) and
+        that of each later discovery.  Computed once per config; not a
+        field, so equality, hashing and ``dataclasses.replace`` ignore it."""
+        if self.kind is ProcedureKind.LORD2:
+            return None, self.b0
+        alpha = self.alpha * (1 - self.lam) \
+            if self.kind is ProcedureKind.SAFFRON else self.alpha
+        return alpha - self.w0, alpha
 
-@dataclass(frozen=True)
-class DecisionRecord:
+
+class DecisionRecord(NamedTuple):
     """Outcome of testing one hypothesis."""
 
     index: int
@@ -194,11 +209,18 @@ class StreamState:
     _harmonic: float = 0.0
     # parallel buffers: rejection times and the clocks of those rejections
     # (the time less the candidates through it for SAFFRON, the time else)
-    _tau: np.ndarray = field(default_factory=lambda: np.zeros(16, dtype=np.int64))
-    _clock: np.ndarray = field(default_factory=lambda: np.zeros(16, dtype=np.int64))
+    _tau: np.ndarray | None = None
+    _clock: np.ndarray | None = None
     # LORD2, LORD++, SAFFRON: the payout sums of the clocks ahead
     _account: _Account | None = field(default=None, init=False, repr=False,
                                       compare=False)
+
+    def __post_init__(self) -> None:
+        # the state owns its buffers, as _push_rejections writes into them:
+        # a state built from another's (dataclasses.replace) gets copies
+        self._tau = np.zeros(16, np.int64) if self._tau is None else self._tau.copy()
+        self._clock = np.zeros(16, np.int64) if self._clock is None \
+            else self._clock.copy()
 
     @property
     def bound(self) -> int | None:
@@ -298,17 +320,6 @@ def make_stream(config: ProcedureConfig, length_hint: int = 1024) -> StreamState
     return state
 
 
-def _payout_weights(config: ProcedureConfig) -> tuple[float | None, float]:
-    """Payout weights of LORD2, LORD++ or SAFFRON: that of the stream's
-    first discovery (None for LORD2, which pays ``b0`` for every one) and
-    that of each later discovery."""
-    if config.kind is ProcedureKind.LORD2:
-        return None, config.b0
-    alpha = config.alpha * (1 - config.lam) \
-        if config.kind is ProcedureKind.SAFFRON else config.alpha
-    return alpha - config.w0, alpha
-
-
 def _horizon_error(bound: int, located: bool = False) -> HorizonExhaustedError:
     """The error of testing past the horizon ``bound``; ``located`` names
     the stream index first, as :func:`run_stream` does."""
@@ -357,39 +368,47 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
     restarts its coefficients at each discovery), LOND and Bonferroni.
     The stream is not advanced; a payout rule's level reads the sum of its
     later discoveries' payouts on clock ``c`` from the state's account, one
-    entry, which this call fills lazily (:func:`_fill_account`), so a step
-    costs O(1) but for one O(D) rebuild every ``_ACCOUNT`` clocks."""
+    entry, which this call fills lazily (:func:`_fill_account`) when it
+    does not hold clock ``c`` or has not paid every discovery, so a step
+    costs O(1) but for one O(D) rebuild every ``_ACCOUNT`` clocks.
+
+    Coefficients are read from the table's array: the horizon check and
+    the growth of an unbounded table in :func:`observe` and :func:`decide`
+    keep index ``i`` inside it."""
     i = state.i + 1
     table = state.table
     if table.bound is not None and i > table.bound:
         raise _horizon_error(table.bound)
     kind = config.kind
     k = state.discoveries
+    g = table.coefficients
 
     if kind in _PAYOUT_KINDS:
-        first, later = _payout_weights(config)
+        first, later = config._payout_weights
         skip = 0 if first is None else 1
-        c = i - state.candidates_total
-        g = table.coefficients   # holds clock c: c <= i
-        level = float(g[c - 1]) * config.w0
-        if k and first is not None:
-            level += first * float(g[c - 1 - state._clock[0]])
+        c = i - state.candidates_total   # c <= i: the table holds clock c
+        level = g.item(c - 1) * config.w0
+        if k and skip:
+            level += first * g.item(c - 1 - state._clock.item(0))
         if k > skip:
-            acc = _fill_account(state, skip, c)
-            level += later * float(acc.sums[c - acc.start])
+            acc = state._account
+            if acc is None or acc.paid != k or \
+                    not 0 <= c - acc.start < len(acc.sums):
+                acc = _fill_account(state, skip, c)
+            level += later * acc.sums.item(c - acc.start)
         return min(config.lam, level) if kind is ProcedureKind.SAFFRON else level
 
     if kind in _WEALTH_KINDS:
-        last = int(state._tau[k - 1]) if k and kind is ProcedureKind.LORD3 else 0
-        return table.coefficient(i - last) * state.wealth_at_discovery
+        last = state._tau.item(k - 1) if k and kind is ProcedureKind.LORD3 else 0
+        return g.item(i - last - 1) * state.wealth_at_discovery
 
     if kind in _LOND_KINDS:
-        beta = table.coefficient(i)
+        beta = g.item(i - 1)
         if kind is ProcedureKind.LOND_DEP:
             beta /= state._harmonic + 1.0 / i
         return beta * (max(k, 1) if config.lond_original else k + 1)
 
-    return table.coefficient(i)
+    return g.item(i - 1)
 
 
 # what a p-value may be: a Python or numpy real number (or bool), the kinds
@@ -439,22 +458,17 @@ def observe(state: StreamState, p: float, config: ProcedureConfig) -> DecisionRe
         state.wealth = state.wealth - level + (config.b0 if rejected else 0.0)
         if rejected:
             state.wealth_at_discovery = state.wealth
-    if kind is ProcedureKind.SAFFRON:
+    elif kind is ProcedureKind.SAFFRON:
         state.candidates_total += p <= config.lam
+    elif kind is ProcedureKind.LOND_DEP:
+        state._harmonic += 1.0 / i
     if rejected:
         state._push_rejections(i, i - state.candidates_total)
-    if kind is ProcedureKind.LOND_DEP:
-        state._harmonic += 1.0 / i
     state.i = i
-    if state.table.bound is None and i >= len(state.table):
-        state.table = state.table.extended(i + 1)
-    return DecisionRecord(
-        index=i,
-        p=p,
-        level=level,
-        rejected=rejected,
-        wealth_after=state.wealth,
-    )
+    table = state.table
+    if table.bound is None and i >= len(table.coefficients):
+        state.table = table.extended(i + 1)
+    return DecisionRecord(i, p, level, rejected, state.wealth)
 
 
 def run_stream(config: ProcedureConfig, pvalues,
@@ -694,7 +708,7 @@ def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
     reaches only the hypotheses after it.
     """
     n = len(p)
-    first, later = _payout_weights(config)
+    first, later = config._payout_weights
     skip = 0 if first is None else 1
     origin = state.i - state.candidates_total   # clock before the run
     if candidates is not None:
@@ -894,7 +908,7 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
     levels stay far above the subnormal range.
     """
     rows, n = p.shape
-    first, later = _payout_weights(config)
+    first, later = config._payout_weights
     saffron = config.kind is ProcedureKind.SAFFRON
     if saffron:
         cand = p <= config.lam

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 from onfdr import procedures
 from onfdr.procedures import (
     ConfigError,
+    DecisionRecord,
     HorizonExhaustedError,
     ProcedureConfig,
     ProcedureKind,
     decide,
+    decide_rows,
     default_config,
     default_sequence,
     limit_level,
@@ -280,6 +283,74 @@ class TestObserve:
             decide(cfg, np.array([bad]))
 
 
+class TestDecisionRecord:
+    def test_fields_in_order_with_default(self):
+        assert DecisionRecord._fields == ("index", "p", "level", "rejected",
+                                          "wealth_after")
+        assert DecisionRecord._field_defaults == {"wealth_after": None}
+        rec = DecisionRecord(3, 0.5, 0.01, False)
+        assert rec.wealth_after is None
+        assert tuple(rec) == (3, 0.5, 0.01, False, None)
+
+    def test_refuses_assignment(self):
+        cfg = default_config(ProcedureKind.LORD3, alpha=0.05)
+        rec = observe(make_stream(cfg), 0.9, cfg)
+        with pytest.raises(AttributeError):
+            rec.level = 1.0
+        with pytest.raises(AttributeError):
+            rec.extra = 1.0
+        assert rec == DecisionRecord(1, 0.9, rec.level, False, rec.wealth_after)
+
+
+class TestPayoutWeights:
+    """The config's payout weights are computed once and are not a field."""
+
+    PAYOUT = [ProcedureKind.LORD2, ProcedureKind.LORDPP, ProcedureKind.SAFFRON]
+
+    @staticmethod
+    def fresh(cfg):
+        return ProcedureConfig(**{f.name: getattr(cfg, f.name)
+                                  for f in dataclasses.fields(cfg)})
+
+    @pytest.mark.parametrize("kind", PAYOUT)
+    def test_copies_carry_a_fresh_configs_weights(self, kind):
+        cfg = default_config(kind, alpha=0.05)
+        assert cfg._payout_weights   # cached before the copies
+        # LORD2's weights are its b0, the others' depend on w0
+        changes = {"w0": 0.01, "b0": 0.01} if kind is ProcedureKind.LORD2 \
+            else {"w0": 0.01}
+        replaced = dataclasses.replace(cfg, **changes)
+        for other in (replaced, copy.deepcopy(cfg),
+                      pickle.loads(pickle.dumps(cfg))):
+            assert other._payout_weights == self.fresh(other)._payout_weights
+        assert replaced._payout_weights != cfg._payout_weights
+
+    @pytest.mark.parametrize("kind", PAYOUT)
+    def test_replaced_config_decides_as_a_fresh_one(self, kind):
+        cfg = default_config(kind, alpha=0.05)
+        p = np.random.default_rng(4).random((6, 400)) ** 4
+        decide(cfg, p[0])   # reads the weights of the original
+        replaced = dataclasses.replace(cfg, w0=0.005)
+        fresh = self.fresh(replaced)
+        state = make_stream(replaced)
+        folded = [observe(state, v, replaced).level for v in p[0].tolist()]
+        fresh_state = make_stream(fresh)
+        assert folded == [observe(fresh_state, v, fresh).level
+                          for v in p[0].tolist()]
+        assert decide(replaced, p[0]).levels.tolist() == \
+            decide(fresh, p[0]).levels.tolist() == folded
+        assert (decide_rows(replaced, p) == decide_rows(fresh, p)).all()
+
+    @pytest.mark.parametrize("kind", PAYOUT)
+    def test_equality_and_hash_ignore_the_cache(self, kind):
+        cfg, twin = default_config(kind, alpha=0.05), default_config(kind, alpha=0.05)
+        before = hash(cfg)
+        cfg._payout_weights
+        assert "_payout_weights" not in {f.name for f in dataclasses.fields(cfg)}
+        assert cfg == twin and hash(cfg) == hash(twin) == before
+        assert repr(cfg) == repr(twin)
+
+
 class TestRunStream:
     def test_empty(self):
         cfg = default_config(ProcedureKind.LORD2, alpha=0.05)
@@ -319,6 +390,7 @@ class TestRunStream:
         for v in p:
             folded.append(observe(state, v, cfg))
         assert run_stream(cfg, p) == folded
+        assert all(type(r) is DecisionRecord for r in folded)
 
     def test_error_carries_offending_index(self):
         cfg = default_config(ProcedureKind.LORD2, alpha=0.05)
@@ -566,6 +638,25 @@ class TestStateInvariants:
         assert times == sorted(set(times))
         assert state.discoveries == len(times)
         assert all(1 <= t <= state.i for t in times)
+
+    def test_replaced_state_owns_its_buffers(self):
+        # a dataclasses.replace copy once shared the rejection buffers, so
+        # the original's later rejections overwrote the copy's clocks
+        cfg = default_config(ProcedureKind.LORD2, alpha=0.05)
+        state = make_stream(cfg)
+        for p in (0.0, 0.9, 0.9):
+            observe(state, p, cfg)
+        replaced, deep = dataclasses.replace(state), copy.deepcopy(state)
+        for copied in (replaced, deep):
+            observe(copied, 0.0, cfg)
+        for p in (0.9, 0.0):
+            observe(state, p, cfg)
+        assert replaced._clock[:replaced.discoveries].tolist() == \
+            deep._clock[:deep.discoveries].tolist() == [1, 4]
+        assert replaced.rejection_times == deep.rejection_times == [1, 4]
+        assert state.rejection_times == [1, 5]
+        assert next_level(replaced, cfg) == next_level(deep, cfg)
+        assert next_level(replaced, cfg) == pytest.approx(0.0017187311670, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,34 @@ class TestImmutableTable:
         coeffs[0] = 9.0
         assert table.coefficient(1) == 0.1 and coeffs.flags.writeable
 
+    def test_constructor_copies_a_read_only_array(self):
+        # only the tables this module builds take their array; a caller's is
+        # copied even when it is read-only, as the caller may still write it
+        coeffs = np.full(3, 0.1)
+        view, owned = coeffs.view(), coeffs.copy()
+        for given in (view, owned):
+            given.flags.writeable = False
+            table = SequenceTable(
+                spec=SequenceSpec(SequenceKind.UNIFORM, bound=3),
+                scale_constant=0.1, coefficients=given)
+            assert not np.shares_memory(table.coefficients, given)
+
+    def test_built_tables_are_read_only_and_share_nothing(self):
+        spec = SequenceSpec(SequenceKind.UNIFORM, bound=8)
+        built = build_table(spec)
+        infinite = self.table()
+        tables = [built, rebound(built, 3, 12), infinite,
+                  infinite.extended(40)]
+        for table in tables:
+            assert not table.coefficients.flags.writeable
+            with pytest.raises(ValueError):
+                table.coefficients[0] = 1.0
+        # each table made its own array: no two share memory
+        for a in tables:
+            for b in tables:
+                assert a is b or not np.shares_memory(a.coefficients,
+                                                      b.coefficients)
+
     def test_reads_past_prefix_raise(self):
         table = self.table()
         for read in (table.coefficient, table.head, table.cumulative_sum):
