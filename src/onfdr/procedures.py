@@ -343,6 +343,8 @@ def _fill_account(state: StreamState, skip: int, c: int, n: int = 1) -> _Account
     Every discovery is before ``c``."""
     acc = state._account
     k, g = state.discoveries, state.table.coefficients
+    # next_level repeats this test inline for n = 1 and acc.paid == k, the
+    # case this call returns ``acc`` unchanged; keep the two in step
     if acc is None or acc.paid > k or \
             not acc.start <= c <= acc.start + len(acc.sums) - n:
         sums = np.zeros(min(max(n, _ACCOUNT), len(g) + 1 - c))
@@ -392,6 +394,8 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
             level += first * g.item(c - 1 - state._clock.item(0))
         if k > skip:
             acc = state._account
+            # _fill_account's own test with n = 1: call it only when it
+            # would not return the account unchanged; keep the two in step
             if acc is None or acc.paid != k or \
                     not 0 <= c - acc.start < len(acc.sums):
                 acc = _fill_account(state, skip, c)

@@ -281,9 +281,6 @@ class SequenceTable:
     Bounded tables hold all N terms.  Infinite-horizon tables hold a prefix;
     reading past it raises :class:`SequenceError`, and :meth:`extended`
     builds a longer table from this one.
-
-    The constructor copies the coefficients it is given; the tables this
-    module builds take their freshly made array instead (:func:`_owning`).
     """
 
     spec: SequenceSpec
@@ -326,8 +323,11 @@ class SequenceTable:
         new_len = max(n, 2 * have)
         fresh = self.scale_constant * _shape(self.spec,
                                              np.arange(have + 1, new_len + 1))
-        return _owning(self.spec, self.scale_constant,
-                       np.concatenate([self.coefficients, fresh]))
+        return SequenceTable(
+            spec=self.spec,
+            scale_constant=self.scale_constant,
+            coefficients=np.concatenate([self.coefficients, fresh]),
+        )
 
     def coefficient(self, i: int) -> float:
         """1-based coefficient."""
@@ -371,19 +371,12 @@ def build_table(spec: SequenceSpec, length_hint: int = 1024) -> SequenceTable:
         return _replayed(spec)
     scale = _scale_constant(spec)
     n = spec.bound if spec.bound is not None else length_hint
-    return _owning(spec, scale, scale * _shape(spec, np.arange(1, n + 1)))
-
-
-def _owning(spec: SequenceSpec, scale_constant: float,
-            coefficients: np.ndarray) -> SequenceTable:
-    """A table that takes ``coefficients``, a float64 array this module has
-    just made and holds no other reference to, marked read-only, where the
-    constructor would copy it."""
-    coefficients.flags.writeable = False
-    table = object.__new__(SequenceTable)
-    vars(table).update(spec=spec, scale_constant=scale_constant,
-                       coefficients=coefficients)
-    return table
+    idx = np.arange(1, n + 1)
+    return SequenceTable(
+        spec=spec,
+        scale_constant=scale,
+        coefficients=scale * _shape(spec, idx),
+    )
 
 
 @lru_cache(maxsize=2)
@@ -429,5 +422,5 @@ def rebound(table: SequenceTable, n: int, new_bound: int) -> SequenceTable:
     tail_shape = _shape(spec, np.arange(n + 1, new_bound + 1))
     tail_norm = float(np.sum(_weighted(tail_shape, n + 1, weights)))
     tail_scale = max(remaining, 0.0) / tail_norm
-    return _owning(spec, tail_scale, np.concatenate(
+    return SequenceTable(spec, tail_scale, np.concatenate(
         [table.coefficients[:n], tail_scale * tail_shape]))

@@ -176,24 +176,18 @@ class TestImmutableTable:
             table.coefficients = np.zeros(16)
 
     def test_constructor_copies(self):
+        # a caller's array is copied, also a read-only one or a view, as the
+        # caller may still write it or the array it views
         coeffs = np.full(3, 0.1)
-        table = SequenceTable(
-            spec=SequenceSpec(SequenceKind.UNIFORM, Normalization.SUM_ONE, bound=3),
-            scale_constant=0.1, coefficients=coeffs)
-        coeffs[0] = 9.0
-        assert table.coefficient(1) == 0.1 and coeffs.flags.writeable
-
-    def test_constructor_copies_a_read_only_array(self):
-        # only the tables this module builds take their array; a caller's is
-        # copied even when it is read-only, as the caller may still write it
-        coeffs = np.full(3, 0.1)
-        view, owned = coeffs.view(), coeffs.copy()
-        for given in (view, owned):
-            given.flags.writeable = False
+        read_only, view = coeffs.copy(), coeffs.view()
+        read_only.flags.writeable = view.flags.writeable = False
+        for given in (coeffs, read_only, view):
             table = SequenceTable(
-                spec=SequenceSpec(SequenceKind.UNIFORM, bound=3),
+                spec=SequenceSpec(SequenceKind.UNIFORM, Normalization.SUM_ONE, bound=3),
                 scale_constant=0.1, coefficients=given)
             assert not np.shares_memory(table.coefficients, given)
+        coeffs[0] = 9.0
+        assert table.coefficient(1) == 0.1 and coeffs.flags.writeable
 
     def test_built_tables_are_read_only_and_share_nothing(self):
         spec = SequenceSpec(SequenceKind.UNIFORM, bound=8)
