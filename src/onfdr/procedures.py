@@ -76,9 +76,20 @@ class ProcedureKind(str, Enum):
     BONFERRONI = "bonferroni"
 
 
-_PAYOUT_KINDS = (ProcedureKind.LORD2, ProcedureKind.LORDPP, ProcedureKind.SAFFRON)
-_WEALTH_KINDS = (ProcedureKind.LORD3, ProcedureKind.LORD_DEP)
-_LOND_KINDS = (ProcedureKind.LOND_INDEP, ProcedureKind.LOND_DEP)
+# the members, bound once: a module-level name is read faster than a member
+# through its class, which every step would pay for
+_LORD2 = ProcedureKind.LORD2
+_LORD3 = ProcedureKind.LORD3
+_LORDPP = ProcedureKind.LORDPP
+_SAFFRON = ProcedureKind.SAFFRON
+_LORD_DEP = ProcedureKind.LORD_DEP
+_LOND_INDEP = ProcedureKind.LOND_INDEP
+_LOND_DEP = ProcedureKind.LOND_DEP
+_BONFERRONI = ProcedureKind.BONFERRONI
+
+_PAYOUT_KINDS = (_LORD2, _LORDPP, _SAFFRON)
+_WEALTH_KINDS = (_LORD3, _LORD_DEP)
+_LOND_KINDS = (_LOND_INDEP, _LOND_DEP)
 
 
 class ConfigError(ValueError):
@@ -127,18 +138,18 @@ class ProcedureConfig:
                 raise ConfigError(f"{k.value} takes no {shown}")
         if self.lond_original and k not in _LOND_KINDS:
             raise ConfigError(f"{k.value} takes no lond_original")
-        if k in (ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORD_DEP):
+        if k in (_LORD2, _LORD3, _LORD_DEP):
             if not 0 <= self.w0 < math.inf:   # False for NaN
                 raise ConfigError("a finite w0 >= 0 is required")
             if not 0 < self.b0 < math.inf:
                 raise ConfigError("a finite b0 > 0 is required")
             # dependent LORD's budget is its xi sequence's
-            if k is not ProcedureKind.LORD_DEP and self.w0 + self.b0 > self.alpha + 1e-12:
+            if k is not _LORD_DEP and self.w0 + self.b0 > self.alpha + 1e-12:
                 raise ConfigError("w0 + b0 <= alpha is required")
-        elif k is ProcedureKind.LORDPP:
+        elif k is _LORDPP:
             if not 0 <= self.w0 <= self.alpha:
                 raise ConfigError("0 <= w0 <= alpha is required")
-        elif k is ProcedureKind.SAFFRON:
+        elif k is _SAFFRON:
             if not 0 < self.lam < 1:
                 raise ConfigError("lambda must lie in (0, 1)")
             if not 0 <= self.w0 < (1 - self.lam) * self.alpha:
@@ -147,10 +158,10 @@ class ProcedureConfig:
         # dependent LORD, alpha for LOND and Bonferroni, 1 for the rest
         budget = dict(normalization=Normalization.SUM_ONE, alpha=None, w0=None,
                       b0=None)
-        if k is ProcedureKind.LORD_DEP:
+        if k is _LORD_DEP:
             budget.update(normalization=Normalization.XI_WEIGHTED,
                           alpha=self.alpha, w0=self.w0, b0=self.b0)
-        elif k in _LOND_KINDS or k is ProcedureKind.BONFERRONI:
+        elif k in _LOND_KINDS or k is _BONFERRONI:
             budget.update(normalization=Normalization.SUM_ALPHA, alpha=self.alpha)
         object.__setattr__(self, "sequence", replace(
             self.sequence or _default_shape(k, None), **budget))
@@ -161,10 +172,10 @@ class ProcedureConfig:
         first discovery (None for LORD2, which pays ``b0`` for every one) and
         that of each later discovery.  Computed once per config; not a
         field, so equality, hashing and ``dataclasses.replace`` ignore it."""
-        if self.kind is ProcedureKind.LORD2:
+        if self.kind is _LORD2:
             return None, self.b0
         alpha = self.alpha * (1 - self.lam) \
-            if self.kind is ProcedureKind.SAFFRON else self.alpha
+            if self.kind is _SAFFRON else self.alpha
         return alpha - self.w0, alpha
 
 
@@ -176,6 +187,10 @@ class DecisionRecord(NamedTuple):
     level: float
     rejected: bool
     wealth_after: float | None = None
+
+
+# the call a NamedTuple's generated __new__ makes, bound once for observe
+_new_tuple = tuple.__new__
 
 
 @dataclass(eq=False)
@@ -247,11 +262,11 @@ def _rule_parameters(kind: ProcedureKind, alpha: float,
                      lam: float | None) -> dict[str, float]:
     """The parameters ``kind`` reads, at the simulation-study defaults;
     SAFFRON's ``w0`` follows ``lam`` when one is given."""
-    if kind in (ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORD_DEP):
+    if kind in (_LORD2, _LORD3, _LORD_DEP):
         return {"w0": alpha / 2, "b0": alpha / 2}
-    if kind is ProcedureKind.LORDPP:
+    if kind is _LORDPP:
         return {"w0": alpha / 2}
-    if kind is ProcedureKind.SAFFRON:
+    if kind is _SAFFRON:
         lam = 0.5 if lam is None else lam
         return {"lam": lam, "w0": (1 - lam) * alpha / 2}
     return {}
@@ -259,11 +274,11 @@ def _rule_parameters(kind: ProcedureKind, alpha: float,
 
 def _default_shape(kind: ProcedureKind, bound: int | None) -> SequenceSpec:
     """The shape of ``kind``'s default sequence at horizon ``bound``."""
-    if kind in (ProcedureKind.LORD2, ProcedureKind.LORD3, ProcedureKind.LORDPP):
+    if kind in (_LORD2, _LORD3, _LORDPP):
         return SequenceSpec(SequenceKind.JM_OPTIMAL, bound=bound)
-    if kind is ProcedureKind.SAFFRON:
+    if kind is _SAFFRON:
         return SequenceSpec(SequenceKind.INVERSE_SQUARE, bound=bound)
-    if kind is ProcedureKind.LORD_DEP:
+    if kind is _LORD_DEP:
         return SequenceSpec(SequenceKind.LOG_POWER, shape_param=3.0) if \
             bound is None else SequenceSpec(SequenceKind.CONSTANT_BOUNDED, bound=bound)
     # LOND (both forms) and Bonferroni
@@ -311,7 +326,7 @@ def make_stream(config: ProcedureConfig, length_hint: int = 1024) -> StreamState
     state = StreamState(table=_cached_table(config.sequence, length_hint))
     # a leading coefficient above one spends more than the wealth held: a
     # sum-one table's is at most one, dependent LORD's xi table's may not be
-    if config.kind is ProcedureKind.LORD_DEP and state.table.coefficient(1) > 1 + 1e-12:
+    if config.kind is _LORD_DEP and state.table.coefficient(1) > 1 + 1e-12:
         raise ConfigError("leading coefficient must be <= 1 to keep wealth "
                           "nonnegative")
     if config.kind in _WEALTH_KINDS:
@@ -400,15 +415,15 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
                     not 0 <= c - acc.start < len(acc.sums):
                 acc = _fill_account(state, skip, c)
             level += later * acc.sums.item(c - acc.start)
-        return min(config.lam, level) if kind is ProcedureKind.SAFFRON else level
+        return min(config.lam, level) if kind is _SAFFRON else level
 
     if kind in _WEALTH_KINDS:
-        last = state._tau.item(k - 1) if k and kind is ProcedureKind.LORD3 else 0
+        last = state._tau.item(k - 1) if k and kind is _LORD3 else 0
         return g.item(i - last - 1) * state.wealth_at_discovery
 
     if kind in _LOND_KINDS:
         beta = g.item(i - 1)
-        if kind is ProcedureKind.LOND_DEP:
+        if kind is _LOND_DEP:
             beta /= state._harmonic + 1.0 / i
         return beta * (max(k, 1) if config.lond_original else k + 1)
 
@@ -447,7 +462,12 @@ def _shown(value) -> str:
 
 
 def observe(state: StreamState, p: float, config: ProcedureConfig) -> DecisionRecord:
-    """Consume one p-value: decide, update wealth/history, advance the stream."""
+    """Consume one p-value: decide, update wealth/history, advance the stream.
+
+    A step costs O(1) but for a payout account rebuild (:func:`next_level`)
+    or an unbounded table's growth; the rule is told by identity against
+    module-level names and the record is built without ``NamedTuple``'s
+    generated ``__new__``."""
     value = p if type(p) is float else \
         float(p) if isinstance(p, _REAL_TYPES) else math.nan
     if not 0.0 <= value <= 1.0:   # False for NaN
@@ -462,9 +482,9 @@ def observe(state: StreamState, p: float, config: ProcedureConfig) -> DecisionRe
         state.wealth = state.wealth - level + (config.b0 if rejected else 0.0)
         if rejected:
             state.wealth_at_discovery = state.wealth
-    elif kind is ProcedureKind.SAFFRON:
+    elif kind is _SAFFRON:
         state.candidates_total += p <= config.lam
-    elif kind is ProcedureKind.LOND_DEP:
+    elif kind is _LOND_DEP:
         state._harmonic += 1.0 / i
     if rejected:
         state._push_rejections(i, i - state.candidates_total)
@@ -472,7 +492,8 @@ def observe(state: StreamState, p: float, config: ProcedureConfig) -> DecisionRe
     table = state.table
     if table.bound is None and i >= len(table.coefficients):
         state.table = table.extended(i + 1)
-    return DecisionRecord(i, p, level, rejected, state.wealth)
+    # DecisionRecord's __new__ body without its frame; the literal fixes the arity
+    return _new_tuple(DecisionRecord, (i, p, level, rejected, state.wealth))
 
 
 def run_stream(config: ProcedureConfig, pvalues,
@@ -575,7 +596,7 @@ def _lond_beta(config: ProcedureConfig, gamma: np.ndarray, i0: int,
     """LOND's coefficients of hypotheses ``i0 + 1, i0 + 2, ...``: for the
     dependent form divided by the running harmonic sum carried on from
     ``harmonic``; returns them and the sum after the last."""
-    if config.kind is not ProcedureKind.LOND_DEP:
+    if config.kind is not _LOND_DEP:
         return gamma, harmonic
     # add.accumulate is sequential: the fold's running harmonic sum
     run = np.cumsum(np.concatenate(
@@ -631,7 +652,7 @@ def decide(config: ProcedureConfig, pvalues,
     gamma = g[i0:i0 + n]
     wealth = None
 
-    if kind is ProcedureKind.BONFERRONI:
+    if kind is _BONFERRONI:
         levels = gamma.copy()   # not a view of the shared table
         rejected = p <= levels
 
@@ -649,7 +670,7 @@ def decide(config: ProcedureConfig, pvalues,
         run = np.empty(n + 1)
         run[0] = state.wealth
         at_discovery = state.wealth_at_discovery
-        lord3 = kind is ProcedureKind.LORD3
+        lord3 = kind is _LORD3
         # g[i + shift] is the coefficient of hypothesis i; spent the first
         # hypothesis whose wealth is not spent yet
         shift = i0 - (int(state._tau[state.discoveries - 1])
@@ -678,7 +699,7 @@ def decide(config: ProcedureConfig, pvalues,
 
     else:
         candidates = np.cumsum(p <= config.lam) \
-            if kind is ProcedureKind.SAFFRON else None
+            if kind is _SAFFRON else None
         fill, found = _payout_levels(config, state, p, g, candidates)
         levels, rejected = _scan(p, fill, found)
 
@@ -686,7 +707,7 @@ def decide(config: ProcedureConfig, pvalues,
         return Decisions(levels, rejected, wealth)
     times = rejected.nonzero()[0]
     tau = clocks = i0 + 1 + times
-    if kind is ProcedureKind.SAFFRON:
+    if kind is _SAFFRON:
         clocks = tau - state.candidates_total - candidates[times]
         state.candidates_total += int(candidates[-1]) if n else 0
     state._push_rejections(tau, clocks)
@@ -795,7 +816,7 @@ def decide_rows(config: ProcedureConfig, pvalues: np.ndarray) -> np.ndarray:
         return np.zeros(pvalues.shape, dtype=bool)
     g = state.table.coefficients
     kind = config.kind
-    if kind is ProcedureKind.BONFERRONI:
+    if kind is _BONFERRONI:
         return pvalues <= g[:n]
     if kind in _LOND_KINDS:
         beta = _lond_beta(config, g[:n], 0, 0.0)[0]
@@ -814,7 +835,7 @@ def _wealth_rows(config: ProcedureConfig, p: np.ndarray,
     of every row is its coefficient times its wealth after its last
     discovery, and the wealth is spent as :func:`decide` spends it."""
     rows, n = p.shape
-    lord3 = config.kind is ProcedureKind.LORD3
+    lord3 = config.kind is _LORD3
     wealth = np.full(rows, config.w0)
     at_discovery = wealth.copy()
     last = np.zeros(rows, dtype=np.intp)   # LORD3: 1-based last discovery
@@ -913,7 +934,7 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
     """
     rows, n = p.shape
     first, later = config._payout_weights
-    saffron = config.kind is ProcedureKind.SAFFRON
+    saffron = config.kind is _SAFFRON
     if saffron:
         cand = p <= config.lam
         clock = np.arange(n) - np.cumsum(cand, axis=1)
@@ -1052,28 +1073,28 @@ def limit_level(config: ProcedureConfig, i: int) -> float:
     table = _cached_table(config.sequence, i)
     alpha, w0, b0 = config.alpha, config.w0, config.b0
 
-    if kind is ProcedureKind.LORD2:
+    if kind is _LORD2:
         return table.coefficient(i) * w0 + b0 * table.cumulative_sum(i - 1)
 
-    if kind is ProcedureKind.LORD3:
+    if kind is _LORD3:
         g1 = table.coefficient(1)
         decay = (1 - g1) ** (i - 1)
         return g1 * decay * w0 + b0 * (1 - decay)
 
-    if kind is ProcedureKind.LORDPP:
+    if kind is _LORDPP:
         level = table.coefficient(i) * w0
         if i >= 2:
             level += (alpha - w0) * table.coefficient(i - 1)
             level += alpha * table.cumulative_sum(i - 2)
         return level
 
-    if kind is ProcedureKind.SAFFRON:
+    if kind is _SAFFRON:
         g1 = table.coefficient(1)
         if i == 1:
             return min(config.lam, g1 * w0)
         return min(config.lam, (i - 1) * (1 - config.lam) * alpha * g1)
 
-    if kind is ProcedureKind.LORD_DEP:
+    if kind is _LORD_DEP:
         xi = table.head(i)
         if i == 1:
             return float(xi[0]) * w0

@@ -292,6 +292,13 @@ class SequenceTable:
         frozen.flags.writeable = False
         object.__setattr__(self, "coefficients", frozen)
 
+    def __deepcopy__(self, memo) -> SequenceTable:
+        return self   # immutable, and shared between streams already
+
+    def __reduce__(self):
+        # unpickled through the constructor, so its array is read-only again
+        return SequenceTable, (self.spec, self.scale_constant, self.coefficients)
+
     @cached_property
     def cumulative(self) -> np.ndarray:
         """Read-only partial sums, the same bits however the table grew."""

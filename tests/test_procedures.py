@@ -301,6 +301,23 @@ class TestDecisionRecord:
             rec.extra = 1.0
         assert rec == DecisionRecord(1, 0.9, rec.level, False, rec.wealth_after)
 
+    @pytest.mark.parametrize("kind", list(ProcedureKind))
+    def test_observe_returns_a_full_record(self, kind):
+        cfg = default_config(kind, alpha=0.05)
+        state = make_stream(cfg)
+        for p in (0.0, 0.9, 0.3):
+            rec = observe(state, p, cfg)
+            assert type(rec) is DecisionRecord and len(rec) == 5
+            assert rec == DecisionRecord(*rec)
+            assert rec._fields == ("index", "p", "level", "rejected",
+                                   "wealth_after")
+            assert (rec.index, rec.p, rec.wealth_after) == (
+                state.i, p, state.wealth)
+            if kind in (ProcedureKind.LORD3, ProcedureKind.LORD_DEP):
+                assert isinstance(rec.wealth_after, float)
+            else:
+                assert rec.wealth_after is None
+
 
 class TestPayoutWeights:
     """The config's payout weights are computed once and are not a field."""

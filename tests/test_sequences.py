@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -204,6 +206,17 @@ class TestImmutableTable:
             for b in tables:
                 assert a is b or not np.shares_memory(a.coefficients,
                                                       b.coefficients)
+
+    def test_copies_stay_read_only(self):
+        table = self.table().extended(40)
+        copies = [copy.deepcopy(table), pickle.loads(pickle.dumps(table))]
+        for other in copies:
+            assert not other.coefficients.flags.writeable
+            assert other.coefficients.tobytes() == table.coefficients.tobytes()
+            assert other.spec == table.spec
+            assert other.scale_constant == table.scale_constant
+        # a deep copy is the shared table itself
+        assert copies[0] is table
 
     def test_reads_past_prefix_raise(self):
         table = self.table()
