@@ -880,11 +880,11 @@ def _toeplitz_strip(c: np.ndarray, length: int) -> np.ndarray:
 
 def _add_payouts(out: np.ndarray, count: np.ndarray, strip: np.ndarray) -> None:
     """``out += count[:, ::-1] @ strip``, the payouts of the discoveries
-    counted per row and block clock: one product over the rows with a
-    nonzero count, or one row add per nonzero count where they are fewer
-    than about one per 128 columns of the strip per row (a row add of ``w``
-    terms costs about as much as a product row of ``128 w`` multiply-adds,
-    on a 2-CPU x86 machine)."""
+    whose weights are summed per row and block clock in ``count``: one
+    product over the rows with a nonzero sum, or one scaled row add per
+    nonzero sum where they are fewer than about one per 128 columns of the
+    strip per row (a row add of ``w`` terms costs about as much as a
+    product row of ``128 w`` multiply-adds, on a 2-CPU x86 machine)."""
     rows, clocks = count.nonzero()
     paid = np.unique(rows)
     if len(rows) * 128 > len(paid) * strip.shape[1]:
@@ -893,9 +893,7 @@ def _add_payouts(out: np.ndarray, count: np.ndarray, strip: np.ndarray) -> None:
                                np.ascontiguousarray(count[paid, ::-1]), strip)
         return
     for r, a in zip(rows.tolist(), clocks.tolist()):
-        c = count[r, a]
-        row = strip[_BLOCK - 1 - a]
-        out[r] += row if c == 1.0 else c * row
+        out[r] += count[r, a] * strip[_BLOCK - 1 - a]
 
 
 def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
@@ -903,30 +901,35 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
     rows whose flags the rounding bound below does not certify.
 
     Clocks (0-based here: ``k`` is the 1-based clock less one) are swept in
-    blocks of ``_BLOCK``.  The decisions on a block's clocks depend on the
-    discoveries before the block, whose payouts are summed already, and on
-    those inside it: they are the fixpoint of accepting every hit at once
-    under the discoveries of the pass before, found for all rows together.  A block's payouts to the clocks after it
-    are one product of its discovery counts with a strip of the Toeplitz
-    matrix ``c[x - a - 1]`` (:func:`_toeplitz_strip`; ``c`` is ``g``, or
-    ``g[1:]`` for SAFFRON, whose discoveries pay gamma(1) on their own
-    clock: that term is added per hypothesis).
+    blocks of ``_BLOCK``.  A level is ``w0 g[k]`` plus each discovery's
+    weight (``first`` for a row's first, ``later`` for every other; LORD2
+    pays ``b0`` for each) times its coefficient on clock ``k``.  The
+    decisions on a block's clocks depend on the discoveries before the
+    block, whose payouts are summed already, and on those inside it: they
+    are the fixpoint of accepting every hit at once under the discoveries
+    of the pass before, found for all rows together.  A block's payouts to
+    the clocks after it are one product of its weights, summed per clock,
+    with a strip of the Toeplitz matrix ``c[x - a - 1]``
+    (:func:`_toeplitz_strip`; ``c`` is ``g``, or ``g[1:]`` for SAFFRON,
+    whose discoveries pay gamma(1) on their own clock: that term is added
+    per hypothesis).
 
     The sums run in another order than :func:`decide`'s, so each decision
     is certified.  Every term of a level is nonnegative (``w0``, the
-    weights and the coefficients are).  A level has at most ``n`` nonzero
-    terms (the base, the first payout and one coefficient per later
-    discovery before it); in our sum and in :func:`decide`'s each passes
-    through at most one rounded product before its weight (a count or
-    ``w0`` times a coefficient), the product with its weight and at most
-    ``n - 1`` inexact additions (adding an exact 0 is exact).  By Higham,
+    weights and the coefficients are), and a level has at most ``n``: ``w0
+    g[k]`` and one per discovery before it.  Our sum multiplies each
+    weight, or a sum of weights on one clock, by its coefficient once;
+    :func:`decide` multiplies ``w0`` or ``first`` by a coefficient, or
+    ``later`` by a sum of coefficients.  Either way the terms are added in
+    one tree, so each passes through one rounded product and at most ``n -
+    1`` inexact additions (adding an exact 0 is exact).  By Higham,
     Accuracy and Stability of Numerical Algorithms (2nd ed., Lemma 3.1 and
-    section 4.2), both computed levels then lie within ``gamma_{n+1} L`` of
-    the exact level ``L`` of the same discoveries (``gamma_k = k u / (1 -
-    k u)``, ``u = 2**-53``; capping at lambda moves neither further), so
-    they differ by at most ``2 gamma / (1 - gamma)`` times ours.  A
-    p-value farther from our level than that is decided alike by both; the
-    bound ``2.5 gamma_{n+8}`` leaves room for rounding the bound and the
+    section 4.2), both computed levels then lie within ``gamma_n L`` of the
+    exact level ``L`` of the same discoveries (``gamma_k = k u / (1 - k
+    u)``, ``u = 2**-53``; capping at lambda moves neither further), so they
+    differ by at most ``2 gamma_n / (1 - gamma_n)`` times ours.  A p-value
+    farther from our level than that is decided alike by both; the bound
+    ``2.5 gamma_{n+8}`` leaves room for rounding the bound and the
     distance.  With every decision certified a row's discoveries are the
     fold's, since each level depends only on the decisions before it; a
     row with any decision inside the bound is left to :func:`decide`.  The
@@ -934,6 +937,7 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
     """
     rows, n = p.shape
     first, later = config._payout_weights
+    first = later if first is None else first
     saffron = config.kind is _SAFFRON
     if saffron:
         cand = p <= config.lam
@@ -943,14 +947,13 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
         clock = np.broadcast_to(np.arange(n), p.shape)
     span = int(clock[:, -1].max()) + 1
     strip = _toeplitz_strip(g[1:] if saffron else g, max(n, _BLOCK))
-    lag = 0 if saffron else 1   # the first payout is g[k - kf - lag]
     gam = (n + 8) * 2.0 ** -53
     bound = 2.5 * gam / (1.0 - gam)
 
-    owed = np.zeros((rows, span + _BLOCK))   # payout sums per clock
+    owed = np.zeros((rows, span + _BLOCK))   # weighted payout sums per clock
     rejected = np.zeros(p.shape, dtype=bool)
     unsure = np.zeros(rows, dtype=bool)
-    found = np.full(rows, -1)   # the clock of a row's first discovery
+    had = np.zeros(rows, dtype=bool)   # a discovery before the block
     row_of = np.arange(rows)[:, None]
     kb, hi = 0, np.zeros(rows, dtype=np.intp)
     while kb < span:
@@ -977,54 +980,51 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
             np.maximum.accumulate(start, axis=1, out=start)
         else:
             width = min(_BLOCK, n - kb)
-            pos = np.arange(width)
             pw = p[:, kb:kb + width]
-            k = np.broadcast_to(kb + pos, pw.shape)
+            k = kb + np.arange(width)
             prior = owed[:, kb:kb + width]
         near = strip[:, :width]
         # the level under the discoveries before the block
-        fixed = g[k] * config.w0
-        if first is not None and (found >= 0).any():
-            paid = found[:, None] >= 0
-            gap = np.where(paid, k - found[:, None] - lag, 0)
-            fixed += np.where(paid, first * g[gap], 0.0)
-        fixed += prior * later
+        fixed = g[k] * config.w0 + prior
         level = np.minimum(fixed, config.lam) if saffron else fixed.copy()
         hits = pw <= level
         count = np.zeros((rows, _BLOCK))
-        kf = found.copy()
         act = hits.any(axis=1).nonzero()[0]   # rows whose last pass found more
         while len(act):
-            flags, lv = hits[act], fixed[act]
-            if first is not None and (found[act] < 0).any():
-                # a row's first discovery inside the block is paid as such
-                here = (found[act] < 0).nonzero()[0]
-                w1 = flags[here].argmax(axis=1)
-                ka = k[act[here]]
-                kf[act[here]] = ka[np.arange(len(here)), w1]
-                after = pos > w1[:, None]
-                gap = np.where(after, ka - kf[act[here], None] - lag, 0)
-                lv[here] += np.where(after, first * g[gap], 0.0)
-                flags[here, w1] = False
+            flags = hits[act]
+            # each discovery's weight: first for a row's first one
+            wt = flags * later
+            wt[~had[act], flags[~had[act]].argmax(axis=1)] = first
             cnt = np.zeros((len(act), _BLOCK))
             local = np.zeros((len(act), width))
             if saffron:
                 ma, row = m[act], np.arange(len(act))[:, None]
+                disc = np.flatnonzero(flags)   # the discoveries in turn
+                w = wt.take(disc)
                 cnt.reshape(-1)[:] = np.bincount(
-                    (row * _BLOCK + ma)[flags], minlength=len(act) * _BLOCK)
+                    (row * _BLOCK + ma).take(disc), weights=w,
+                    minlength=len(act) * _BLOCK)
                 _add_payouts(local, cnt, near)
                 pay = local.take(row * width + ma)
-                # gamma(1) of each discovery before on the same clock
-                before = np.cumsum(flags, axis=1)
-                before -= flags
-                before -= before.take(row * len(pos) + start[act])
-                pay += before * g[0]
+                # gamma(1) of the discoveries before each hypothesis on its
+                # clock: their weights summed on that clock alone (a
+                # difference of running sums would carry the rounding of
+                # earlier clocks' weights), by a doubling scan over the
+                # discoveries in turn, read at the last one before it.
+                # ``before`` counts the discoveries before each hypothesis
+                # over the rows in turn, ``rank`` those on its clock
+                before = np.cumsum(flags).reshape(flags.shape) - flags
+                rank = before - before.take(row * len(pos) + start[act])
+                rk = rank.take(disc)
+                for d in 2 ** np.arange(int(rk.max()).bit_length()):
+                    w[d:] += np.where(rk[d:] >= d, w[:-d], 0.0)
+                w *= g[0]
+                pay += np.where(rank > 0, w.take(before - 1, mode="clip"), 0.0)
             else:
-                cnt[:, :width] = flags
+                cnt[:, :width] = wt
                 _add_payouts(local, cnt, near)
                 pay = local
-            pay *= later
-            lv += pay
+            lv = fixed[act] + pay
             if saffron:
                 np.minimum(lv, config.lam, out=lv)
             level[act] = lv
@@ -1041,7 +1041,7 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
             np.put(rejected, at[valid], hits[valid])
         else:
             rejected[:, kb:kb + width] = hits
-        found = kf
+        had |= hits.any(axis=1)
         kb += width
         if kb < span:
             _add_payouts(owed[:, kb:span], count,

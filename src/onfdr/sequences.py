@@ -19,6 +19,7 @@ the published six-figure constants to well below 1e-10.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -74,11 +75,14 @@ class SequenceSpec:
             if self.bound is None:
                 raise SequenceError(f"{self.kind.value} requires a finite bound")
         horizons = [before for _, before in self.rebounds] + [self.bound]
-        if any(h is not None and h < 1 for h in horizons):
+        if any(h is not None and (not isinstance(h, numbers.Integral) or h < 1)
+               for h in horizons):
             raise SequenceError("bound must be a positive integer")
         for (n, before), after in zip(self.rebounds, horizons[1:]):
             if before is None:
                 raise SequenceError("rebound requires a bounded table")
+            if not isinstance(n, numbers.Integral):
+                raise SequenceError("rebound point n must be an integer")
             if after is None or not 0 <= n < after:
                 raise SequenceError("need 0 <= n < new horizon")
             if n > before:

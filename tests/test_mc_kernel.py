@@ -45,6 +45,21 @@ def config_of(kind, n, bounded, lond_original=False):
     return cfg
 
 
+def rows_and_fallbacks(cfg, p):
+    """``decide_rows``' flags, and how many rows it left to ``decide``."""
+    calls = []
+
+    def counting(config, pvalues, state=None):
+        calls.append(1)
+        return decide(config, pvalues, state)
+
+    original, procedures.decide = procedures.decide, counting
+    try:
+        return decide_rows(cfg, p), len(calls)
+    finally:
+        procedures.decide = original
+
+
 def assert_rows_are_decides(cfg, p):
     got = decide_rows(cfg, p)
     assert got.shape == p.shape and got.dtype == bool
@@ -149,7 +164,21 @@ class TestDecideRows:
             + rng.standard_normal((rows, n))
         p = check_rows(np.minimum(1.0, 2.0 * rng.random((rows, n)) ** 2
                                   * np.exp(-z * z / 2)))
-        assert_rows_are_decides(config_of(kind, n, bounded), p)
+        cfg = config_of(kind, n, bounded)
+        # also the payout weights at their edges: LORD++'s first weight 0
+        # (w0 = alpha) or equal to the later one (w0 = 0), SAFFRON's and
+        # LORD2's w0 = 0
+        edges = {ProcedureKind.LORD2: [dict(w0=0.0, b0=0.05)],
+                 ProcedureKind.LORDPP: [dict(w0=0.05), dict(w0=0.0)],
+                 ProcedureKind.SAFFRON: [dict(w0=0.0)]}.get(kind, [])
+        for cfg in [cfg] + [dataclasses.replace(cfg, **w) for w in edges]:
+            got, fallbacks = rows_and_fallbacks(cfg, p)
+            # the kernel certifies ordinary rows: a kernel that left every
+            # row to decide would still give decide's flags
+            assert fallbacks == 0
+            for r, row in enumerate(p):
+                np.testing.assert_array_equal(
+                    got[r], decide(cfg, row).rejected, err_msg=f"row {r}")
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_every_and_no_discovery(self, kind):
@@ -194,19 +223,8 @@ class TestDecideRows:
         level = decide(cfg, p[1]).levels[i]
         p[1, i] = data.draw(st.sampled_from(
             [level, math.nextafter(level, 0.0), math.nextafter(level, 1.0)]))
-        calls = []
-
-        def counting(config, pvalues, state=None):
-            calls.append(1)
-            return decide(config, pvalues, state)
-
-        original = procedures.decide
-        procedures.decide = counting
-        try:
-            got = decide_rows(cfg, check_rows(p))
-        finally:
-            procedures.decide = original
-        assert calls
+        got, fallbacks = rows_and_fallbacks(cfg, check_rows(p))
+        assert fallbacks
         for r in range(3):
             np.testing.assert_array_equal(got[r], decide(cfg, p[r]).rejected)
 

@@ -280,6 +280,26 @@ class TestSpecValidation:
         # also each horizon a rebound started from
         with pytest.raises(SequenceError, match="bound must be a positive integer"):
             SequenceSpec(SequenceKind.UNIFORM, bound=5, rebounds=((0, 0),))
+        # and an integer: a float horizon would fail later, inside numpy
+        spec = SequenceSpec(SequenceKind.UNIFORM, bound=4)
+        for bad in (dict(bound=2.5), dict(bound=1e3),
+                    dict(bound=6, rebounds=((1, 4.0),))):
+            with pytest.raises(SequenceError,
+                               match="bound must be a positive integer"):
+                dataclasses.replace(spec, **bad)
+        with pytest.raises(SequenceError,
+                           match="bound must be a positive integer"):
+            spec.rebounded(1, 6.0)
+        with pytest.raises(SequenceError, match="n must be an integer"):
+            spec.rebounded(1.5, 6)
+        # numpy integers are integers
+        for kind in (SequenceKind.UNIFORM, SequenceKind.JM_OPTIMAL):
+            as_numpy = SequenceSpec(kind, bound=np.int64(5))
+            assert as_numpy == SequenceSpec(kind, bound=5)
+            np.testing.assert_array_equal(
+                build_table(as_numpy).coefficients,
+                build_table(SequenceSpec(kind, bound=5)).coefficients)
+        assert spec.rebounded(np.int64(1), np.int64(6)) == spec.rebounded(1, 6)
 
     @pytest.mark.parametrize("kind", [SequenceKind.JM_OPTIMAL,
                                       SequenceKind.INVERSE_SQUARE,
