@@ -14,6 +14,7 @@ from .procedures import (
     check_rows,
     decide,
     decide_rows,
+    decide_stack,
     default_config,
     default_sequence,
     limit_level,

@@ -34,8 +34,10 @@ takes the earlier discoveries' payouts on its clocks from the account, and
 the next call pays the chunk's own discoveries into it.
 
 ``decide_rows`` decides many fresh streams of one length at once, one row
-of a matrix each, with the flags ``decide`` gives each row; the Monte
-Carlo harness runs every rule on a batch of replicates through it.  Its
+of a matrix each, with the flags ``decide`` gives each row, and
+``decide_stack`` does so for several configs on one matrix, the configs of
+a rule family in one kernel call; the Monte Carlo harness runs every
+online rule on a batch of replicates through ``decide_stack``.  Their
 payout rules sweep the clocks in blocks of 64, which costs a few dozen
 numpy calls per block and up to ``N**2 / 2`` multiply-adds per row (5 10^9
 at N = 10^5), so it does not suit one long stream: on a 10^5-row stream
@@ -795,63 +797,111 @@ def check_rows(pvalues) -> np.ndarray:
 def decide_rows(config: ProcedureConfig, pvalues: np.ndarray) -> np.ndarray:
     """Rejection flags of every row of a matrix from :func:`check_rows`,
     each row a fresh stream: row ``r`` equals
-    ``decide(config, pvalues[r]).rejected``.
+    ``decide(config, pvalues[r]).rejected``.  The one-config case of
+    :func:`decide_stack`, which says how each rule is decided."""
+    return decide_stack([config], pvalues)[0]
 
-    Built for Monte Carlo replicates, many short streams of one length:
-    Bonferroni is one comparison with its levels; LOND runs
-    :func:`decide`'s passes (:func:`_lond_search`) over the matrix, one
-    window shared by every row; LORD3 and dependent LORD sweep the columns,
-    spending each row's wealth in the fold's order; LORD2, LORD++ and
-    SAFFRON run :func:`_payout_rows`, whose products with a Toeplitz strip
-    of the coefficients cost up to ``N**2 / 2`` multiply-adds per row (5
-    10^9 for one 10^5-row stream, which :func:`decide` adds up one
-    discovery at a time), and a row with a decision that its rounding
-    bound does not certify is decided again by :func:`decide`.
+
+def decide_stack(configs, pvalues: np.ndarray) -> list[np.ndarray]:
+    """:func:`decide_rows`' flags of every config in ``configs`` on the
+    same matrix, in their order; the configs of one rule family are
+    decided in one kernel call, their rows stacked.
+
+    Built for Monte Carlo replicates, many short streams of one length,
+    where much of a kernel call is numpy's fixed cost per call, so its time
+    grows slower than its rows: Bonferroni is one comparison with its
+    levels; LOND runs :func:`decide`'s passes (:func:`_lond_search`) over
+    the matrix, one window shared by every row, per config (its passes
+    recompute every row, so stacking does not pay); LORD3 and dependent
+    LORD are one stack, whose columns :func:`_wealth_rows` sweeps; LORD2
+    and LORD++ are one stack and SAFFRON another, each run by
+    :func:`_payout_rows`, whose products with a Toeplitz strip of the
+    coefficients cost up to ``N**2 / 2`` multiply-adds per row (5 10^9 for
+    one 10^5-row stream, which :func:`decide` adds up one discovery at a
+    time), and a row with a decision that its rounding bound does not
+    certify is decided again by :func:`decide` under its own config.  The
+    configs of one spec share one table (and strip), and their rows are
+    next to each other in the stack.  A refused config or horizon raises
+    what :func:`decide_rows` raises for the first config in order that has
+    one, before anything is decided.
     """
+    configs = list(configs)
     n = pvalues.shape[1]
-    state = make_stream(config, length_hint=n + 1)
-    if state.bound is not None and n > state.bound:
-        raise _horizon_error(state.bound, located=True)
+    tables = {}   # the coefficients of each spec, shared by its configs
+    for config in configs:
+        state = make_stream(config, length_hint=n + 1)
+        if state.bound is not None and n > state.bound:
+            raise _horizon_error(state.bound, located=True)
+        tables.setdefault(config.sequence, state.table.coefficients[:n])
     if pvalues.size == 0:
-        return np.zeros(pvalues.shape, dtype=bool)
-    g = state.table.coefficients
-    kind = config.kind
-    if kind is _BONFERRONI:
-        return pvalues <= g[:n]
-    if kind in _LOND_KINDS:
-        beta = _lond_beta(config, g[:n], 0, 0.0)[0]
-        return _lond_search(config, pvalues, beta, 0)[1]
-    if kind in _WEALTH_KINDS:
-        return _wealth_rows(config, pvalues, g)
-    rejected, unsure = _payout_rows(config, pvalues, g)
-    for r in unsure.nonzero()[0]:
-        rejected[r] = decide(config, pvalues[r]).rejected
-    return rejected
+        return [np.zeros(pvalues.shape, dtype=bool) for _ in configs]
+    flags = [None] * len(configs)
+    families = {}   # (wealth rule, SAFFRON): the indices of the configs
+    for j, config in enumerate(configs):
+        kind, g = config.kind, tables[config.sequence]
+        if kind is _BONFERRONI:
+            flags[j] = pvalues <= g
+        elif kind in _LOND_KINDS:
+            beta = _lond_beta(config, g, 0, 0.0)[0]
+            flags[j] = _lond_search(config, pvalues, beta, 0)[1]
+        else:
+            families.setdefault((kind in _WEALTH_KINDS, kind is _SAFFRON),
+                                []).append(j)
+    rows = len(pvalues)
+    for (wealth, _), members in families.items():
+        specs = list(dict.fromkeys(configs[j].sequence for j in members))
+        members.sort(key=lambda j: specs.index(configs[j].sequence))
+        stack = [configs[j] for j in members]
+        which = [specs.index(config.sequence) for config in stack]
+        g = np.stack([tables[spec] for spec in specs])
+        if wealth:
+            rejected = _wealth_rows(stack, which, g, pvalues)
+        else:
+            rejected, unsure = _payout_rows(stack, which, g, pvalues)
+            for q in unsure.nonzero()[0].tolist():
+                b, r = divmod(q, rows)
+                rejected[q] = decide(stack[b], pvalues[r]).rejected
+        for b, j in enumerate(members):
+            flags[j] = rejected[b * rows:(b + 1) * rows]
+    return flags
 
 
-def _wealth_rows(config: ProcedureConfig, p: np.ndarray,
-                 g: np.ndarray) -> np.ndarray:
-    """LORD3 or dependent LORD on each row, one column at a time: the level
+def _wealth_rows(configs, which, g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """LORD3 or dependent LORD on each row of ``p`` under each config, row
+    ``r`` under ``configs[b]`` being row ``b * len(p) + r`` of the stack,
+    whose coefficients are ``g[which[b]]``; one column at a time: the level
     of every row is its coefficient times its wealth after its last
     discovery, and the wealth is spent as :func:`decide` spends it."""
     rows, n = p.shape
-    lord3 = config.kind is _LORD3
-    wealth = np.full(rows, config.w0)
+    wealth = np.repeat([config.w0 for config in configs], rows)
+    b0 = np.repeat([config.b0 for config in configs], rows)
+    lord3 = np.repeat([config.kind is _LORD3 for config in configs], rows)
     at_discovery = wealth.copy()
-    last = np.zeros(rows, dtype=np.intp)   # LORD3: 1-based last discovery
-    rejected = np.empty((n, rows), dtype=bool)
+    # hypothesis i's coefficient is g.flat[offset + i - last], last the
+    # 1-based last discovery for LORD3 and 0 for dependent LORD: ``at``
+    # holds it for column i, one step further per column and back to
+    # ``offset`` after a LORD3 discovery
+    offset = np.repeat(np.asarray(which, dtype=np.intp) * n, rows)
+    at = offset.copy()
+    rejected = np.empty((n, len(configs), rows), dtype=bool)
     columns = np.ascontiguousarray(p.T)
-    level = np.empty(rows)
+    level = np.empty(len(at))
+    # views by config, so each config's rows meet the same column
+    level_of, hits = level.reshape(-1, rows), rejected.reshape(n, -1)
     for i in range(n):
-        np.multiply(g[i - last] if lord3 else g[i], at_discovery, out=level)
-        hit = np.less_equal(columns[i], level, out=rejected[i])
+        g.take(at, out=level)
+        np.multiply(level, at_discovery, out=level)
+        np.less_equal(columns[i], level_of, out=rejected[i])
+        hit = hits[i]
         np.subtract(wealth, level, out=wealth)
+        at += 1
         if hit.any():
-            wealth[hit] += config.b0
-            at_discovery[hit] = wealth[hit]
-            if lord3:
-                last[hit] = i + 1
-    return rejected.T
+            # masked updates, not fancy indexing: a row without a hit
+            # adds an exact 0 and keeps its values
+            wealth += b0 * hit
+            np.copyto(at_discovery, wealth, where=hit)
+            np.copyto(at, offset, where=hit & lord3)
+    return hits.T
 
 
 # clocks per block of the payout kernel, and the most hypotheses of a row a
@@ -878,32 +928,42 @@ def _toeplitz_strip(c: np.ndarray, length: int) -> np.ndarray:
         padded, shape=(_BLOCK, length), strides=(step, step), writeable=False)
 
 
-def _add_payouts(out: np.ndarray, count: np.ndarray, strip: np.ndarray) -> None:
-    """``out += count[:, ::-1] @ strip``, the payouts of the discoveries
-    whose weights are summed per row and block clock in ``count``: one
-    product over the rows with a nonzero sum, or one scaled row add per
-    nonzero sum where they are fewer than about one per 128 columns of the
-    strip per row (a row add of ``w`` terms costs about as much as a
-    product row of ``128 w`` multiply-adds, on a 2-CPU x86 machine)."""
-    rows, clocks = count.nonzero()
-    paid = np.unique(rows)
-    if len(rows) * 128 > len(paid) * strip.shape[1]:
-        # einsum is fast with a contiguous first operand
-        out[paid] += np.einsum("ra,ax->rx",
-                               np.ascontiguousarray(count[paid, ::-1]), strip)
-        return
-    for r, a in zip(rows.tolist(), clocks.tolist()):
-        out[r] += count[r, a] * strip[_BLOCK - 1 - a]
+def _add_payouts(out: np.ndarray, count: np.ndarray, strips, cuts,
+                 x0: int) -> None:
+    """``out += count[:, ::-1] @ strip[:, x0:x0 + out.shape[1]]``, the
+    payouts of the discoveries whose weights are summed per row and block
+    clock in ``count``, with rows ``cuts[t], ..., cuts[t + 1] - 1`` paid
+    from ``strips[t]``.  Per strip: one product over the rows with a
+    nonzero sum, or one scaled row add per nonzero sum where they are fewer
+    than about one per 128 columns of the strip per row (a row add of ``w``
+    terms costs about as much as a product row of ``128 w`` multiply-adds,
+    on a 2-CPU x86 machine)."""
+    for strip, lo, hi in zip(strips, cuts, cuts[1:]):
+        strip, o, c = strip[:, x0:x0 + out.shape[1]], out[lo:hi], count[lo:hi]
+        paid = c.any(axis=1).nonzero()[0]
+        if np.count_nonzero(c) * 128 > len(paid) * strip.shape[1]:
+            # einsum is fast with a contiguous first operand
+            o[paid] += np.einsum("ra,ax->rx",
+                                 np.ascontiguousarray(c[paid, ::-1]), strip)
+            continue
+        rows, clocks = c.nonzero()
+        for r, a in zip(rows.tolist(), clocks.tolist()):
+            o[r] += c[r, a] * strip[_BLOCK - 1 - a]
 
 
-def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
-    """LORD2, LORD++ or SAFFRON on each row: the rejection flags, and the
-    rows whose flags the rounding bound below does not certify.
+def _payout_rows(configs, which, g: np.ndarray, p: np.ndarray):
+    """LORD2 and LORD++, or SAFFRON, on each row of ``p`` under each
+    config: the rejection flags and the rows whose flags the rounding bound
+    below does not certify, over the stack whose row ``b * len(p) + r`` is
+    row ``r`` under ``configs[b]``.  Config ``b``'s coefficients are
+    ``g[which[b]]``, and ``which`` does not fall, so the rows of one table
+    are next to each other and share its strip.
 
     Clocks (0-based here: ``k`` is the 1-based clock less one) are swept in
     blocks of ``_BLOCK``.  A level is ``w0 g[k]`` plus each discovery's
     weight (``first`` for a row's first, ``later`` for every other; LORD2
-    pays ``b0`` for each) times its coefficient on clock ``k``.  The
+    pays ``b0`` for each) times its coefficient on clock ``k``, with the
+    row's own ``w0``, weights, coefficients and (SAFFRON) lambda.  The
     decisions on a block's clocks depend on the discoveries before the
     block, whose payouts are summed already, and on those inside it: they
     are the fixpoint of accepting every hit at once under the discoveries
@@ -912,49 +972,67 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
     with a strip of the Toeplitz matrix ``c[x - a - 1]``
     (:func:`_toeplitz_strip`; ``c`` is ``g``, or ``g[1:]`` for SAFFRON,
     whose discoveries pay gamma(1) on their own clock: that term is added
-    per hypothesis).
+    per hypothesis), one per table.
 
     The sums run in another order than :func:`decide`'s, so each decision
-    is certified.  Every term of a level is nonnegative (``w0``, the
-    weights and the coefficients are), and a level has at most ``n``: ``w0
-    g[k]`` and one per discovery before it.  Our sum multiplies each
-    weight, or a sum of weights on one clock, by its coefficient once;
-    :func:`decide` multiplies ``w0`` or ``first`` by a coefficient, or
-    ``later`` by a sum of coefficients.  Either way the terms are added in
-    one tree, so each passes through one rounded product and at most ``n -
-    1`` inexact additions (adding an exact 0 is exact).  By Higham,
-    Accuracy and Stability of Numerical Algorithms (2nd ed., Lemma 3.1 and
-    section 4.2), both computed levels then lie within ``gamma_n L`` of the
-    exact level ``L`` of the same discoveries (``gamma_k = k u / (1 - k
-    u)``, ``u = 2**-53``; capping at lambda moves neither further), so they
-    differ by at most ``2 gamma_n / (1 - gamma_n)`` times ours.  A p-value
-    farther from our level than that is decided alike by both; the bound
-    ``2.5 gamma_{n+8}`` leaves room for rounding the bound and the
-    distance.  With every decision certified a row's discoveries are the
-    fold's, since each level depends only on the decisions before it; a
-    row with any decision inside the bound is left to :func:`decide`.  The
-    levels stay far above the subnormal range.
+    is certified.  The argument is per row, so it holds for a row of a
+    stack as for a row alone: the row's terms are those of its own config.
+    Every term of a level is nonnegative (``w0``, the weights and the
+    coefficients are), and a level has at most ``n``: ``w0 g[k]`` and one
+    per discovery before it.  Our sum multiplies each weight, or a sum of
+    weights on one clock, by its coefficient once; :func:`decide`
+    multiplies ``w0`` or ``first`` by a coefficient, or ``later`` by a sum
+    of coefficients.  Either way the terms are added in one tree, so each
+    passes through one rounded product and at most ``n - 1`` inexact
+    additions (adding an exact 0 is exact).  By Higham, Accuracy and
+    Stability of Numerical Algorithms (2nd ed., Lemma 3.1 and section 4.2),
+    both computed levels then lie within ``gamma_n L`` of the exact level
+    ``L`` of the same discoveries (``gamma_k = k u / (1 - k u)``, ``u =
+    2**-53``; capping at lambda moves neither further), so they differ by
+    at most ``2 gamma_n / (1 - gamma_n)`` times ours.  A p-value farther
+    from our level than that is decided alike by both; the bound ``2.5
+    gamma_{n+8}`` leaves room for rounding the bound and the distance.
+    With every decision certified a row's discoveries are the fold's,
+    since each level depends only on the decisions before it; a row with
+    any decision inside the bound is left to :func:`decide`.  The levels
+    stay far above the subnormal range.
     """
-    rows, n = p.shape
-    first, later = config._payout_weights
-    first = later if first is None else first
-    saffron = config.kind is _SAFFRON
+    each, n = p.shape   # rows per config
+    saffron = configs[0].kind is _SAFFRON
+    strips = [_toeplitz_strip(c[1:] if saffron else c, max(n, _BLOCK))
+              for c in g]
+    # the rows of each table: those of its configs, from the first that
+    # reads it to the first that reads the next
+    cuts = each * np.searchsorted(which, np.arange(len(g) + 1))
+
+    def per_row(values):
+        return np.repeat(values, each)
+
+    weights = [config._payout_weights for config in configs]
+    first = per_row([w if f is None else f for f, w in weights])
+    later = per_row([w for _, w in weights])
+    w0 = per_row([config.w0 for config in configs])[:, None]
+    table = per_row(which)
+    at_table = (table * n)[:, None]   # g.take(at_table + k): a row's g[k]
+    rows = len(configs) * each
+    row_of = np.arange(rows)[:, None]
     if saffron:
-        cand = p <= config.lam
+        lam = per_row([config.lam for config in configs])[:, None]
+        g0 = g[table, 0]
+        row_in_p = row_of % each * n   # a stacked row's own row of p, flat
+        cand = (p <= lam.reshape(-1, each, 1)).reshape(rows, n)
         clock = np.arange(n) - np.cumsum(cand, axis=1)
         clock += cand   # the candidates before each hypothesis
     else:
-        clock = np.broadcast_to(np.arange(n), p.shape)
+        clock = np.broadcast_to(np.arange(n), (rows, n))
     span = int(clock[:, -1].max()) + 1
-    strip = _toeplitz_strip(g[1:] if saffron else g, max(n, _BLOCK))
     gam = (n + 8) * 2.0 ** -53
     bound = 2.5 * gam / (1.0 - gam)
 
     owed = np.zeros((rows, span + _BLOCK))   # weighted payout sums per clock
-    rejected = np.zeros(p.shape, dtype=bool)
+    rejected = np.zeros((rows, n), dtype=bool)
     unsure = np.zeros(rows, dtype=bool)
     had = np.zeros(rows, dtype=bool)   # a discovery before the block
-    row_of = np.arange(rows)[:, None]
     kb, hi = 0, np.zeros(rows, dtype=np.intp)
     while kb < span:
         if saffron:
@@ -970,8 +1048,8 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
             at = lo[:, None] + pos
             valid = at < hi[:, None]
             np.minimum(at, n - 1, out=at)
+            pw = np.where(valid, p.take(at + row_in_p), np.inf)
             at += row_of * n   # flat: take() gathers faster than [rows, at]
-            pw = np.where(valid, p.take(at), np.inf)
             k = clock.take(at)
             m = np.where(valid, k - kb, 0)   # the clock within the block
             prior = owed.take(row_of * owed.shape[1] + kb + m)   # paid before
@@ -980,21 +1058,21 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
             np.maximum.accumulate(start, axis=1, out=start)
         else:
             width = min(_BLOCK, n - kb)
-            pw = p[:, kb:kb + width]
+            pw = np.tile(p[:, kb:kb + width], (len(configs), 1))
             k = kb + np.arange(width)
             prior = owed[:, kb:kb + width]
-        near = strip[:, :width]
         # the level under the discoveries before the block
-        fixed = g[k] * config.w0 + prior
-        level = np.minimum(fixed, config.lam) if saffron else fixed.copy()
+        fixed = g.take(at_table + k) * w0 + prior
+        level = np.minimum(fixed, lam) if saffron else fixed.copy()
         hits = pw <= level
         count = np.zeros((rows, _BLOCK))
         act = hits.any(axis=1).nonzero()[0]   # rows whose last pass found more
         while len(act):
             flags = hits[act]
             # each discovery's weight: first for a row's first one
-            wt = flags * later
-            wt[~had[act], flags[~had[act]].argmax(axis=1)] = first
+            wt = flags * later[act, None]
+            fresh = ~had[act]
+            wt[fresh, flags[fresh].argmax(axis=1)] = first[act[fresh]]
             cnt = np.zeros((len(act), _BLOCK))
             local = np.zeros((len(act), width))
             if saffron:
@@ -1004,7 +1082,7 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
                 cnt.reshape(-1)[:] = np.bincount(
                     (row * _BLOCK + ma).take(disc), weights=w,
                     minlength=len(act) * _BLOCK)
-                _add_payouts(local, cnt, near)
+                _add_payouts(local, cnt, strips, np.searchsorted(act, cuts), 0)
                 pay = local.take(row * width + ma)
                 # gamma(1) of the discoveries before each hypothesis on its
                 # clock: their weights summed on that clock alone (a
@@ -1018,15 +1096,15 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
                 rk = rank.take(disc)
                 for d in 2 ** np.arange(int(rk.max()).bit_length()):
                     w[d:] += np.where(rk[d:] >= d, w[:-d], 0.0)
-                w *= g[0]
+                w *= g0[act].take(disc // len(pos))
                 pay += np.where(rank > 0, w.take(before - 1, mode="clip"), 0.0)
             else:
                 cnt[:, :width] = wt
-                _add_payouts(local, cnt, near)
+                _add_payouts(local, cnt, strips, np.searchsorted(act, cuts), 0)
                 pay = local
             lv = fixed[act] + pay
             if saffron:
-                np.minimum(lv, config.lam, out=lv)
+                np.minimum(lv, lam[act], out=lv)
             level[act] = lv
             count[act] = cnt
             new, old = pw[act] <= lv, hits[act]
@@ -1044,8 +1122,7 @@ def _payout_rows(config: ProcedureConfig, p: np.ndarray, g: np.ndarray):
         had |= hits.any(axis=1)
         kb += width
         if kb < span:
-            _add_payouts(owed[:, kb:span], count,
-                         strip[:, width:width + span - kb])
+            _add_payouts(owed[:, kb:span], count, strips, cuts, width)
     return rejected, unsure
 
 

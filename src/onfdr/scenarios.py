@@ -6,9 +6,10 @@ exact tests.  ``estimate``/``estimate_many`` run seeded replicates and report
 mean false discovery proportion and power with Monte Carlo standard errors.
 
 Replicates are drawn one generator per (seed, replicate) and
-decided in tasks of at most ``_BATCH``: each rule decides a task's
-(replicates x N) matrix in one call (``procedures.decide_rows``, or
-``baselines.offline_rows``) and ``baselines.score`` scores it per row.
+decided in tasks of at most ``_BATCH``: the online rules decide a task's
+(replicates x N) matrix in one ``procedures.decide_stack`` call, each
+offline rule in one ``baselines.offline_rows`` call, and
+``baselines.score`` scores it per row.
 A call of at least 64 replicates on more than one worker deals its tasks
 round-robin into one share per worker: the calling process computes the
 first share and an ``os.fork`` child each other share, whose arrays come
@@ -36,10 +37,11 @@ from .procedures import (
     ProcedureKind,
     check_rows,
     decide,
-    decide_rows,
+    decide_stack,
     default_config,
     make_stream,
 )
+from .sequences import _is_integer
 from .stattests import _fisher_greater, pvalue_one_sided, pvalue_two_sided
 
 THREADS_ENV = "ONFDR_THREADS"
@@ -325,13 +327,19 @@ _BATCH = 128
 def _replicate_chunk(args):
     """FDP and power of every rule on replicates ``lo, ..., hi - 1``, as a
     (rules x 2 x replicates) array: their p-values are stacked and checked
-    once, and each rule decides the whole matrix in one call."""
+    once, each offline rule decides the whole matrix in one call, and the
+    online rules in one ``decide_stack`` call, which runs one kernel per
+    rule family with the configs' rows stacked.  Each row's flags are
+    those ``decide`` gives it under its own config, so the estimates do
+    not depend on which rules share the task."""
     scenario, procs, seed, lo, hi = args
     p, truth = zip(*(_generate(scenario, np.random.SeedSequence((seed, r)))
                      for r in range(lo, hi)))
     p, truth = check_rows(list(p)), np.array(truth)
+    online = iter(decide_stack(
+        [proc for _, proc in procs if not isinstance(proc, str)], p))
     decisions = (baselines.offline_rows(proc, p, scenario.alpha)
-                 if isinstance(proc, str) else decide_rows(proc, p) for _, proc in procs)
+                 if isinstance(proc, str) else next(online) for _, proc in procs)
     return np.array([baselines.score(d, truth) for d in decisions])
 
 
@@ -436,6 +444,9 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
     Replicate r draws its own generator from (seed, r), so results are
     independent of worker scheduling and bit-reproducible.
     """
+    for name, value in (("reps", reps), ("seed", seed)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if seed < 0:

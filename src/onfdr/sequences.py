@@ -57,6 +57,12 @@ class SequenceError(ValueError):
     """Raised for ill-formed sequence specifications or horizon misuse."""
 
 
+def _is_integer(value) -> bool:
+    """An integer (numpy's too) that is not a bool, which is a
+    ``numbers.Integral`` as well."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """Shape family, normalization constraint, horizon and its rebounds."""
@@ -75,13 +81,12 @@ class SequenceSpec:
             if self.bound is None:
                 raise SequenceError(f"{self.kind.value} requires a finite bound")
         horizons = [before for _, before in self.rebounds] + [self.bound]
-        if any(h is not None and (not isinstance(h, numbers.Integral) or h < 1)
-               for h in horizons):
+        if any(h is not None and (not _is_integer(h) or h < 1) for h in horizons):
             raise SequenceError("bound must be a positive integer")
         for (n, before), after in zip(self.rebounds, horizons[1:]):
             if before is None:
                 raise SequenceError("rebound requires a bounded table")
-            if not isinstance(n, numbers.Integral):
+            if not _is_integer(n):
                 raise SequenceError("rebound point n must be an integer")
             if after is None or not 0 <= n < after:
                 raise SequenceError("need 0 <= n < new horizon")

@@ -19,6 +19,7 @@ from onfdr.procedures import (
     check_rows,
     decide,
     decide_rows,
+    decide_stack,
     default_config,
     make_stream,
     next_level,
@@ -45,17 +46,18 @@ def config_of(kind, n, bounded, lond_original=False):
     return cfg
 
 
-def rows_and_fallbacks(cfg, p):
-    """``decide_rows``' flags, and how many rows it left to ``decide``."""
+def rows_and_fallbacks(configs, p):
+    """``decide_stack``'s flags of each config, and the (config, row) of
+    each call it made to ``decide``: the rows it left to ``decide``."""
     calls = []
 
     def counting(config, pvalues, state=None):
-        calls.append(1)
+        calls.append((config, pvalues))
         return decide(config, pvalues, state)
 
     original, procedures.decide = procedures.decide, counting
     try:
-        return decide_rows(cfg, p), len(calls)
+        return decide_stack(configs, p), calls
     finally:
         procedures.decide = original
 
@@ -88,38 +90,97 @@ def matrices(draw, max_rows=6, max_n=300):
     return check_rows(p)
 
 
+FAMILIES = [[ProcedureKind.LORD3, ProcedureKind.LORD_DEP],
+            [ProcedureKind.LORD2, ProcedureKind.LORDPP],
+            [ProcedureKind.SAFFRON],
+            [ProcedureKind.LOND_INDEP, ProcedureKind.LOND_DEP,
+             ProcedureKind.BONFERRONI]]
+
+
+@st.composite
+def stacks(draw):
+    """1-4 configs of one family (the last group: the rules decided per
+    config) as (kind, alpha, parameters, bounded, rebound) recipes: their
+    own alpha, w0, b0 and lambda, the payout weights at the edges of
+    ``test_simulation_rows`` among them, and bounded, unbounded and rebound
+    tables; ``rebound`` is (share of the row before it, horizon added)."""
+    family = draw(st.sampled_from(FAMILIES), label="family")
+    recipes = []
+    for _ in range(draw(st.integers(1, 4), label="configs")):
+        kind = draw(st.sampled_from(family))
+        alpha = draw(st.sampled_from([0.05, 0.1, 0.2]))
+        share = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+        params = {}
+        if kind in (ProcedureKind.LORD2, ProcedureKind.LORD3,
+                    ProcedureKind.LORD_DEP):
+            # b0 = alpha: w0 = 0; dependent LORD refuses a small b0 at once
+            b0 = draw(st.sampled_from([0.5, 1.0] if kind is
+                                      ProcedureKind.LORD_DEP else [0.25, 0.5, 1.0]))
+            params = dict(w0=alpha * (1 - b0) * draw(share), b0=alpha * b0)
+        elif kind is ProcedureKind.LORDPP:
+            params = dict(w0=alpha * draw(share))   # first weight 0 at w0 = alpha
+        elif kind is ProcedureKind.SAFFRON:
+            lam = draw(st.sampled_from([0.1, 0.5, 0.9]))
+            params = dict(lam=lam, w0=(1 - lam) * alpha
+                          * draw(st.sampled_from([0.0, 0.5, 0.99])))
+        bounded = draw(st.booleans())
+        rebound = draw(st.none() | st.tuples(st.floats(0, 1), st.integers(0, 300))) \
+            if bounded else None
+        recipes.append((kind, alpha, params, bounded, rebound))
+    return recipes
+
+
 class TestDecideRows:
     @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from(ALL_KINDS), bounded=st.booleans(),
-           p=matrices(), rebound=st.none() | st.tuples(st.floats(0, 1),
-                                                      st.integers(0, 300)))
-    @example(kind=ProcedureKind.LORD_DEP, bounded=True,
-             p=check_rows([[0.5]]), rebound=None)
-    def test_rows_equal_decide(self, kind, bounded, p, rebound):
+    @given(stack=stacks(), p=matrices())
+    @example(stack=[(ProcedureKind.LORD_DEP, 0.05, {}, True, None)],
+             p=check_rows([[0.5]]))
+    def test_rows_equal_decide(self, stack, p):
+        # a stack of configs of one family, each row of each config equal
+        # to decide under that config
         n = p.shape[1]
-        if kind is ProcedureKind.LORD_DEP and bounded and n == 1:
-            # xi_1 = alpha / b0 > 1: refused. A skip here would skip every
-            # other example of the run with it.
-            with pytest.raises(ConfigError, match="leading coefficient"):
-                config_of(kind, n, bounded)
-            return
-        cfg = config_of(kind, n, bounded)
-        assert_rows_are_decides(cfg, p)
-        if bounded and rebound is not None:
+        configs, references = [], []
+        for kind, alpha, params, bounded, rebound in stack:
+            cfg = default_config(kind, alpha, bound=n if bounded else None,
+                                 **params)
+            if rebound is None:
+                configs.append(cfg)
+                references.append(lambda row, cfg=cfg: decide(cfg, row).rejected)
+                continue
             # a config rebound after ``at`` hypotheses: each row is decided
             # to ``at``, rebound and decided on, with no code of its own
             at = round(rebound[0] * n)
             new_bound = max(n, at + 1) + rebound[1]
-            rebound_cfg = dataclasses.replace(
-                cfg, sequence=cfg.sequence.rebounded(at, new_bound))
-            got = decide_rows(rebound_cfg, p)
-            for r, row in enumerate(p):
+            configs.append(dataclasses.replace(
+                cfg, sequence=cfg.sequence.rebounded(at, new_bound)))
+
+            def chain(row, cfg=cfg, at=at, new_bound=new_bound):
                 state = make_stream(cfg)
                 head = decide(cfg, row[:at], state).rejected
                 rebound_stream(state, cfg, new_bound)
-                tail = decide(cfg, row[at:], state).rejected
-                np.testing.assert_array_equal(
-                    got[r], np.concatenate([head, tail]), err_msg=f"row {r}")
+                return np.concatenate([head, decide(cfg, row[at:], state).rejected])
+
+            references.append(chain)
+        refusals = []
+        for cfg in configs:
+            try:
+                make_stream(cfg)
+            except ConfigError as exc:
+                refusals.append(str(exc))
+        if refusals:
+            # dependent LORD's xi_1 = alpha / b0 > 1 at a short horizon: the
+            # stack is refused as its first refused config is. A skip here
+            # would skip every other example of the run with it.
+            with pytest.raises(ConfigError, match=re.escape(refusals[0])):
+                decide_stack(configs, p)
+            return
+        got = decide_stack(configs, p)
+        assert len(got) == len(configs)
+        for b, (flags, reference) in enumerate(zip(got, references)):
+            assert flags.shape == p.shape and flags.dtype == bool
+            for r, row in enumerate(p):
+                np.testing.assert_array_equal(flags[r], reference(row),
+                                              err_msg=f"config {b}, row {r}")
 
     @settings(max_examples=15, deadline=None)
     @given(kind=st.sampled_from(LOND_KINDS), bounded=st.booleans(),
@@ -171,14 +232,19 @@ class TestDecideRows:
         edges = {ProcedureKind.LORD2: [dict(w0=0.0, b0=0.05)],
                  ProcedureKind.LORDPP: [dict(w0=0.05), dict(w0=0.0)],
                  ProcedureKind.SAFFRON: [dict(w0=0.0)]}.get(kind, [])
-        for cfg in [cfg] + [dataclasses.replace(cfg, **w) for w in edges]:
-            got, fallbacks = rows_and_fallbacks(cfg, p)
-            # the kernel certifies ordinary rows: a kernel that left every
-            # row to decide would still give decide's flags
-            assert fallbacks == 0
-            for r, row in enumerate(p):
-                np.testing.assert_array_equal(
-                    got[r], decide(cfg, row).rejected, err_msg=f"row {r}")
+        configs = [cfg] + [dataclasses.replace(cfg, **w) for w in edges]
+        # each alone, then all of them stacked with the other horizon's
+        # table: the kernel certifies ordinary rows, stacked or not (a
+        # kernel that left every row to decide would still give decide's
+        # flags)
+        stack = configs + [config_of(kind, n, not bounded)]
+        for group in [[cfg] for cfg in configs] + [stack]:
+            got, fallbacks = rows_and_fallbacks(group, p)
+            assert fallbacks == []
+            for cfg, flags in zip(group, got):
+                for r, row in enumerate(p):
+                    np.testing.assert_array_equal(
+                        flags[r], decide(cfg, row).rejected, err_msg=f"row {r}")
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_every_and_no_discovery(self, kind):
@@ -213,9 +279,13 @@ class TestDecideRows:
     def test_ties_at_decides_level_fall_back(self, kind, bounded, data):
         # a p-value at decide's level or one ulp either side is closer to
         # the kernel's level than the rounding bound: that row is decided
-        # again by decide, and the flags are still decide's
+        # again by decide under its own config, the second of a stack with
+        # one of another table first, and the flags are still decide's
         n = data.draw(st.integers(2, 200), label="n")
-        cfg = config_of(kind, n, bounded)
+        partner = {ProcedureKind.LORD2: ProcedureKind.LORDPP,
+                   ProcedureKind.LORDPP: ProcedureKind.LORD2}.get(kind, kind)
+        stack = [config_of(partner, n, not bounded), config_of(kind, n, bounded)]
+        cfg = stack[1]
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         p = np.where(rng.random((3, n)) < 0.3, rng.random((3, n)) * 1e-4,
                      rng.random((3, n)))
@@ -223,10 +293,12 @@ class TestDecideRows:
         level = decide(cfg, p[1]).levels[i]
         p[1, i] = data.draw(st.sampled_from(
             [level, math.nextafter(level, 0.0), math.nextafter(level, 1.0)]))
-        got, fallbacks = rows_and_fallbacks(cfg, check_rows(p))
-        assert fallbacks
-        for r in range(3):
-            np.testing.assert_array_equal(got[r], decide(cfg, p[r]).rejected)
+        p = check_rows(p)
+        got, fallbacks = rows_and_fallbacks(stack, p)
+        assert any(c == cfg and np.array_equal(row, p[1]) for c, row in fallbacks)
+        for c, flags in zip(stack, got):
+            for r in range(3):
+                np.testing.assert_array_equal(flags[r], decide(c, p[r]).rejected)
 
     def test_horizon(self):
         cfg = config_of(ProcedureKind.LORDPP, 5, True)
@@ -239,6 +311,14 @@ class TestDecideRows:
         cfg = default_config(ProcedureKind.LORD_DEP, alpha=0.05, bound=1)
         with pytest.raises(ConfigError, match="leading coefficient"):
             decide_rows(cfg, check_rows([[0.5]]))
+        # a stack raises what the first config in order with a refusal or a
+        # short horizon raises alone, as one call per config would
+        short = config_of(ProcedureKind.LORDPP, 5, True)
+        p = check_rows(np.full((2, 6), 0.5))
+        with pytest.raises(ConfigError, match="leading coefficient"):
+            decide_stack([config_of(ProcedureKind.LORD2, 6, False), cfg, short], p)
+        with pytest.raises(HorizonExhaustedError, match="horizon N=5"):
+            decide_stack([short, cfg], p)
 
     def test_check_rows(self):
         with pytest.raises(ValueError, match=r"row 1, at stream index 3: "

@@ -332,6 +332,23 @@ class TestEstimate:
         cfg = default_config(ProcedureKind.LORDPP, alpha=0.05)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             estimate_many([("lord++", cfg)], sc, reps=100, seed=-1)
+        # and a count or seed that is not an integer: reps=True ran one
+        # replicate, reps=2.5 failed inside range and seed=True ran as 1
+        for reps, seed, message in (
+                (0, 1, "reps must be >= 1"),
+                (True, 1, "reps must be an integer, got True"),
+                (100.0, 1, "reps must be an integer, got 100.0"),
+                (2.5, 1, "reps must be an integer, got 2.5"),
+                (100, True, "seed must be an integer, got True"),
+                (100, 1.0, "seed must be an integer, got 1.0"),
+                (100, np.float64(3.0),
+                 "seed must be an integer, got np.float64(3.0)")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                estimate_many([("lord++", cfg)], sc, reps=reps, seed=seed)
+        # numpy integers are integers
+        assert estimate_many([("lord++", cfg)], sc, reps=np.int64(3),
+                             seed=np.int64(2)) == \
+            estimate_many([("lord++", cfg)], sc, reps=3, seed=2)
 
     def test_no_rule_refused_before_the_pool(self, monkeypatch):
         forks = _record_forks(monkeypatch)

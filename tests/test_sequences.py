@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onfdr import sequences
+from onfdr.procedures import ProcedureKind, default_config
 from onfdr.sequences import (
     Normalization,
     SequenceError,
@@ -282,16 +283,23 @@ class TestSpecValidation:
             SequenceSpec(SequenceKind.UNIFORM, bound=5, rebounds=((0, 0),))
         # and an integer: a float horizon would fail later, inside numpy
         spec = SequenceSpec(SequenceKind.UNIFORM, bound=4)
-        for bad in (dict(bound=2.5), dict(bound=1e3),
-                    dict(bound=6, rebounds=((1, 4.0),))):
+        # (a bool is a numbers.Integral: bound=True built a one-term table)
+        for bad in (dict(bound=2.5), dict(bound=1e3), dict(bound=True),
+                    dict(bound=6, rebounds=((1, 4.0),)),
+                    dict(bound=6, rebounds=((1, True),))):
             with pytest.raises(SequenceError,
                                match="bound must be a positive integer"):
                 dataclasses.replace(spec, **bad)
         with pytest.raises(SequenceError,
                            match="bound must be a positive integer"):
-            spec.rebounded(1, 6.0)
-        with pytest.raises(SequenceError, match="n must be an integer"):
-            spec.rebounded(1.5, 6)
+            default_config(ProcedureKind.LORDPP, bound=True)
+        for new_bound in (6.0, True):
+            with pytest.raises(SequenceError,
+                               match="bound must be a positive integer"):
+                spec.rebounded(1, new_bound)
+        for n in (1.5, True):
+            with pytest.raises(SequenceError, match="n must be an integer"):
+                spec.rebounded(n, 6)
         # numpy integers are integers
         for kind in (SequenceKind.UNIFORM, SequenceKind.JM_OPTIMAL):
             as_numpy = SequenceSpec(kind, bound=np.int64(5))
