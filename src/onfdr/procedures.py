@@ -943,8 +943,12 @@ def _add_payouts(out: np.ndarray, count: np.ndarray, strips, cuts,
         paid = c.any(axis=1).nonzero()[0]
         if np.count_nonzero(c) * 128 > len(paid) * strip.shape[1]:
             # einsum is fast with a contiguous first operand
-            o[paid] += np.einsum("ra,ax->rx",
-                                 np.ascontiguousarray(c[paid, ::-1]), strip)
+            product = np.einsum("ra,ax->rx",
+                                np.ascontiguousarray(c[paid, ::-1]), strip)
+            if len(paid) == len(o):   # in place: no gather and scatter copy
+                o += product
+            else:
+                o[paid] += product
             continue
         rows, clocks = c.nonzero()
         for r, a in zip(rows.tolist(), clocks.tolist()):

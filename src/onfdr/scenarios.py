@@ -10,11 +10,12 @@ decided in tasks of at most ``_BATCH``: the online rules decide a task's
 (replicates x N) matrix in one ``procedures.decide_stack`` call, each
 offline rule in one ``baselines.offline_rows`` call, and
 ``baselines.score`` scores it per row.
-A call of at least 64 replicates on more than one worker deals its tasks
-round-robin into one share per worker: the calling process computes the
-first share and an ``os.fork`` child each other share, whose arrays come
-back pickled through a pipe and are put back in task order, so estimates
-are the same bits for every worker count.
+A call with less work than a fork pays for runs in the calling process;
+a larger one on more than one worker deals its tasks round-robin into one
+share per worker: the calling process computes the first share and an
+``os.fork`` child each other share, whose arrays come back pickled
+through a pipe and are put back in task order, so estimates are the same
+bits for every worker count and schedule.
 ``eval_kidney`` checks its one realisation as a 1 x K matrix and decides it
 through ``offline_rows`` (offline rules) or ``decide`` (online rules).
 """
@@ -315,13 +316,26 @@ class EstimateResult:
 def _generate(scenario, seed):
     if isinstance(scenario, MixtureScenario):
         return gen_mixture(scenario, seed)
+    return gen_platform(scenario, seed)
+
+
+def _stream_length(scenario) -> int:
+    """Hypotheses per replicate of a scenario ``_generate`` draws from."""
+    if isinstance(scenario, MixtureScenario):
+        return scenario.N
     if isinstance(scenario, PlatformTrialScenario):
-        return gen_platform(scenario, seed)
+        return scenario.K
     raise TypeError(f"cannot generate from {type(scenario).__name__}")
 
 
 # the most replicates one task draws and decides as one (replicates x N) matrix
 _BATCH = 128
+# A call's work, in rule-steps, is replicates x (stream length x rules +
+# _DRAW_WORK): drawing and scoring a replicate costs about 256 of them.
+# Under _FORK_WORK a fork costs more than a second worker saves (crossover
+# measured on a 2-CPU x86 machine; see the README).
+_DRAW_WORK = 256
+_FORK_WORK = 2**17
 
 
 def _replicate_chunk(args):
@@ -344,8 +358,9 @@ def _replicate_chunk(args):
 
 
 def worker_count() -> int:
-    """Processes per Monte Carlo call: ``ONFDR_THREADS`` if set, else
-    min(cpu_count, 8)."""
+    """The most processes a Monte Carlo call uses: ``ONFDR_THREADS`` if
+    set, else min(cpu_count, 8).  ``estimate_many`` uses one for a call
+    with less work than ``_FORK_WORK``."""
     env = os.environ.get(THREADS_ENV)
     if env is None:
         return max(1, min(os.cpu_count() or 1, 8))
@@ -361,7 +376,8 @@ def _run_tasks(tasks, workers: int) -> list[np.ndarray]:
     The tasks are dealt round-robin into ``min(workers, len(tasks))``
     shares. This process computes share 0 while one ``os.fork`` child per
     other share computes it and sends its arrays back pickled through a
-    pipe. A child's exception is raised here; on any exception here, the
+    pipe; with one share, this process computes every task and nothing
+    forks. A child's exception is raised here; on any exception here, the
     children not yet waited for are killed and reaped.
     """
     n = min(workers, len(tasks))
@@ -443,6 +459,13 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
     may instead name an offline rule (a key of ``baselines.OFFLINE_RULES``).
     Replicate r draws its own generator from (seed, r), so results are
     independent of worker scheduling and bit-reproducible.
+
+    A call whose work, ``reps x (N x len(procs) + _DRAW_WORK)`` (K for a
+    platform trial), is under ``_FORK_WORK``, or that has one worker, runs
+    here in tasks of ``_BATCH`` replicates: with nothing to balance, the
+    fewest kernel calls.  A larger call on more workers forks, in tasks of
+    ``min(_BATCH, max(32, ceil(reps / (workers * 8))))``.  Every rule and
+    the scenario are checked before either.
     """
     for name, value in (("reps", reps), ("seed", seed)):
         if not _is_integer(value):
@@ -467,11 +490,15 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
                 baselines._offline_rule(proc)
             except ValueError as exc:
                 raise ValueError(f"{label}: {exc}") from None
+    work = reps * (_stream_length(scenario) * len(procs) + _DRAW_WORK)
     workers = worker_count()
-    chunk = min(_BATCH, max(32, math.ceil(reps / (workers * 8))))
+    if workers > 1 and work >= _FORK_WORK:
+        chunk = min(_BATCH, max(32, math.ceil(reps / (workers * 8))))
+    else:   # nothing to balance: the fewest kernel calls
+        workers, chunk = 1, _BATCH
     tasks = [(scenario, procs, seed, lo, min(lo + chunk, reps))
              for lo in range(0, reps, chunk)]
-    parts = _run_tasks(tasks, 1 if reps < 64 else workers)
+    parts = _run_tasks(tasks, workers)
     fdps, powers = np.concatenate(parts, axis=2).swapaxes(0, 1)
 
     results = []

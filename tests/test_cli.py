@@ -963,8 +963,11 @@ class TestSimulate:
 
     def test_piped_output_equal_for_every_worker_count(self):
         # stdout to a pipe is block-buffered: a forked child that flushed
-        # its copy of the buffer on exit would repeat the rows before it
-        argv = [sys.executable, "-m", "onfdr.cli", "simulate", "--scenario",
+        # its copy of the buffer on exit would repeat the rows before it;
+        # the crossover is set to 0 so that these small calls fork
+        forking_cli = ("import sys; from onfdr import cli, scenarios; "
+                       "scenarios._FORK_WORK = 0; sys.exit(cli.main())")
+        argv = [sys.executable, "-c", forking_cli, "simulate", "--scenario",
                 "gaussian", "--n", "20", "--pi1-grid", "0.1,0.3,0.5",
                 "--reps", "64", "--seed", "3", "--procedures", "lond,bh"]
         env = cli_env()

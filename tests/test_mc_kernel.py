@@ -348,7 +348,8 @@ SIM_PROCS = [k.value for k in ProcedureKind] + ["bh", "bh-adjusted",
     MixtureScenario(N=40, pi1=0.3, rho=0.5),
     PlatformTrialScenario(K=25, pi=0.3, alpha=0.1)], ids=["gaussian", "platform"])
 @pytest.mark.parametrize("bounded", [False, True])
-def test_estimates_independent_of_workers(monkeypatch, scenario, bounded):
+def test_estimates_independent_of_workers(monkeypatch, forking, scenario,
+                                          bounded):
     n = getattr(scenario, "N", None) or scenario.K
     procs = [(name, name) if name in ("bh", "bh-adjusted", "uncorrected")
              else (name, default_config(ProcedureKind(name),

@@ -321,13 +321,12 @@ class TestEstimate:
         b = estimate(cfg, sc, reps=40, seed=11)
         assert a == b
 
-    def test_negative_seed_refused(self, monkeypatch):
+    def test_negative_seed_refused(self, monkeypatch, forking):
         def no_fork():
             raise AssertionError("a worker was forked")
 
         # refused before the fork that 100 replicates on two workers make
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setenv("ONFDR_THREADS", "2")
         sc = MixtureScenario(N=50, pi1=0.2, rho=0.5)
         cfg = default_config(ProcedureKind.LORDPP, alpha=0.05)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
@@ -350,9 +349,8 @@ class TestEstimate:
                              seed=np.int64(2)) == \
             estimate_many([("lord++", cfg)], sc, reps=3, seed=2)
 
-    def test_no_rule_refused_before_the_pool(self, monkeypatch):
+    def test_no_rule_refused_before_the_pool(self, monkeypatch, forking):
         forks = _record_forks(monkeypatch)
-        monkeypatch.setenv("ONFDR_THREADS", "2")
         with pytest.raises(ValueError, match="procs must name at least one rule"):
             estimate_many([], MixtureScenario(N=10, pi1=0.1), reps=64, seed=0)
         assert forks == []
@@ -361,10 +359,9 @@ class TestEstimate:
         ("bhh", ValueError, "x: unknown offline rule 'bhh'"),
         (3, TypeError, "x: expected a ProcedureConfig or an offline rule "
                        "name, got int")])
-    def test_unknown_rule_refused_before_the_pool(self, monkeypatch, proc,
-                                                  error, message):
+    def test_unknown_rule_refused_before_the_pool(self, monkeypatch, forking,
+                                                  proc, error, message):
         forks = _record_forks(monkeypatch)
-        monkeypatch.setenv("ONFDR_THREADS", "2")
         sc = MixtureScenario(N=20, pi1=0.2, rho=0.5)
         with pytest.raises(error, match=re.escape(message)):
             estimate_many([("bh", "bh"), ("x", proc)], sc, reps=64, seed=1)
@@ -372,28 +369,70 @@ class TestEstimate:
         estimate_many([("bh", "bh")], sc, reps=64, seed=1)
         assert len(forks) == 1   # the same call with a good rule forks
 
-    def test_only_mixture_and_platform_scenarios_generate(self):
-        with pytest.raises(TypeError,
-                           match="cannot generate from KidneyTrialScenario"):
-            estimate_many([("bh", "bh")], KidneyTrialScenario(), reps=5, seed=1)
+    def test_only_mixture_and_platform_scenarios_generate(self, monkeypatch,
+                                                          forking):
+        # refused before the fork that 64 replicates on two workers make
+        forks = _record_forks(monkeypatch)
+        for scenario, name in ((KidneyTrialScenario(), "KidneyTrialScenario"),
+                               ("gaussian", "str")):
+            with pytest.raises(TypeError,
+                               match=f"cannot generate from {name}$"):
+                estimate_many([("bh", "bh")], scenario, reps=64, seed=1)
+        assert forks == []
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch, forking):
         sc = MixtureScenario(N=50, pi1=0.2, rho=0.5)
         cfg = default_config(ProcedureKind.LOND_INDEP, alpha=0.05)
-        old = os.environ.get("ONFDR_THREADS")
-        try:
-            os.environ["ONFDR_THREADS"] = "1"
-            serial = estimate(cfg, sc, reps=80, seed=3)
-            os.environ["ONFDR_THREADS"] = "2"
-            parallel = estimate(cfg, sc, reps=80, seed=3)
-        finally:
-            if old is None:
-                os.environ.pop("ONFDR_THREADS", None)
-            else:
-                os.environ["ONFDR_THREADS"] = old
+        monkeypatch.setenv("ONFDR_THREADS", "1")
+        serial = estimate(cfg, sc, reps=80, seed=3)
+        monkeypatch.setenv("ONFDR_THREADS", "2")
+        parallel = estimate(cfg, sc, reps=80, seed=3)
         assert serial == parallel
 
-    def test_pool_capped_at_chunks(self, monkeypatch, tmp_path):
+    def test_calls_under_the_crossover_run_here(self, monkeypatch):
+        # the bench's short cells: 64 replicates of 13 rules at N = 100
+        forks = _record_forks(monkeypatch)
+        monkeypatch.setenv("ONFDR_THREADS", "2")
+        sc = MixtureScenario(N=100, pi1=0.2, rho=0.5)
+        procs = [(f"{k.value}-{b}", default_config(k, alpha=0.05, bound=b))
+                 for k in (ProcedureKind.LORD2, ProcedureKind.LORD3,
+                           ProcedureKind.LORDPP, ProcedureKind.SAFFRON,
+                           ProcedureKind.LOND_INDEP, ProcedureKind.BONFERRONI)
+                 for b in (None, 100)] + [("bh", "bh")]
+        assert 64 * (100 * len(procs) + scenarios._DRAW_WORK) \
+            < scenarios._FORK_WORK
+        serial = estimate_many(procs, sc, reps=64, seed=2)
+        assert forks == []
+        monkeypatch.setattr(scenarios, "_FORK_WORK", 0)
+        assert estimate_many(procs, sc, reps=64, seed=2) == serial
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("sc", [
+        MixtureScenario(N=1000, pi1=0.2, rho=0.5),
+        MixtureScenario(N=5, pi1=0.2, rho=0.5),
+        PlatformTrialScenario(K=25, pi=0.2)],
+        ids=["N1000", "N5", "platform-K25"])
+    def test_fork_at_the_crossover(self, monkeypatch, tmp_path, sc):
+        # one rule: the fewest replicates whose work reaches the crossover
+        # fork, one fewer do not (at N = 5 the work is mostly the draws)
+        forks = _record_forks(monkeypatch)
+        tasks = _record_tasks(monkeypatch, tmp_path / "tasks")
+        monkeypatch.setenv("ONFDR_THREADS", "2")
+        n = sc.N if isinstance(sc, MixtureScenario) else sc.K
+        at = math.ceil(scenarios._FORK_WORK / (n + scenarios._DRAW_WORK))
+        assert at - 1 >= 64
+        below = estimate_many([("bh", "bh")], sc, reps=at - 1, seed=4)
+        assert forks == []
+        assert len({pid for pid, _, _ in tasks()}) == 1
+        estimate_many([("bh", "bh")], sc, reps=at, seed=4)
+        assert len(forks) == 1
+        assert len({pid for pid, _, _ in tasks()}) == 2
+        monkeypatch.setenv("ONFDR_THREADS", "1")
+        assert estimate_many([("bh", "bh")], sc, reps=at - 1,
+                             seed=4) == below
+        assert len(forks) == 1
+
+    def test_pool_capped_at_chunks(self, monkeypatch, tmp_path, forking):
         forks = _record_forks(monkeypatch)
         tasks = _record_tasks(monkeypatch, tmp_path / "tasks")
         monkeypatch.setenv("ONFDR_THREADS", "16")
@@ -413,7 +452,7 @@ class TestEstimate:
         MixtureScenario(N=40, pi1=0.3, rho=0.5),
         PlatformTrialScenario(K=10, pi=0.3)], ids=["mixture", "platform"])
     def test_estimates_do_not_depend_on_the_task_split(self, monkeypatch,
-                                                       scenario):
+                                                       forking, scenario):
         # 301 replicates leave an uneven last task under every cap
         n = scenario.N if isinstance(scenario, MixtureScenario) else scenario.K
         procs = [(f"{k.value}-{b}", default_config(k, alpha=scenario.alpha,
@@ -429,26 +468,32 @@ class TestEstimate:
         assert len(got[0]) == 19
         assert all(res == got[0] for res in got[1:])
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads, fork_work, reps, workers", [
+        ("1", 0, 2000, 1), ("2", 0, 2000, 2), ("2", None, 300, 1)],
+        ids=["1", "2", "under-the-crossover"])
     def test_no_task_decides_more_than_the_cap(self, monkeypatch, tmp_path,
-                                               threads):
+                                               threads, fork_work, reps,
+                                               workers):
         tasks = _record_tasks(monkeypatch, tmp_path / "tasks")
+        if fork_work is not None:
+            monkeypatch.setattr(scenarios, "_FORK_WORK", fork_work)
         monkeypatch.setenv("ONFDR_THREADS", threads)
         sc = MixtureScenario(N=5, pi1=0.3, rho=0.5)
-        estimate_many([("bh", "bh")], sc, reps=2000, seed=1)
+        estimate_many([("bh", "bh")], sc, reps=reps, seed=1)
         spans = sorted((lo, hi) for _, lo, hi in tasks())
         assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
-        assert spans[-1][1] == 2000
+        assert spans[-1][1] == reps
         assert max(hi - lo for lo, hi in spans) <= scenarios._BATCH
-        assert len({pid for pid, _, _ in tasks()}) == int(threads)
+        assert len({pid for pid, _, _ in tasks()}) == workers
+        if workers == 1:   # nothing to balance: every task but the last full
+            assert {hi - lo for lo, hi in spans[:-1]} == {scenarios._BATCH}
 
-    def test_tables_built_before_the_pool(self, monkeypatch):
+    def test_tables_built_before_the_pool(self, monkeypatch, forking):
         # configs are checked and their tables built before the first
         # fork: a refused config raises first, and no process builds one
         # after it (this one's later misses would show; a child's would
         # not, and it inherits the tables built here)
         forks = _record_forks(monkeypatch)
-        monkeypatch.setenv("ONFDR_THREADS", "2")
         sc = MixtureScenario(N=30, pi1=0.3, rho=0.5)
         # xi_1 = alpha / b0 = 2 at horizon one
         refused = default_config(ProcedureKind.LORD_DEP, alpha=0.05, bound=1)
@@ -464,7 +509,8 @@ class TestEstimate:
         assert forks == [misses] and misses > 0
 
     @pytest.mark.parametrize("reps", [63, 64, 301])
-    def test_estimates_equal_for_every_worker_count(self, monkeypatch, reps):
+    def test_estimates_equal_for_every_worker_count(self, monkeypatch,
+                                                    forking, reps):
         sc = MixtureScenario(N=30, pi1=0.3, rho=0.5)
         procs = [(k.value, default_config(k, alpha=0.05))
                  for k in ProcedureKind] + [("bh", "bh")]
@@ -476,7 +522,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_summaries_match_a_serial_recomposition(self, monkeypatch,
-                                                    threads):
+                                                    forking, threads):
         # N=10, pi1=0.15: about a third of the replicates have no non-null
         monkeypatch.setenv("ONFDR_THREADS", threads)
         sc = MixtureScenario(N=10, pi1=0.15, rho=0.5, alpha=0.2)
@@ -570,6 +616,7 @@ class TwoArgError(Exception):
         super().__init__(f"{a} and {b}")
 
 
+@pytest.mark.usefixtures("forking")
 class TestForkedShares:
     """Two workers on 64 replicates: this process computes the task at
     ``lo = 0`` and one forked child the task at ``lo = 32``."""
@@ -587,7 +634,6 @@ class TestForkedShares:
             return chunk(args)
 
         monkeypatch.setattr(scenarios, "_replicate_chunk", acting_chunk)
-        monkeypatch.setenv("ONFDR_THREADS", "2")
 
     def fail_in(self, monkeypatch, where, exc):
         def fail():
@@ -598,8 +644,7 @@ class TestForkedShares:
     def run(self):
         return estimate_many([("bh", "bh")], self.SCENARIO, reps=64, seed=2)
 
-    def test_no_child_outlives_a_call(self, monkeypatch):
-        monkeypatch.setenv("ONFDR_THREADS", "2")
+    def test_no_child_outlives_a_call(self):
         self.run()
         assert _no_children_left()
 
