@@ -138,12 +138,15 @@ def score(decisions, truth) -> tuple[float, float | None]:
     or None when there are no non-nulls.  Both arguments may be boolean
     arrays or sequences of truth values.  Given two (replicates x N)
     matrices it scores each row: FDP and power are arrays, power NaN for a
-    row with no non-null.  One batch is scored as a one-row matrix.
+    row with no non-null.  Given a (rules x replicates x N) stack of
+    decisions on one (replicates x N) truth, it scores each rule's rows.
+    One batch is scored as a one-row matrix.
     """
     decisions, truth = _flags(decisions), _flags(truth)
-    if decisions.shape != truth.shape:
+    stacked = decisions.ndim == 3 and truth.ndim == 2
+    if decisions.shape[stacked:] != truth.shape:
         raise ValueError("decisions and truth must have equal length")
-    if decisions.ndim != 2:
+    if truth.ndim != 2:
         (fdp,), (power,) = score(decisions.reshape(1, -1), truth.reshape(1, -1))
         return float(fdp), None if np.isnan(power) else float(power)
     r, v, m1 = _counts(decisions, truth)

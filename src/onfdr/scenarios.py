@@ -6,10 +6,11 @@ exact tests.  ``estimate``/``estimate_many`` run seeded replicates and report
 mean false discovery proportion and power with Monte Carlo standard errors.
 
 Replicates are drawn one generator per (seed, replicate) and
-decided in tasks of at most ``_BATCH``: the online rules decide a task's
-(replicates x N) matrix in one ``procedures.decide_stack`` call, each
-offline rule in one ``baselines.offline_rows`` call, and
-``baselines.score`` scores it per row.
+decided in tasks of at most ``_BATCH``: a task draws its replicates as
+one (replicates x N) matrix, the online rules decide it in one
+``procedures.decide_stack`` call, each offline rule in one
+``baselines.offline_rows`` call, and one ``baselines.score`` call scores
+every rule's rows.
 A call with less work than a fork pays for runs in the calling process;
 a larger one on more than one worker deals its tasks round-robin into one
 share per worker: the calling process computes the first share and an
@@ -157,64 +158,122 @@ KIDNEY_REALISATIONS: dict[int, tuple[int, tuple[int, ...]]] = {
 }
 
 
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not an integer >= 0: ``int`` would run 7.9
+    as 7, True as 1 and "3" as 3."""
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _rng_for(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
+    if not isinstance(seed, np.random.SeedSequence):
+        _check_seed(seed)
+        seed = np.random.SeedSequence(int(seed))
+    return np.random.default_rng(seed)
 
 
-def equicorrelated_normal(n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """One draw of N(0, Sigma) with unit variances and constant correlation
-    rho, via a single shared factor."""
-    g = rng.standard_normal()
-    eps = rng.standard_normal(n)
-    return math.sqrt(rho) * g + math.sqrt(1.0 - rho) * eps
+# Each generator below draws one replicate per generator in ``rngs``, as
+# row r of its matrices.  A generator makes its replicate's draws in their
+# order, and all else is elementwise on the matrix, or a reduction along a
+# C-contiguous row, so row r is what that generator alone gives: the
+# public one-replicate functions are the one-row case.
+
+def equicorrelated_normal(n: int, rho: float, rngs) -> np.ndarray:
+    """One draw of N(0, Sigma) per generator, as the rows of a
+    (len(rngs) x n) matrix: unit variances and constant correlation rho,
+    via a single shared factor per row."""
+    g = np.empty((len(rngs), 1))
+    x = np.empty((len(rngs), n))
+    for rng, g_r, x_r in zip(rngs, g, x):
+        g_r[0] = rng.standard_normal()
+        rng.standard_normal(out=x_r)
+    x *= math.sqrt(1.0 - rho)
+    x += math.sqrt(rho) * g
+    return x
 
 
-def gen_mixture(scenario: MixtureScenario, seed) -> tuple[np.ndarray, np.ndarray]:
-    """P-values and non-null indicators for one mixture replicate."""
-    rng = _rng_for(seed)
-    n = scenario.N
-    nonnull = rng.random(n) < scenario.pi1
-    theta = np.zeros(n)
-    k = int(nonnull.sum())
-    if k:
-        alt = scenario.alternative
-        if alt is MixtureAlternative.GAUSSIAN:
-            theta[nonnull] = rng.normal(0.0, scenario.effect_scale, size=k)
-        elif alt is MixtureAlternative.EXPONENTIAL:
-            theta[nonnull] = rng.exponential(scenario.effect_scale, size=k)
-        else:
-            theta[nonnull] = scenario.effect_scale
-    x = equicorrelated_normal(n, scenario.rho, rng)
-    signs = rng.integers(0, 2, size=n) * 2 - 1
-    z = theta + signs * x
+def _mixture_rows(scenario: MixtureScenario, rngs):
+    """P-values and non-null indicators of one mixture replicate per
+    generator, as (len(rngs) x N) matrices."""
+    n, alt, scale = scenario.N, scenario.alternative, scenario.effect_scale
+    nonnull = np.array([rng.random(n) for rng in rngs]) < scenario.pi1
+    effects = scale   # the non-null means, in row-major order
+    if alt is not MixtureAlternative.CONSTANT and nonnull.any():
+        counts = np.count_nonzero(nonnull, axis=1).tolist()
+        effects = np.concatenate([
+            rng.normal(0.0, scale, size=k)
+            if alt is MixtureAlternative.GAUSSIAN
+            else rng.exponential(scale, size=k)
+            for rng, k in zip(rngs, counts) if k])
+    z = equicorrelated_normal(n, scenario.rho, rngs)
+    z *= np.array([rng.integers(0, 2, size=n) for rng in rngs]) * 2 - 1
+    # a null's mean, 0, is not added: it could only turn a -0.0 into 0.0,
+    # whose p-value is the same
+    z[nonnull] += effects
     p = pvalue_two_sided(z) if scenario.two_sided else pvalue_one_sided(z)
     return p, nonnull
 
 
-def _platform_draw(scenario: PlatformTrialScenario, rng: np.random.Generator):
-    """One replicate in arm-index order: (analysis times, z-statistics,
-    non-null indicators)."""
+def gen_mixture(scenario: MixtureScenario, seed) -> tuple[np.ndarray, np.ndarray]:
+    """P-values and non-null indicators for one mixture replicate."""
+    p, nonnull = _mixture_rows(scenario, [_rng_for(seed)])
+    return p[0], nonnull[0]
+
+
+def _platform_draw(scenario: PlatformTrialScenario, rngs):
+    """One replicate per generator in arm-index order: (analysis times,
+    z-statistics, non-null indicators), each a (len(rngs) x K) matrix."""
     K, sigma = scenario.K, scenario.sigma
-    n0_total = scenario.N0
-    nonnull = rng.random(K) < scenario.pi
-    theta = np.where(nonnull, scenario.effect, 0.0)
-    tau = rng.uniform(0.2, 1.0, size=K)
-    n_arm = rng.binomial(scenario.N_target, 0.9, size=K)
-    while np.any(n_arm == 0):   # test statistic undefined on an empty arm
-        redo = n_arm == 0
-        n_arm[redo] = rng.binomial(scenario.N_target, 0.9, size=int(redo.sum()))
-    control_cum = np.cumsum(rng.normal(0.0, sigma, size=n0_total))
-    # the arms' outcomes in one call, each arm's mean by np.mean's own steps
-    y = rng.normal(np.repeat(theta, n_arm), sigma)
-    ybar = np.array([y[e - n:e].sum() for n, e in zip(
-        n_arm.tolist(), np.cumsum(n_arm).tolist())]) / n_arm
-    n0 = (tau * n0_total).astype(int)
-    z = (ybar - control_cum[n0 - 1] / n0) / (sigma * np.sqrt(1.0 / n0 + 1.0 / n_arm))
+    u, tau, n_arm = map(np.array, zip(*(
+        (rng.random(K), rng.uniform(0.2, 1.0, size=K),
+         rng.binomial(scenario.N_target, 0.9, size=K)) for rng in rngs)))
+    nonnull = u < scenario.pi
+    # test statistic undefined on an empty arm: its row's generator redraws
+    for r in np.flatnonzero((n_arm == 0).any(axis=1)).tolist():
+        n_r = n_arm[r]
+        while np.any(n_r == 0):
+            redo = n_r == 0
+            n_r[redo] = rngs[r].binomial(scenario.N_target, 0.9,
+                                         size=int(redo.sum()))
+    # the arms' outcomes of every row in one vector, arm after arm:
+    # normal(theta, sigma) is theta + sigma * standard_normal(), draw for draw
+    sizes = n_arm.ravel()
+    ends = np.cumsum(sizes)
+    row_ends = ends[K - 1::K].tolist()
+    control = np.empty((len(rngs), scenario.N0))
+    y = np.empty(row_ends[-1])
+    for rng, control_r, lo, hi in zip(rngs, control, [0] + row_ends, row_ends):
+        control_r[:] = rng.normal(0.0, sigma, size=scenario.N0)
+        rng.standard_normal(out=y[lo:hi])
+    y *= sigma
+    y += np.repeat(np.where(nonnull, scenario.effect, 0.0).ravel(), sizes)
+    # each arm's mean by np.mean's own steps: the arms of one size as the
+    # C-contiguous rows of one matrix, each summed along its row
+    sums = np.empty(sizes.shape)
+    starts = ends - sizes
+    for size in np.unique(sizes).tolist():
+        arms = np.flatnonzero(sizes == size)
+        sums[arms] = y[starts[arms, None] + np.arange(size)].sum(axis=1)
+    ybar = sums.reshape(n_arm.shape) / n_arm
+    n0 = (tau * scenario.N0).astype(int)
+    control_cum = np.take_along_axis(np.cumsum(control, axis=1), n0 - 1,
+                                     axis=1)
+    z = (ybar - control_cum / n0) / (sigma * np.sqrt(1.0 / n0 + 1.0 / n_arm))
     return tau, z, nonnull
+
+
+def _platform_rows(scenario: PlatformTrialScenario, rngs):
+    """P-values and non-null indicators of one platform-trial replicate
+    per generator, as (len(rngs) x K) matrices in calendar order."""
+    tau, z, nonnull = _platform_draw(scenario, rngs)
+    # ascending analysis time, ties broken by arm index
+    order = np.argsort(tau, axis=1, kind="stable")
+    return (pvalue_one_sided(np.take_along_axis(z, order, axis=1)),
+            np.take_along_axis(nonnull, order, axis=1))
 
 
 def gen_platform(scenario: PlatformTrialScenario, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -226,9 +285,8 @@ def gen_platform(scenario: PlatformTrialScenario, seed) -> tuple[np.ndarray, np.
     Hypotheses are emitted by ascending analysis time, ties broken by arm
     index.
     """
-    tau, z, nonnull = _platform_draw(scenario, _rng_for(seed))
-    order = np.lexsort((np.arange(scenario.K), tau))
-    return pvalue_one_sided(z[order]), nonnull[order]
+    p, nonnull = _platform_rows(scenario, [_rng_for(seed)])
+    return p[0], nonnull[0]
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +371,12 @@ class EstimateResult:
     power_reps: int
 
 
-def _generate(scenario, seed):
+def _generate(scenario, rngs):
+    """P-values and non-null indicators of one replicate per generator,
+    as (len(rngs) x stream length) matrices."""
     if isinstance(scenario, MixtureScenario):
-        return gen_mixture(scenario, seed)
-    return gen_platform(scenario, seed)
+        return _mixture_rows(scenario, rngs)
+    return _platform_rows(scenario, rngs)
 
 
 def _stream_length(scenario) -> int:
@@ -340,21 +400,24 @@ _FORK_WORK = 2**17
 
 def _replicate_chunk(args):
     """FDP and power of every rule on replicates ``lo, ..., hi - 1``, as a
-    (rules x 2 x replicates) array: their p-values are stacked and checked
-    once, each offline rule decides the whole matrix in one call, and the
-    online rules in one ``decide_stack`` call, which runs one kernel per
-    rule family with the configs' rows stacked.  Each row's flags are
-    those ``decide`` gives it under its own config, so the estimates do
-    not depend on which rules share the task."""
+    (2 x rules x replicates) array: the replicates are drawn as one
+    matrix, each offline rule decides it in one call, and the online rules
+    in one ``decide_stack`` call, which runs one kernel per rule family
+    with the configs' rows stacked; one ``baselines.score`` call scores
+    every rule's flags.  Each row's flags are those ``decide`` gives it
+    under its own config, so the estimates do not depend on which rules
+    share the task."""
     scenario, procs, seed, lo, hi = args
-    p, truth = zip(*(_generate(scenario, np.random.SeedSequence((seed, r)))
-                     for r in range(lo, hi)))
-    p, truth = check_rows(list(p)), np.array(truth)
+    p, truth = _generate(scenario, [
+        np.random.default_rng(np.random.SeedSequence((seed, r)))
+        for r in range(lo, hi)])
+    p = check_rows(p)
     online = iter(decide_stack(
         [proc for _, proc in procs if not isinstance(proc, str)], p))
-    decisions = (baselines.offline_rows(proc, p, scenario.alpha)
-                 if isinstance(proc, str) else next(online) for _, proc in procs)
-    return np.array([baselines.score(d, truth) for d in decisions])
+    flags = np.array([baselines.offline_rows(proc, p, scenario.alpha)
+                      if isinstance(proc, str) else next(online)
+                      for _, proc in procs])
+    return np.array(baselines.score(flags, truth))
 
 
 def worker_count() -> int:
@@ -467,13 +530,11 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
     ``min(_BATCH, max(32, ceil(reps / (workers * 8))))``.  Every rule and
     the scenario are checked before either.
     """
-    for name, value in (("reps", reps), ("seed", seed)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not _is_integer(reps):
+        raise ValueError(f"reps must be an integer, got {reps!r}")
+    _check_seed(seed)
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     procs = list(procs)
     if not procs:
         raise ValueError("procs must name at least one rule")
@@ -498,25 +559,27 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
         workers, chunk = 1, _BATCH
     tasks = [(scenario, procs, seed, lo, min(lo + chunk, reps))
              for lo in range(0, reps, chunk)]
-    parts = _run_tasks(tasks, workers)
-    fdps, powers = np.concatenate(parts, axis=2).swapaxes(0, 1)
-
-    results = []
-    # per rule: a reduction over the matrix would sum in another order
-    for (label, _), fdp, power in zip(procs, fdps, powers):
-        power = power[~np.isnan(power)]
-        results.append(EstimateResult(label, *_mean_se(fdp), *_mean_se(power),
-                                      reps, len(power)))
-    return results
+    fdps, powers = np.concatenate(_run_tasks(tasks, workers), axis=2)
+    # a replicate's power is NaN for every rule alike: it has no non-null.
+    # np.compress copies C-contiguous, as _mean_se needs
+    powers = np.compress(~np.isnan(powers[0]), powers, axis=1)
+    return [EstimateResult(label, fdr, fdr_se, power, power_se, reps,
+                           powers.shape[1])
+            for (label, _), fdr, fdr_se, power, power_se in zip(
+                procs, *_mean_se(fdps), *_mean_se(powers))]
 
 
-def _mean_se(values: np.ndarray) -> tuple[float | None, float | None]:
-    """Mean and standard error (ddof=1; 0.0 for one value), None if empty."""
-    n = len(values)
+def _mean_se(values: np.ndarray):
+    """Mean and standard error (ddof=1; 0.0 for one value) of each row of
+    a C-contiguous (rules x n) matrix, as lists; Nones if n is 0.  Each
+    row is reduced along its contiguous length, as ``np.mean`` and
+    ``np.std`` reduce it alone."""
+    rows, n = values.shape
     if n == 0:
-        return None, None
-    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(np.mean(values)), se
+        return [None] * rows, [None] * rows
+    se = (np.std(values, axis=1, ddof=1) / math.sqrt(n)).tolist() \
+        if n > 1 else [0.0] * rows
+    return np.mean(values, axis=1).tolist(), se
 
 
 def estimate(procedure: ProcedureConfig, scenario, reps: int,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -103,6 +104,25 @@ class TestGenMixture:
         p1, t1 = gen_mixture(sc, rng)
         p2, t2 = gen_mixture(sc, 7)
         assert np.array_equal(p1, p2) and np.array_equal(t1, t2)
+        p3, t3 = gen_mixture(sc, np.int64(7))   # numpy integers are integers
+        assert np.array_equal(p1, p3) and np.array_equal(t1, t3)
+
+    @pytest.mark.parametrize("gen, sc", [
+        (gen_mixture, MixtureScenario(N=10, pi1=0.3)),
+        (gen_platform, PlatformTrialScenario(K=5))],
+        ids=["mixture", "platform"])
+    @pytest.mark.parametrize("seed, message", [
+        (7.9, "seed must be an integer, got 7.9"),
+        (7.0, "seed must be an integer, got 7.0"),
+        (True, "seed must be an integer, got True"),
+        ("3", "seed must be an integer, got '3'"),
+        (np.float64(2.0), "seed must be an integer, got np.float64(2.0)"),
+        (-1, "seed must be >= 0, got -1"),
+        (np.int64(-2), "seed must be >= 0, got -2")])
+    def test_bad_seed_refused(self, gen, sc, seed, message):
+        # int() ran 7.9 as 7, True as 1 and "3" as 3
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gen(sc, seed)
 
     def test_null_uniformity(self):
         sc = MixtureScenario(N=10_000, pi1=0.0, rho=0.0,
@@ -112,9 +132,9 @@ class TestGenMixture:
         assert stats.kstest(p, "uniform").pvalue > 1e-3
 
     def test_factor_model_correlation(self):
-        rng = np.random.default_rng(99)
-        draws = np.array([equicorrelated_normal(2, 0.5, rng)
-                          for _ in range(100_000)])
+        # one generator for every row: its draws run row after row
+        draws = equicorrelated_normal(2, 0.5,
+                                      [np.random.default_rng(99)] * 100_000)
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert corr == pytest.approx(0.5, abs=0.01)
         assert draws.std(axis=0) == pytest.approx([1.0, 1.0], abs=0.02)
@@ -159,7 +179,7 @@ class TestGenPlatform:
     def test_sorted_by_analysis_time(self):
         sc = PlatformTrialScenario(K=25, pi=0.2)
         rng = np.random.default_rng(17)
-        tau, z, nonnull = _platform_draw(sc, rng)
+        (tau,), (z,), (nonnull,) = _platform_draw(sc, [rng])
         order = np.lexsort((np.arange(sc.K), tau))
         p_sorted, truth_sorted = gen_platform(sc, 17)
         assert np.array_equal(truth_sorted, nonnull[order])
@@ -180,13 +200,10 @@ class TestGenPlatform:
                 return self.rng.binomial(*args, **kwargs)
 
         sc = PlatformTrialScenario(K=25, N_target=1)
-        redraws = 0
-        for r in range(20):
-            rng = CountingRng(np.random.default_rng(r))
-            _, z, _ = _platform_draw(sc, rng)
-            assert np.isfinite(z).all()
-            redraws += rng.binomial_calls > 1
-        assert redraws >= 10
+        rngs = [CountingRng(np.random.default_rng(r)) for r in range(20)]
+        _, z, _ = _platform_draw(sc, rngs)
+        assert np.isfinite(z).all()
+        assert sum(rng.binomial_calls > 1 for rng in rngs) >= 10
 
     @pytest.mark.parametrize("K, N_target", [
         (K, n) for K in (1, 3, 25, 100) for n in (1, 5, 70)
@@ -214,14 +231,15 @@ class TestGenPlatform:
                     scenario.sigma * math.sqrt(1.0 / n0j + 1.0 / nj))
             return tau, z, nonnull
 
+        # and the 25 replicates drawn as one matrix, row r by generator r
         sc = PlatformTrialScenario(K=K, N_target=N_target, pi=0.5)
-        for seed in range(25):
+        got_rngs = [np.random.default_rng(seed) for seed in range(25)]
+        got = _platform_draw(sc, got_rngs)
+        for seed, got_rng in enumerate(got_rngs):
             want_rng = np.random.default_rng(seed)
-            got_rng = np.random.default_rng(seed)
             want = per_arm(sc, want_rng)
-            got = _platform_draw(sc, got_rng)
             for w, g in zip(want, got):
-                np.testing.assert_array_equal(g, w, strict=True)
+                np.testing.assert_array_equal(g[seed], w, strict=True)
             assert got_rng.random() == want_rng.random()
 
     def test_global_null_per_test_level(self):
@@ -235,6 +253,129 @@ class TestGenPlatform:
         rate = hits / total
         se = math.sqrt(0.1 * 0.9 / total) * 3  # correlated, inflate the bound
         assert rate == pytest.approx(0.1, abs=max(3 * se, 0.02))
+
+
+# sha256 of the (p, truth) bytes of replicates (2026, 0), (2026, 1), ...
+# as the per-replicate generators drew them: a change to any draw, its
+# order or the arithmetic after it changes one of these
+STREAM_DIGESTS = {
+    "gaussian-0.0-1":
+        "10fd34587408a55836cafa577f9c604876efe85589f806cc0aef7ccb545ef3a7",
+    "gaussian-0.0-7":
+        "66c584678cb7fb18cd2201f982a40a9fea06943e3aee4cee52b1172eab53d38a",
+    "gaussian-0.0-100":
+        "12a27400a45468baacbf39e6d6f6f0d2761736f5bcaee80c8aecd88aefa07bf9",
+    "gaussian-0.3-1":
+        "5d788f1def8a0c9a3db5b0d11ffc73915c81dc77b7b138405729ac0223a28aee",
+    "gaussian-0.3-7":
+        "b8ae6a2983700faf3db246654dc06e79d5c805aa55082816a01a34f8d5aabb17",
+    "gaussian-0.3-100":
+        "d0f1c5ef78dd38e50759ac579f776c124092617bd3cd6aeb98e09b47c12991dd",
+    "gaussian-1.0-1":
+        "cdb3f545d5b2612dccadb3afd761c2b2cb41acc1b7c8d2369894a06781d024fb",
+    "gaussian-1.0-7":
+        "45901163edf2017bf70bf86d201d05ee1a421d186ac39e828137467571634588",
+    "gaussian-1.0-100":
+        "6ea6363aff1f9e8d73713f7f82dabbd72c75c13b34f57cf1503325f9d74d9d3f",
+    "exponential-0.0-1":
+        "30702cd596328a24761df6d7f3c9b4bbbebfaeafec8341c6d1c0bbccc07b1907",
+    "exponential-0.0-7":
+        "e2a14a3fe3d1f201a833cc6b1a225522b6cc9495a42884c50850e3ab33617c7a",
+    "exponential-0.0-100":
+        "4692c408e8cf589159c7874ed29a2e841f211054d86e2efb1905a9e7ecffcfdc",
+    "exponential-0.3-1":
+        "830ac4618d3150ead313a49a43b9765d52cab0a63ef988257dbd5420c7ad9a1c",
+    "exponential-0.3-7":
+        "219f7f42ecd6f7aa28fd01bbc7ffc056d51bff47fd3b084c7afe8da2c52fd2a1",
+    "exponential-0.3-100":
+        "01227e12f71445fd7113313f544464d8fc32371582f6bd7280e08469234cc385",
+    "exponential-1.0-1":
+        "678cdb53449ea43ca076c9cd62b4a1f06f68c9c885cc858ee11c6f49d3794e0d",
+    "exponential-1.0-7":
+        "f6f9a078ddfe92ccca99878b1fdb8c30f720cb16ffae2e7fcbbedd37e07c69f6",
+    "exponential-1.0-100":
+        "2791313dc1e235f60797bb679610a5d2171d2ab07cbfb2ab7b626ebdb2e19492",
+    "constant-0.0-1":
+        "30702cd596328a24761df6d7f3c9b4bbbebfaeafec8341c6d1c0bbccc07b1907",
+    "constant-0.0-7":
+        "e2a14a3fe3d1f201a833cc6b1a225522b6cc9495a42884c50850e3ab33617c7a",
+    "constant-0.0-100":
+        "4692c408e8cf589159c7874ed29a2e841f211054d86e2efb1905a9e7ecffcfdc",
+    "constant-0.3-1":
+        "49a36a08c9180a757ef5c05d4e9d93e99f1af65177a95f75f4cb36e72aad8b42",
+    "constant-0.3-7":
+        "dc577e3b8e9d3d3afa31664a07631f837844e94b5360e70dee087a89a0fe473e",
+    "constant-0.3-100":
+        "33f6f724007797013cfdbea7897e5485344c7519680fc86ff86cb69cf7eda400",
+    "constant-1.0-1":
+        "502c27fdbe9f603ca5807fb550a99ea6f034d041f46727a6ee318d7842f33b80",
+    "constant-1.0-7":
+        "37f1f1e908bb34d9c817b229d45931a3a566df942730fdb46cf873d341d8e526",
+    "constant-1.0-100":
+        "7e596ff6b6e3dd71b9b315b4f5e80b6e9a8a0404cebc494800dd6439d8f5faff",
+    "platform-1-70":
+        "c65a46d808c73f5e85922ca71da1aac011c7b22bbfe048b59d12fe9b5fc88ee6",
+    "platform-10-70":
+        "a4f353af0a36d3a7255110b0be0253693a25ce0801c958c08e28250e1e3f3120",
+    "platform-25-70":
+        "81526be5f68f226ba4effb77e9cc3aa6820dc03adb3d660ad092c93f1fb78368",
+    "platform-25-1":
+        "fab14783776bf422202ecc9fd88379d251a9c697febf336bab43a5a0c8c9945f",
+    "platform-1-5":
+        "b1b7f84ec46039a76e0bdc892cc09b6023bfc700e8681caf1a98d14d823d8915",
+}
+ESTIMATE_DIGEST = \
+    "57a45f7e66c3ab06b52d4210a9145f15c07bc3d2ce7379f603ab11ba0331a32d"
+
+
+def _stream_digest(scenario, rows) -> str:
+    """sha256 over ``rows`` replicates of (p, truth) bytes, each drawn alone
+    by the public generator; asserts the rows drawn as one matrix are the
+    same bytes."""
+    gen = gen_mixture if isinstance(scenario, MixtureScenario) else gen_platform
+    seeds = [np.random.SeedSequence((2026, r)) for r in range(rows)]
+    alone, stacked = hashlib.sha256(), hashlib.sha256()
+    matrices = scenarios._generate(
+        scenario, [np.random.default_rng(ss) for ss in seeds])
+    for ss, p_row, truth_row in zip(seeds, *matrices):
+        p, truth = gen(scenario, ss)
+        alone.update(p.tobytes() + truth.tobytes())
+        stacked.update(p_row.tobytes() + truth_row.tobytes())
+    assert stacked.hexdigest() == alone.hexdigest()
+    return alone.hexdigest()
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("N", [1, 7, 100])
+    @pytest.mark.parametrize("pi1", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("alt", [a.value for a in MixtureAlternative])
+    def test_mixture(self, alt, pi1, N):
+        sc = MixtureScenario(N=N, pi1=pi1, rho=0.5,
+                             alternative=MixtureAlternative(alt))
+        assert _stream_digest(sc, 4) == STREAM_DIGESTS[f"{alt}-{pi1}-{N}"]
+
+    # N_target = 1 leaves most 25-arm replicates an empty arm to redraw
+    @pytest.mark.parametrize("K, N_target", [
+        (1, 70), (10, 70), (25, 70), (25, 1), (1, 5)])
+    def test_platform(self, K, N_target):
+        sc = PlatformTrialScenario(K=K, N_target=N_target, pi=0.3)
+        assert _stream_digest(sc, 8) == STREAM_DIGESTS[
+            f"platform-{K}-{N_target}"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_estimate_many(self, monkeypatch, forking, threads):
+        monkeypatch.setenv("ONFDR_THREADS", threads)
+        procs = [(k.value, default_config(k, alpha=0.1))
+                 for k in ProcedureKind]
+        procs += [("bh", "bh"), ("unc", "uncorrected")]
+        got = estimate_many(procs, MixtureScenario(N=30, pi1=0.2, rho=0.5,
+                                                   alpha=0.1), 150, 8)
+        got += estimate_many(procs[:3], PlatformTrialScenario(
+            K=6, N_target=20, pi=0.2), 150, 8)
+        key = [(r.label, r.fdr, r.fdr_se, r.power, r.power_se, r.reps,
+                r.power_reps) for r in got]
+        assert hashlib.sha256(repr(key).encode()).hexdigest() == \
+            ESTIMATE_DIGEST
 
 
 class TestKidney:
@@ -523,17 +664,24 @@ class TestEstimate:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_summaries_match_a_serial_recomposition(self, monkeypatch,
                                                     forking, threads):
-        # N=10, pi1=0.15: about a third of the replicates have no non-null
+        # about a third (mixture) and half (platform) of the replicates
+        # have no non-null; the platform's arms take 15-20 outcomes
         monkeypatch.setenv("ONFDR_THREADS", threads)
-        sc = MixtureScenario(N=10, pi1=0.15, rho=0.5, alpha=0.2)
+        for sc in (MixtureScenario(N=10, pi1=0.15, rho=0.5, alpha=0.2),
+                   PlatformTrialScenario(K=4, N_target=20, pi=0.15,
+                                         alpha=0.2)):
+            self.check_recomposition(sc, reps=70, seed=3)
+
+    @staticmethod
+    def check_recomposition(sc, reps, seed):
+        gen = gen_mixture if isinstance(sc, MixtureScenario) else gen_platform
         procs = [("lord++", default_config(ProcedureKind.LORDPP, alpha=0.2)),
                  ("bh", "bh"), ("unc", "uncorrected")]
-        reps, seed = 70, 3
         got = estimate_many(procs, sc, reps=reps, seed=seed)
         for (label, proc), res in zip(procs, got):
             fdps, powers = [], []
             for r in range(reps):
-                p, truth = gen_mixture(sc, np.random.SeedSequence((seed, r)))
+                p, truth = gen(sc, np.random.SeedSequence((seed, r)))
                 if isinstance(proc, str):
                     offline = baselines.bh if proc == "bh" else baselines.uncorrected
                     decisions = offline(p, sc.alpha).rejected_indices
