@@ -167,7 +167,6 @@ def _write_rows(out, ids, first: int, pvalues, decisions) -> None:
 def cmd_run(args) -> int:
     try:
         config = _procedure_config(args)
-        state = make_stream(config)
     except ValueError as exc:
         return _fail(EXIT_BAD_CONFIG, f"invalid configuration: {exc}")
     if args.rebound is not None:
@@ -186,10 +185,10 @@ def cmd_run(args) -> int:
                          f"past the horizon N={args.bound}")
         # levels 1..n read only coefficients 1..n, which rebound keeps
         config = replace(config, sequence=config.sequence.rebounded(n, new_bound))
-        try:
-            state = make_stream(config)
-        except ValueError as exc:
-            return _fail(EXIT_BAD_CONFIG, f"invalid configuration: {exc}")
+    try:   # the stream of the config it runs, rebound or not
+        state = make_stream(config)
+    except ValueError as exc:
+        return _fail(EXIT_BAD_CONFIG, f"invalid configuration: {exc}")
 
     try:
         infile = open(args.input, newline="") if args.input \

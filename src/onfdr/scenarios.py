@@ -1,9 +1,10 @@
 """Synthetic data generators and experiment drivers.
 
-Three families: an equicorrelated multivariate-normal mixture, a platform
-trial with a shared control arm, and a small binary-endpoint platform with
-exact tests.  ``estimate``/``estimate_many`` run seeded replicates and report
-mean false discovery proportion and power with Monte Carlo standard errors.
+Three families: a normal mixture on randomly signed equicorrelated noise,
+a platform trial with a shared control arm, and a small binary-endpoint
+platform with exact tests.  ``estimate``/``estimate_many`` run seeded
+replicates and report mean false discovery proportion and power with Monte
+Carlo standard errors.
 
 Replicates are drawn one generator per (seed, replicate) and
 decided in tasks of at most ``_BATCH``: a task draws its replicates as
@@ -11,12 +12,12 @@ one (replicates x N) matrix, the online rules decide it in one
 ``procedures.decide_stack`` call, each offline rule in one
 ``baselines.offline_rows`` call, and one ``baselines.score`` call scores
 every rule's rows.
-A call with less work than a fork pays for runs in the calling process;
-a larger one on more than one worker deals its tasks round-robin into one
-share per worker: the calling process computes the first share and an
-``os.fork`` child each other share, whose arrays come back pickled
-through a pipe and are put back in task order, so estimates are the same
-bits for every worker count and schedule.
+A call with less work than a fork pays for runs in the calling process as
+one share; a larger one on more than one worker is cut into contiguous
+shares of replicates, one per process: the calling process decides the
+first share and an ``os.fork`` child each other share, in the same tasks,
+and the children's arrays come back pickled through a pipe and are joined
+in replicate order, so estimates are the same bits for every worker count.
 ``eval_kidney`` checks its one realisation as a 1 x K matrix and decides it
 through ``offline_rows`` (offline rules) or ``decide`` (online rules).
 """
@@ -57,8 +58,11 @@ class MixtureAlternative(str, Enum):
 
 @dataclass(frozen=True)
 class MixtureScenario:
-    """Equicorrelated z-statistics with a point-mass-or-F1 mean mixture;
-    ``alpha`` is the level of the offline rules run on it."""
+    """Z-statistics with a point-mass-or-F1 mean mixture on equicorrelated
+    noise x times independent random signs s: two-sided (GAUSSIAN) p-values
+    keep the correlation rho, while the one-sided (EXPONENTIAL, CONSTANT)
+    nulls are uncorrelated, E[s_i s_j] E[x_i x_j] = 0, though not
+    independent; ``alpha`` is the level of the offline rules run on it."""
 
     N: int
     pi1: float
@@ -433,20 +437,16 @@ def worker_count() -> int:
     return int(value)
 
 
-def _run_tasks(tasks, workers: int) -> list[np.ndarray]:
-    """``_replicate_chunk`` of every task, in task order.
-
-    The tasks are dealt round-robin into ``min(workers, len(tasks))``
-    shares. This process computes share 0 while one ``os.fork`` child per
-    other share computes it and sends its arrays back pickled through a
-    pipe; with one share, this process computes every task and nothing
-    forks. A child's exception is raised here; on any exception here, the
-    children not yet waited for are killed and reaped.
+def _run_shares(scenario, procs, seed, cuts) -> np.ndarray:
+    """``_decide_share`` of each share ``cuts[k], ..., cuts[k + 1] - 1``,
+    joined in replicate order: this process decides share 0 while one
+    ``os.fork`` child per other share decides it and sends its array back
+    pickled through a pipe.  A child's exception is raised here; on any
+    exception here, the children not yet waited for are killed and reaped.
     """
-    n = min(workers, len(tasks))
     children = []   # (pid, read end of its pipe) of each child not yet reaped
     try:
-        for k in range(1, n):
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -455,10 +455,10 @@ def _run_tasks(tasks, workers: int) -> list[np.ndarray]:
                 os.close(w)
                 raise
             if pid == 0:
-                _child(tasks[k::n], w)
+                _child((scenario, procs, seed, lo, hi), w)
             children.append((pid, open(r, "rb")))
             os.close(w)   # later children must not hold it, or no EOF comes
-        shares = [[_replicate_chunk(t) for t in tasks[::n]]]
+        shares = [_decide_share(scenario, procs, seed, cuts[0], cuts[1])]
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -478,20 +478,25 @@ def _run_tasks(tasks, workers: int) -> list[np.ndarray]:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    parts = [None] * len(tasks)
-    for k, share in enumerate(shares):
-        parts[k::n] = share
-    return parts
+    return np.concatenate(shares, axis=2)
 
 
-def _child(tasks, w: int) -> None:
-    """The body of a forked child: write ``(True, parts)`` or ``(False,
-    exception)`` to ``w`` pickled, then ``os._exit``, so that nothing of the
-    parent's (its buffered stdout, its exit handlers) runs here."""
+def _decide_share(scenario, procs, seed, lo, hi) -> np.ndarray:
+    """``_replicate_chunk`` of replicates ``lo, ..., hi - 1`` in tasks of at
+    most ``_BATCH``, joined in replicate order."""
+    return np.concatenate([
+        _replicate_chunk((scenario, procs, seed, a, min(a + _BATCH, hi)))
+        for a in range(lo, hi, _BATCH)], axis=2)
+
+
+def _child(share, w: int) -> None:
+    """The body of a forked child: write ``(True, _decide_share(*share))``
+    or ``(False, exception)`` to ``w`` pickled, then ``os._exit``, so that
+    nothing of the parent's (buffered stdout, exit handlers) runs here."""
     status = 1
     try:
         try:
-            blob = pickle.dumps((True, [_replicate_chunk(t) for t in tasks]),
+            blob = pickle.dumps((True, _decide_share(*share)),
                                 pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:
             blob = _pickled_error(exc)
@@ -523,12 +528,12 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
     Replicate r draws its own generator from (seed, r), so results are
     independent of worker scheduling and bit-reproducible.
 
-    A call whose work, ``reps x (N x len(procs) + _DRAW_WORK)`` (K for a
-    platform trial), is under ``_FORK_WORK``, or that has one worker, runs
-    here in tasks of ``_BATCH`` replicates: with nothing to balance, the
-    fewest kernel calls.  A larger call on more workers forks, in tasks of
-    ``min(_BATCH, max(32, ceil(reps / (workers * 8))))``.  Every rule and
-    the scenario are checked before either.
+    Each process decides one contiguous share of the replicates in tasks
+    of at most ``_BATCH``.  A call whose work, ``reps x (N x len(procs) +
+    _DRAW_WORK)`` (K for a platform trial), is under ``_FORK_WORK`` is one
+    share, decided here; a larger one has ``min(worker_count(), ceil(reps
+    / 32))`` shares, cut at ``reps * k // shares``.  Every rule and the
+    scenario are checked before any share is decided.
     """
     if not _is_integer(reps):
         raise ValueError(f"reps must be an integer, got {reps!r}")
@@ -553,13 +558,9 @@ def estimate_many(procs, scenario, reps: int, seed: int) -> list[EstimateResult]
                 raise ValueError(f"{label}: {exc}") from None
     work = reps * (_stream_length(scenario) * len(procs) + _DRAW_WORK)
     workers = worker_count()
-    if workers > 1 and work >= _FORK_WORK:
-        chunk = min(_BATCH, max(32, math.ceil(reps / (workers * 8))))
-    else:   # nothing to balance: the fewest kernel calls
-        workers, chunk = 1, _BATCH
-    tasks = [(scenario, procs, seed, lo, min(lo + chunk, reps))
-             for lo in range(0, reps, chunk)]
-    fdps, powers = np.concatenate(_run_tasks(tasks, workers), axis=2)
+    shares = min(workers, math.ceil(reps / 32)) if work >= _FORK_WORK else 1
+    fdps, powers = _run_shares(scenario, procs, seed,
+                               [reps * k // shares for k in range(shares + 1)])
     # a replicate's power is NaN for every rule alike: it has no non-null.
     # np.compress copies C-contiguous, as _mean_se needs
     powers = np.compress(~np.isnan(powers[0]), powers, axis=1)

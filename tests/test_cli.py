@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import os
 import pathlib
@@ -275,6 +276,19 @@ class TestRun:
             assert err == ("onfdr: invalid configuration: leading coefficient "
                            "must be <= 1 to keep wealth nonnegative\n"), horizon
 
+    def test_lord_dep_rebound_from_horizon_one_runs(self, tmp_path, capsys):
+        # rebound before its first hypothesis, the horizon-one table is
+        # never used: the stream runs on the rebound config, which the
+        # library accepts too
+        records = [("h1", 0.001), ("h2", 0.3), ("h3", 0.004), ("h4", 0.9)]
+        path = write_pvalues(tmp_path, records)
+        code, out, err = run_cli(capsys, [
+            "run", "--input", path, "--procedure", "lord-dep",
+            "--bound", "1", "--rebound", "0:5"])
+        assert (code, err) == (0, "")
+        assert out == expected_run(records, ProcedureKind.LORD_DEP, bound=1,
+                                   rebound=(0, 5))
+
     @pytest.mark.parametrize("options, message", [
         (["--seq-param", "2"], "--seq-param requires --sequence"),
         (["--seq-param", "nan"], "--seq-param requires --sequence"),
@@ -406,6 +420,12 @@ def expected_run(records, kind, bound=None, rebound=None):
     flags and wealth from `decide` on one stream, rebound after
     ``rebound[0]`` hypotheses, with floats as their repr."""
     cfg = default_config(kind, alpha=0.05, bound=bound)
+    if rebound is not None and rebound[0] == 0:
+        # no hypothesis meets the first table: the stream starts on the
+        # rebound one, even where the first horizon alone is refused
+        cfg = dataclasses.replace(
+            cfg, sequence=cfg.sequence.rebounded(0, rebound[1]))
+        rebound = None
     state = make_stream(cfg)
     p = np.array([pv for _, pv in records], dtype=np.float64)
     cut = len(p) if rebound is None else min(rebound[0], len(p))

@@ -135,6 +135,10 @@ class TestDecideRows:
     @given(stack=stacks(), p=matrices())
     @example(stack=[(ProcedureKind.LORD_DEP, 0.05, {}, True, None)],
              p=check_rows([[0.5]]))
+    # horizon one refused, but rebound before its first hypothesis: accepted
+    @example(stack=[(ProcedureKind.LORD_DEP, 0.05, {"w0": 0.0, "b0": 0.025},
+                     True, (0.0, 1))],
+             p=check_rows([[0.00041]]))
     def test_rows_equal_decide(self, stack, p):
         # a stack of configs of one family, each row of each config equal
         # to decide under that config
@@ -151,8 +155,15 @@ class TestDecideRows:
             # to ``at``, rebound and decided on, with no code of its own
             at = round(rebound[0] * n)
             new_bound = max(n, at + 1) + rebound[1]
-            configs.append(dataclasses.replace(
-                cfg, sequence=cfg.sequence.rebounded(at, new_bound)))
+            rebounded = dataclasses.replace(
+                cfg, sequence=cfg.sequence.rebounded(at, new_bound))
+            configs.append(rebounded)
+            if at == 0:
+                # nothing is decided under the first table, so the stream
+                # (and a refusal) follows the rebound one alone
+                references.append(
+                    lambda row, cfg=rebounded: decide(cfg, row).rejected)
+                continue
 
             def chain(row, cfg=cfg, at=at, new_bound=new_bound):
                 state = make_stream(cfg)

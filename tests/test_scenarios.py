@@ -609,12 +609,17 @@ class TestEstimate:
         assert len(got[0]) == 19
         assert all(res == got[0] for res in got[1:])
 
-    @pytest.mark.parametrize("threads, fork_work, reps, workers", [
-        ("1", 0, 2000, 1), ("2", 0, 2000, 2), ("2", None, 300, 1)],
-        ids=["1", "2", "under-the-crossover"])
+    @pytest.mark.parametrize("threads, fork_work, reps, workers, shares", [
+        ("1", 0, 2000, 1, [(0, 2000)]),
+        ("2", 0, 2000, 2, [(0, 1000), (1000, 2000)]),
+        ("2", None, 300, 1, [(0, 300)]),
+        # shares of at most _BATCH: one task per process
+        ("2", 0, 256, 2, [(0, 128), (128, 256)]),
+        ("3", 0, 301, 3, [(0, 100), (100, 200), (200, 301)])],
+        ids=["1", "2", "under-the-crossover", "256-on-two", "301-on-three"])
     def test_no_task_decides_more_than_the_cap(self, monkeypatch, tmp_path,
                                                threads, fork_work, reps,
-                                               workers):
+                                               workers, shares):
         tasks = _record_tasks(monkeypatch, tmp_path / "tasks")
         if fork_work is not None:
             monkeypatch.setattr(scenarios, "_FORK_WORK", fork_work)
@@ -626,8 +631,15 @@ class TestEstimate:
         assert spans[-1][1] == reps
         assert max(hi - lo for lo, hi in spans) <= scenarios._BATCH
         assert len({pid for pid, _, _ in tasks()}) == workers
-        if workers == 1:   # nothing to balance: every task but the last full
-            assert {hi - lo for lo, hi in spans[:-1]} == {scenarios._BATCH}
+        # each process decides one contiguous share, every task of it but
+        # the last full
+        ranges = []
+        for pid in {pid for pid, _, _ in tasks()}:
+            own = sorted((lo, hi) for p, lo, hi in tasks() if p == pid)
+            assert [lo for lo, _ in own[1:]] == [hi for _, hi in own[:-1]]
+            assert {hi - lo for lo, hi in own[:-1]} <= {scenarios._BATCH}
+            ranges.append((own[0][0], own[-1][1]))
+        assert sorted(ranges) == shares
 
     def test_tables_built_before_the_pool(self, monkeypatch, forking):
         # configs are checked and their tables built before the first
