@@ -40,9 +40,10 @@ a rule family in one kernel call; the Monte Carlo harness runs every
 online rule on a batch of replicates through ``decide_stack``.  Their
 payout rules sweep the clocks in blocks of 64, which costs a few dozen
 numpy calls per block and up to ``N**2 / 2`` multiply-adds per row (5 10^9
-at N = 10^5), so it does not suit one long stream: on a 10^5-row stream
-with a tenth non-null it took 0.39 s against ``decide``'s 0.19 s for
-LORD++ and 0.50 s against 0.08 s for SAFFRON (best of 3, 2-CPU x86
+at N = 10^5), and each block's payouts read a (64 x N) strip of the
+coefficients, so it does not suit one long stream: on a 10^5-row stream
+with a tenth non-null it took 2.4 s against ``decide``'s 0.15 s for
+LORD++ and 0.73 s against 0.07 s for SAFFRON (best of 3, 2-CPU x86
 machine).
 ``decide`` stays the tool for ``onfdr run``, ``observe``-style resumption
 and the exact-test designs.
@@ -50,6 +51,7 @@ and the exact-test designs.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -815,7 +817,7 @@ def decide_stack(configs, pvalues: np.ndarray) -> list[np.ndarray]:
     recompute every row, so stacking does not pay); LORD3 and dependent
     LORD are one stack, whose columns :func:`_wealth_rows` sweeps; LORD2
     and LORD++ are one stack and SAFFRON another, each run by
-    :func:`_payout_rows`, whose products with a Toeplitz strip of the
+    :func:`_payout_rows`, whose BLAS products with a Toeplitz strip of the
     coefficients cost up to ``N**2 / 2`` multiply-adds per row (5 10^9 for
     one 10^5-row stream, which :func:`decide` adds up one discovery at a
     time), and a row with a decision that its rounding bound does not
@@ -823,8 +825,10 @@ def decide_stack(configs, pvalues: np.ndarray) -> list[np.ndarray]:
     configs of one spec share one table (and strip), and their rows are
     next to each other in the stack.  A refused config or horizon raises
     what :func:`decide_rows` raises for the first config in order that has
-    one, before anything is decided.
+    one, before anything is decided.  The first call in a process sets
+    every loaded OpenBLAS to one thread (:func:`_one_blas_thread`).
     """
+    _one_blas_thread()
     configs = list(configs)
     n = pvalues.shape[1]
     tables = {}   # the coefficients of each spec, shared by its configs
@@ -864,6 +868,44 @@ def decide_stack(configs, pvalues: np.ndarray) -> list[np.ndarray]:
         for b, j in enumerate(members):
             flags[j] = rejected[b * rows:(b + 1) * rows]
     return flags
+
+
+# the thread-count setter of an OpenBLAS build: its own name, numpy's
+# wheel's and scipy's wheel's
+_OPENBLAS_SETTERS = ("openblas_set_num_threads",
+                     "scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads")
+
+
+def _loaded_openblas() -> list:
+    """``(library, setter name)`` of every OpenBLAS loaded in this process,
+    found by its path in ``/proc/self/maps``: none where that cannot be
+    read (not Linux) or no OpenBLAS is loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)   # loaded already: no new library
+        except OSError:
+            continue
+        found += [(lib, name) for name in _OPENBLAS_SETTERS
+                  if hasattr(lib, name)][:1]
+    return found
+
+
+@lru_cache(maxsize=None)
+def _one_blas_thread() -> None:
+    """Set every loaded OpenBLAS to one thread, once per process; a forked
+    child inherits it.  The Monte Carlo harness runs one process per CPU,
+    so BLAS threads would only compete with them.  The count is never
+    restored: a fork tears OpenBLAS's thread pool down, and setting a count
+    again rebuilds it, whose threads then spin beside the workers."""
+    for lib, name in _loaded_openblas():
+        getattr(lib, name)(1)
 
 
 def _wealth_rows(configs, which, g: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -912,47 +954,31 @@ _WINDOW_ROWS = 8 * _BLOCK
 
 
 def _toeplitz_strip(c: np.ndarray, length: int) -> np.ndarray:
-    """The payouts of a block's discoveries: ``strip[_BLOCK - 1 - a, x] =
-    c[x - a - 1]`` for ``x > a``, else 0 (also past the end of ``c``), is
-    paid on clock ``x`` (counted from the block's first clock) by a
-    discovery on clock ``a`` of the block, for ``length`` clocks.
-
-    A read-only view ``strip[b, x] = padded[b + x]`` of one zero-padded
-    copy of ``c``: rows overlap, so it holds ``length + _BLOCK`` floats,
-    and each row is contiguous.
-    """
+    """The payouts of a block's discoveries: ``strip[a, x] = c[x - a - 1]``
+    for ``x > a``, else 0 (also past the end of ``c``), is paid on clock
+    ``x`` (counted from the block's first clock) by a discovery on clock
+    ``a`` of the block, for ``length`` clocks: a C-contiguous (``_BLOCK`` x
+    ``length``) array, so that BLAS multiplies it without a copy."""
     padded = np.zeros(_BLOCK + length)
     padded[_BLOCK:_BLOCK + min(len(c), length)] = c[:length]
-    step = padded.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        padded, shape=(_BLOCK, length), strides=(step, step), writeable=False)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, length)
+    return np.ascontiguousarray(windows[_BLOCK - 1::-1])
 
 
 def _add_payouts(out: np.ndarray, count: np.ndarray, strips, cuts,
                  x0: int) -> None:
-    """``out += count[:, ::-1] @ strip[:, x0:x0 + out.shape[1]]``, the
-    payouts of the discoveries whose weights are summed per row and block
-    clock in ``count``, with rows ``cuts[t], ..., cuts[t + 1] - 1`` paid
-    from ``strips[t]``.  Per strip: one product over the rows with a
-    nonzero sum, or one scaled row add per nonzero sum where they are fewer
-    than about one per 128 columns of the strip per row (a row add of ``w``
-    terms costs about as much as a product row of ``128 w`` multiply-adds,
-    on a 2-CPU x86 machine)."""
+    """``out += count @ strip[:, x0:x0 + out.shape[1]]``, the payouts of
+    the discoveries whose weights are summed per row and block clock in
+    ``count``, with rows ``cuts[t], ..., cuts[t + 1] - 1`` paid from
+    ``strips[t]``: one BLAS product per strip, over the rows with a
+    nonzero sum."""
     for strip, lo, hi in zip(strips, cuts, cuts[1:]):
         strip, o, c = strip[:, x0:x0 + out.shape[1]], out[lo:hi], count[lo:hi]
         paid = c.any(axis=1).nonzero()[0]
-        if np.count_nonzero(c) * 128 > len(paid) * strip.shape[1]:
-            # einsum is fast with a contiguous first operand
-            product = np.einsum("ra,ax->rx",
-                                np.ascontiguousarray(c[paid, ::-1]), strip)
-            if len(paid) == len(o):   # in place: no gather and scatter copy
-                o += product
-            else:
-                o[paid] += product
-            continue
-        rows, clocks = c.nonzero()
-        for r, a in zip(rows.tolist(), clocks.tolist()):
-            o[r] += c[r, a] * strip[_BLOCK - 1 - a]
+        if len(paid) == len(o):   # in place: no gather and scatter copy
+            o += c @ strip
+        elif len(paid):
+            o[paid] += c[paid] @ strip
 
 
 def _payout_rows(configs, which, g: np.ndarray, p: np.ndarray):
@@ -987,9 +1013,11 @@ def _payout_rows(configs, which, g: np.ndarray, p: np.ndarray):
     weights on one clock, by its coefficient once; :func:`decide`
     multiplies ``w0`` or ``first`` by a coefficient, or ``later`` by a sum
     of coefficients.  Either way the terms are added in one tree, so each
-    passes through one rounded product and at most ``n - 1`` inexact
-    additions (adding an exact 0 is exact).  By Higham, Accuracy and
-    Stability of Numerical Algorithms (2nd ed., Lemma 3.1 and section 4.2),
+    passes through at most one rounded product and at most ``n - 1``
+    inexact additions (adding an exact 0 is exact); our BLAS product may
+    fuse a multiply and an add and sum an inner product in any order, and
+    neither adds a rounding.  By Higham, Accuracy and Stability of
+    Numerical Algorithms (2nd ed., Lemma 3.1 and section 4.2),
     both computed levels then lie within ``gamma_n L`` of the exact level
     ``L`` of the same discoveries (``gamma_k = k u / (1 - k u)``, ``u =
     2**-53``; capping at lambda moves neither further), so they differ by

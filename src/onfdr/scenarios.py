@@ -38,6 +38,7 @@ from . import baselines
 from .procedures import (
     ProcedureConfig,
     ProcedureKind,
+    _one_blas_thread,
     check_rows,
     decide,
     decide_stack,
@@ -443,7 +444,10 @@ def _run_shares(scenario, procs, seed, cuts) -> np.ndarray:
     ``os.fork`` child per other share decides it and sends its array back
     pickled through a pipe.  A child's exception is raised here; on any
     exception here, the children not yet waited for are killed and reaped.
+    OpenBLAS is set to one thread before the first fork, so that the
+    children inherit it and no process rebuilds the pool a fork tears down.
     """
+    _one_blas_thread()
     children = []   # (pid, read end of its pipe) of each child not yet reaped
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):

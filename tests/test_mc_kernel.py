@@ -3,7 +3,9 @@ every row the flags ``decide`` gives it, and estimates do not depend on the
 worker count."""
 
 import dataclasses
+import hashlib
 import math
+import os
 import re
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from onfdr import procedures
+from onfdr import procedures, scenarios
 from onfdr.procedures import (
     ConfigError,
     HorizonExhaustedError,
@@ -311,6 +313,28 @@ class TestDecideRows:
             for r in range(3):
                 np.testing.assert_array_equal(flags[r], decide(c, p[r]).rejected)
 
+    @pytest.mark.parametrize("kind", PAYOUT_KINDS)
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_one_discovery_in_a_block(self, kind, bounded):
+        # sparse rows, one discovery in a block of a row and none in most
+        # rows, so a payout product has a single nonzero count in a row;
+        # a p-value just under decide's level far down the row is a
+        # discovery only by the lone discoveries' payouts
+        n = 1000
+        cfg = config_of(kind, n, bounded)
+        p = np.random.default_rng(35).uniform(0.2, 1.0, (6, n))
+        for row, at in [(0, [10]), (1, [63, 64, 600]), (2, [999])]:
+            p[row, at] = 0.0
+        for row in (0, 1):
+            p[row, 900] = decide(cfg, p[row]).levels[900] * (1 - 1e-9)
+        p = check_rows(p)
+        got, fallbacks = rows_and_fallbacks([cfg], p)
+        assert fallbacks == []
+        assert got[0][[0, 1], 900].all()
+        for r, row in enumerate(p):
+            np.testing.assert_array_equal(got[0][r], decide(cfg, row).rejected,
+                                          err_msg=f"row {r}")
+
     def test_horizon(self):
         cfg = config_of(ProcedureKind.LORDPP, 5, True)
         with pytest.raises(HorizonExhaustedError,
@@ -373,3 +397,69 @@ def test_estimates_independent_of_workers(monkeypatch, forking, scenario,
         results.append(estimate_many(procs, scenario, reps=70, seed=8))
     assert results[0] == results[1]
     assert [r.label for r in results[0]] == SIM_PROCS
+
+
+# sha256 of decide_stack's flags, each config's packed in order, on the cells
+# of test_flags_digest: pinned when the payout product moved from einsum to
+# BLAS, so that a change to a decision kernel shows here if a flag moves
+FLAGS_DIGEST = "a9990fd5466602ed1b19c9739037bac43d1fc1973896951237a8b75bd8f2f99f"
+
+
+def test_flags_digest():
+    # the 16 online configs on seeded gaussian rows of the simulation study
+    digest = hashlib.sha256()
+    for n in (100, 1000):
+        configs = [default_config(kind, alpha=0.05, bound=bound)
+                   for kind in ProcedureKind for bound in (None, n)]
+        for pi1 in (0.05, 0.2, 0.5):
+            rngs = [np.random.default_rng(np.random.SeedSequence((35, r)))
+                    for r in range(64)]
+            p, _ = scenarios._mixture_rows(
+                MixtureScenario(N=n, pi1=pi1, rho=0.5), rngs)
+            for flags in decide_stack(configs, check_rows(p)):
+                digest.update(np.packbits(flags).tobytes())
+    assert digest.hexdigest() == FLAGS_DIGEST
+
+
+def blas_threads() -> list[int]:
+    """The thread count each loaded OpenBLAS of numpy's wheel reports."""
+    counts = [getattr(lib, name.replace("_set_", "_get_"))()
+              for lib, name in procedures._loaded_openblas()
+              if "numpy" in os.path.basename(os.path.dirname(lib._name))]
+    if not counts:
+        pytest.skip("numpy's BLAS is not an OpenBLAS of its wheel found in "
+                    "/proc/self/maps")
+    return counts
+
+
+class TestOneBlasThread:
+    def test_after_a_kernel_call(self):
+        decide_stack([config_of(ProcedureKind.LORDPP, 5, False)],
+                     check_rows(np.full((2, 5), 0.5)))
+        assert blas_threads() == [1]
+
+    def test_in_a_forked_share(self, monkeypatch, forking, tmp_path):
+        # each process of the call writes what its OpenBLAS reports as it
+        # starts its share
+        blas_threads()   # a skip here, not in the child
+        log, share = tmp_path / "threads", scenarios._decide_share
+
+        def reporting(*args):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {blas_threads()}\n")
+            return share(*args)
+
+        monkeypatch.setattr(scenarios, "_decide_share", reporting)
+        estimate_many([("lord++", default_config(ProcedureKind.LORDPP))],
+                      MixtureScenario(N=20, pi1=0.2), reps=64, seed=1)
+        seen = dict(line.split(" ", 1) for line in log.read_text().splitlines())
+        assert len(seen) == 2 and str(os.getpid()) in seen   # and a child
+        assert all(counts == "[1]" for counts in seen.values())
+
+    def test_no_maps(self, monkeypatch):
+        # not Linux: nothing is found, and nothing raises
+        def refused(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/maps")
+
+        monkeypatch.setattr(procedures, "open", refused, raising=False)
+        assert procedures._loaded_openblas() == []
