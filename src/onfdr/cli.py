@@ -5,8 +5,8 @@ chunks of ``CHUNK_ROWS`` records),
 ``simulate`` (Monte Carlo grids), ``sequence`` (dump a coefficient table)
 and ``kidney`` (binary-endpoint platform realisations).  Data goes to
 stdout or ``--output``; diagnostics go to stderr.  Exit codes: 0 success,
-2 malformed input or an input or output file that cannot be opened, 3
-invalid configuration.
+2 malformed input, an input or output file that cannot be opened or an
+output closed before it was all written, 3 invalid configuration.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import itertools
+import os
 import sys
 from dataclasses import replace
 
@@ -419,9 +420,18 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_joined_rebound(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a buffered tail can meet a closed pipe too
+        return code
     except _Unwritable as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
+    except BrokenPipeError:
+        # the reader went away (``| head``): point fd 1 at the null device,
+        # so that the flush at shutdown does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _fail(EXIT_BAD_INPUT, "output closed before it was all written")
 
 
 if __name__ == "__main__":

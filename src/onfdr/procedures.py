@@ -42,16 +42,15 @@ payout rules sweep the clocks in blocks of 64, which costs a few dozen
 numpy calls per block and up to ``N**2 / 2`` multiply-adds per row (5 10^9
 at N = 10^5), and each block's payouts read a (64 x N) strip of the
 coefficients, so it does not suit one long stream: on a 10^5-row stream
-with a tenth non-null it took 2.4 s against ``decide``'s 0.15 s for
-LORD++ and 0.73 s against 0.07 s for SAFFRON (best of 3, 2-CPU x86
-machine).
+with a tenth non-null it took 1.3 s at OpenBLAS's default two threads and
+2.4 s on one, against ``decide``'s 0.1 s, for LORD++, and 0.52 s and
+0.71 s against 0.06 s for SAFFRON (best of 3, 2-CPU x86 machine).
 ``decide`` stays the tool for ``onfdr run``, ``observe``-style resumption
 and the exact-test designs.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -328,8 +327,10 @@ def make_stream(config: ProcedureConfig, length_hint: int = 1024) -> StreamState
     its own.
     """
     state = StreamState(table=_cached_table(config.sequence, length_hint))
-    # a leading coefficient above one spends more than the wealth held: a
-    # sum-one table's is at most one, dependent LORD's xi table's may not be
+    # a leading coefficient above one makes the first level exceed w0: a
+    # sum-one table's is at most one, dependent LORD's xi table's may not
+    # be.  No later level is bounded here: dependent LORD's wealth can still
+    # go below zero (README Limits)
     if config.kind is _LORD_DEP and state.table.coefficient(1) > 1 + 1e-12:
         raise ConfigError("leading coefficient must be <= 1 to keep wealth "
                           "nonnegative")
@@ -825,10 +826,8 @@ def decide_stack(configs, pvalues: np.ndarray) -> list[np.ndarray]:
     configs of one spec share one table (and strip), and their rows are
     next to each other in the stack.  A refused config or horizon raises
     what :func:`decide_rows` raises for the first config in order that has
-    one, before anything is decided.  The first call in a process sets
-    every loaded OpenBLAS to one thread (:func:`_one_blas_thread`).
+    one, before anything is decided.
     """
-    _one_blas_thread()
     configs = list(configs)
     n = pvalues.shape[1]
     tables = {}   # the coefficients of each spec, shared by its configs
@@ -868,44 +867,6 @@ def decide_stack(configs, pvalues: np.ndarray) -> list[np.ndarray]:
         for b, j in enumerate(members):
             flags[j] = rejected[b * rows:(b + 1) * rows]
     return flags
-
-
-# the thread-count setter of an OpenBLAS build: its own name, numpy's
-# wheel's and scipy's wheel's
-_OPENBLAS_SETTERS = ("openblas_set_num_threads",
-                     "scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads")
-
-
-def _loaded_openblas() -> list:
-    """``(library, setter name)`` of every OpenBLAS loaded in this process,
-    found by its path in ``/proc/self/maps``: none where that cannot be
-    read (not Linux) or no OpenBLAS is loaded."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line}
-    except OSError:
-        return []
-    found = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)   # loaded already: no new library
-        except OSError:
-            continue
-        found += [(lib, name) for name in _OPENBLAS_SETTERS
-                  if hasattr(lib, name)][:1]
-    return found
-
-
-@lru_cache(maxsize=None)
-def _one_blas_thread() -> None:
-    """Set every loaded OpenBLAS to one thread, once per process; a forked
-    child inherits it.  The Monte Carlo harness runs one process per CPU,
-    so BLAS threads would only compete with them.  The count is never
-    restored: a fork tears OpenBLAS's thread pool down, and setting a count
-    again rebuilds it, whose threads then spin beside the workers."""
-    for lib, name in _loaded_openblas():
-        getattr(lib, name)(1)
 
 
 def _wealth_rows(configs, which, g: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -18,12 +18,15 @@ shares of replicates, one per process: the calling process decides the
 first share and an ``os.fork`` child each other share, in the same tasks,
 and the children's arrays come back pickled through a pipe and are joined
 in replicate order, so estimates are the same bits for every worker count.
+Before it decides anything, a call sets every loaded OpenBLAS to one
+thread, for the rest of the process.
 ``eval_kidney`` checks its one realisation as a 1 x K matrix and decides it
 through ``offline_rows`` (offline rules) or ``decide`` (online rules).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import pickle
@@ -38,7 +41,6 @@ from . import baselines
 from .procedures import (
     ProcedureConfig,
     ProcedureKind,
-    _one_blas_thread,
     check_rows,
     decide,
     decide_stack,
@@ -438,14 +440,53 @@ def worker_count() -> int:
     return int(value)
 
 
+# the thread-count setter of an OpenBLAS build: its own name, numpy's
+# wheel's and scipy's wheel's
+_OPENBLAS_SETTERS = ("openblas_set_num_threads",
+                     "scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads")
+
+
+def _loaded_openblas() -> list:
+    """``(library, setter name)`` of every OpenBLAS loaded in this process,
+    found by its path in ``/proc/self/maps``: none where that cannot be
+    read (not Linux) or no OpenBLAS is loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)   # loaded already: no new library
+        except OSError:
+            continue
+        found += [(lib, name) for name in _OPENBLAS_SETTERS
+                  if hasattr(lib, name)][:1]
+    return found
+
+
+@lru_cache(maxsize=None)
+def _one_blas_thread() -> None:
+    """Set every loaded OpenBLAS to one thread, once per process; a forked
+    child inherits it.  A Monte Carlo call runs up to one process per CPU,
+    so BLAS threads would only compete with them.  The count is never
+    restored: a fork tears OpenBLAS's thread pool down, and setting a count
+    again rebuilds it, whose threads then spin beside the workers."""
+    for lib, name in _loaded_openblas():
+        getattr(lib, name)(1)
+
+
 def _run_shares(scenario, procs, seed, cuts) -> np.ndarray:
     """``_decide_share`` of each share ``cuts[k], ..., cuts[k + 1] - 1``,
     joined in replicate order: this process decides share 0 while one
     ``os.fork`` child per other share decides it and sends its array back
     pickled through a pipe.  A child's exception is raised here; on any
     exception here, the children not yet waited for are killed and reaped.
-    OpenBLAS is set to one thread before the first fork, so that the
-    children inherit it and no process rebuilds the pool a fork tears down.
+    OpenBLAS is set to one thread before any share is decided, serial or
+    forked, so that the children inherit it and no process rebuilds the
+    pool a fork tears down.
     """
     _one_blas_thread()
     children = []   # (pid, read end of its pipe) of each child not yet reaped

@@ -1020,6 +1020,22 @@ class TestUnwritableOutput:
         assert err == f"onfdr: [Errno 2] No such file or directory: {dest!r}\n"
 
 
+def test_closed_pipe_exits_2():
+    # about 10 MB of table, far past any pipe buffer: the writer meets the
+    # closed pipe whatever the scheduling
+    proc = subprocess.Popen([sys.executable, "-m", "onfdr.cli", "sequence",
+                             "--kind", "jm", "--n", "200000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=cli_env())
+    with proc.stderr:
+        assert proc.stdout.readline() == b"index,coefficient,cumulative\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err == "onfdr: output closed before it was all written\n"
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "onfdr.cli", "sequence",
                            "--kind", "uniform", "--n", "2", "--bound", "2"],

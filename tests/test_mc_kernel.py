@@ -4,9 +4,13 @@ worker count."""
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from onfdr.scenarios import (
     estimate_many,
 )
 
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 ALL_KINDS = list(ProcedureKind)
 PAYOUT_KINDS = [ProcedureKind.LORD2, ProcedureKind.LORDPP,
                 ProcedureKind.SAFFRON]
@@ -424,7 +429,7 @@ def test_flags_digest():
 def blas_threads() -> list[int]:
     """The thread count each loaded OpenBLAS of numpy's wheel reports."""
     counts = [getattr(lib, name.replace("_set_", "_get_"))()
-              for lib, name in procedures._loaded_openblas()
+              for lib, name in scenarios._loaded_openblas()
               if "numpy" in os.path.basename(os.path.dirname(lib._name))]
     if not counts:
         pytest.skip("numpy's BLAS is not an OpenBLAS of its wheel found in "
@@ -432,11 +437,118 @@ def blas_threads() -> list[int]:
     return counts
 
 
+# Run in a fresh interpreter: argv names the calls to make, in order; prints
+# numpy's OpenBLAS counts at the start and after each call, the forks made,
+# and, for "idle", this process's thread count and the CPU seconds its other
+# threads use in the next 0.3 s.  With no OpenBLAS of numpy's wheel found,
+# it makes no call.  Only a new process shows what a call does
+# to the count: in this one, any earlier estimate_many call has set it.
+BLAS_PROBE = """
+import json, os, sys, time
+import numpy as np
+from onfdr import scenarios
+from onfdr.procedures import ProcedureKind, check_rows, decide_stack
+from onfdr.procedures import default_config
+
+def counts():
+    return [getattr(lib, name.replace("_set_", "_get_"))()
+            for lib, name in scenarios._loaded_openblas()
+            if "numpy" in os.path.basename(os.path.dirname(lib._name))]
+
+def other_ticks():
+    ticks = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:   # the thread ended
+            continue
+        if int(tid) != os.getpid():
+            ticks[tid] = int(fields[11]) + int(fields[12])   # utime + stime
+    return ticks
+
+def idle():
+    before = other_ticks()
+    time.sleep(0.3)
+    after = other_ticks()
+    report["tasks"] = len(os.listdir("/proc/self/task"))
+    report["other_cpu_s"] = sum(t - before.get(tid, 0) for tid, t in
+                                after.items()) / os.sysconf("SC_CLK_TCK")
+
+forks, fork = [], os.fork
+def counted_fork():
+    forks.append(None)
+    return fork()
+os.fork = counted_fork
+
+config = default_config(ProcedureKind.LORDPP)
+lordpp = [("lord++", config)]
+calls = {
+    "direct": lambda: decide_stack([config], check_rows(
+        np.random.default_rng(1).uniform(size=(64, 1000)) ** 4)),
+    "serial": lambda: scenarios.estimate_many(
+        lordpp, scenarios.MixtureScenario(N=20, pi1=0.2), reps=64, seed=1),
+    "forked": lambda: scenarios.estimate_many(
+        lordpp, scenarios.MixtureScenario(N=1000, pi1=0.2), reps=128, seed=1),
+    "idle": idle,
+}
+report = {"start": counts(), "after": []}
+for name in sys.argv[1:] if report["start"] else ():
+    calls[name]()
+    report["after"].append(counts())
+report["forks"] = len(forks)
+print(json.dumps(report))
+"""
+
+# the calls of each fresh-interpreter run of the probe
+PROBE_RUNS = {"direct, serial": ["direct", "serial"],
+              "forked": ["forked"],
+              "direct, forked": ["direct", "forked", "idle"]}
+
+
+@pytest.fixture(scope="module")
+def probed():
+    """The report of every run of ``PROBE_RUNS``, side by side, on two
+    workers; a skip where the probe finds no OpenBLAS of numpy's wheel."""
+    env = {**os.environ, scenarios.THREADS_ENV: "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               SRC, os.environ.get("PYTHONPATH")]))}
+    procs = {key: subprocess.Popen([sys.executable, "-c", BLAS_PROBE, *calls],
+                                   stdout=subprocess.PIPE, env=env)
+             for key, calls in PROBE_RUNS.items()}
+    reports = {}
+    for key, proc in procs.items():
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0, key
+        reports[key] = json.loads(out)
+    if not reports["forked"]["start"]:
+        pytest.skip("numpy's BLAS is not an OpenBLAS of its wheel found in "
+                    "/proc/self/maps")
+    return reports
+
+
 class TestOneBlasThread:
-    def test_after_a_kernel_call(self):
-        decide_stack([config_of(ProcedureKind.LORDPP, 5, False)],
-                     check_rows(np.full((2, 5), 0.5)))
-        assert blas_threads() == [1]
+    def test_a_kernel_call_leaves_the_count(self, probed):
+        report = probed["direct, serial"]
+        if report["start"] == [1]:
+            pytest.skip("OpenBLAS starts on one thread here, so the kernel "
+                        "cannot be seen to leave it alone")
+        assert report["after"][0] == report["start"]
+
+    def test_after_a_serial_call(self, probed):
+        report = probed["direct, serial"]
+        assert report["forks"] == 0 and report["after"][1] == [1]
+
+    def test_after_a_forked_call(self, probed):
+        report = probed["forked"]
+        assert report["forks"] == 1 and report["after"] == [[1]]
+
+    def test_no_spinning_after_a_direct_then_a_forked_call(self, probed):
+        # a count set again after a fork rebuilds OpenBLAS's pool, whose
+        # threads then spin
+        report = probed["direct, forked"]
+        assert report["forks"] == 1 and report["after"][1] == [1]
+        assert report["tasks"] == 1 and report["other_cpu_s"] < 0.05
 
     def test_in_a_forked_share(self, monkeypatch, forking, tmp_path):
         # each process of the call writes what its OpenBLAS reports as it
@@ -461,5 +573,5 @@ class TestOneBlasThread:
         def refused(*args, **kwargs):
             raise FileNotFoundError("/proc/self/maps")
 
-        monkeypatch.setattr(procedures, "open", refused, raising=False)
-        assert procedures._loaded_openblas() == []
+        monkeypatch.setattr(scenarios, "open", refused, raising=False)
+        assert scenarios._loaded_openblas() == []
