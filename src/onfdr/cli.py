@@ -61,9 +61,12 @@ class _Unwritable(Exception):
 def _csv_out(path: str | None, header: list[str]):
     """The file ``path`` (default stdout) and a CSV writer on it, with
     ``header`` written; the file is closed on exit, stdout is left open.
-    A file that cannot be opened raises :class:`_Unwritable`."""
+    A file is written as UTF-8 with ``surrogateescape``, as stdio is under
+    Python's UTF-8 mode, so the bytes of an id read that way come out
+    unchanged.  A file that cannot be opened raises :class:`_Unwritable`."""
     try:
-        out = open(path, "w", newline="") if path else sys.stdout
+        out = open(path, "w", newline="", encoding="utf-8",
+                   errors="surrogateescape") if path else sys.stdout
     except OSError as exc:
         raise _Unwritable(str(exc)) from exc
     try:
@@ -93,6 +96,19 @@ def _procedure_config(args) -> ProcedureConfig:
 
 # CSV records read, decided and written at a time by ``onfdr run``
 CHUNK_ROWS = 8192
+
+
+def _read_rows(reader, size: int, first_line: int):
+    """Up to ``size`` rows of ``reader`` from line ``first_line`` on, and the
+    failure (exit code and message) of a line that cannot be read, or None:
+    a field past csv's limit, or a byte that strict stdin cannot decode.
+    ``list.extend`` keeps the rows it took before its iterator raised."""
+    rows = []
+    try:
+        rows.extend(itertools.islice(reader, size))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        return rows, (EXIT_BAD_INPUT, f"line {first_line + len(rows)}: {exc}")
+    return rows, None
 
 
 def _parse_rows(rows, first_line: int):
@@ -192,25 +208,29 @@ def cmd_run(args) -> int:
         return _fail(EXIT_BAD_CONFIG, f"invalid configuration: {exc}")
 
     try:
-        infile = open(args.input, newline="") if args.input \
+        infile = open(args.input, newline="", encoding="utf-8",   # as --output
+                      errors="surrogateescape") if args.input \
             else contextlib.nullcontext(sys.stdin)
     except OSError as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
     columns = ["id", "index", "pvalue", "alpha_i", "rejected", "wealth"]
     with infile as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["id", "pvalue"]:
+        rows, failure = _read_rows(reader, 1, 1)   # the header
+        if failure is not None:
+            return _fail(*failure)
+        if not rows or [h.strip() for h in rows[0][:2]] != ["id", "pvalue"]:
             return _fail(EXIT_BAD_INPUT, "input must start with header 'id,pvalue'")
         with _csv_out(args.output, columns) as (out, _):
             lineno = 2
-            while rows := list(itertools.islice(reader, CHUNK_ROWS)):
+            while rows:
+                rows, bad_read = _read_rows(reader, CHUNK_ROWS, lineno)
                 ids, pvalues, lines, bad_line = _parse_rows(rows, lineno)
                 lineno += len(rows)
                 first = state.i + 1
                 decisions, failure = _decide_rows(state, config, pvalues, lines)
                 _write_rows(out, ids, first, pvalues, decisions)
-                failure = failure or bad_line   # the earlier line first
+                failure = failure or bad_line or bad_read   # the earlier first
                 if failure is not None:
                     return _fail(*failure)
     return EXIT_OK
@@ -425,6 +445,8 @@ def main(argv=None) -> int:
         return code
     except _Unwritable as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
+    except UnicodeEncodeError as exc:   # an id's bytes on strictly encoded stdout
+        return _fail(EXIT_BAD_INPUT, f"output cannot hold the input: {exc}")
     except BrokenPipeError:
         # the reader went away (``| head``): point fd 1 at the null device,
         # so that the flush at shutdown does not raise again

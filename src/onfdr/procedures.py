@@ -13,15 +13,15 @@ Every procedure is driven through the same three operations:
 :class:`ProcedureConfig`, ``next_level`` computes the upcoming test level
 without advancing the stream, and ``observe`` consumes one p-value and
 returns a :class:`DecisionRecord`, a ``NamedTuple``.  A stream is strictly
-sequential; distinct streams are independent, also a copy made with
-``dataclasses.replace``, which owns its buffers.  A payout rule's state
-owns an account (:class:`_Account`): the later discoveries' payouts
-summed, in discovery order, on a block of upcoming clocks, so a step reads
-one sum instead of one coefficient per discovery.  One routine fills it
+sequential; distinct streams are independent, also a copy, which owns its
+rejection logs: two plain lists, the time and the clock of each discovery,
+that only grow at their end.  A payout rule's state owns an account
+(:class:`_Account`): the later discoveries' payouts summed, in discovery
+order, on a block of upcoming clocks, so a step reads one sum instead of
+one coefficient per discovery.  One routine fills it
 (:func:`_fill_account`), for ``observe`` and ``decide`` alike; a step whose
 clock the account holds, with every discovery paid, reads it without that
-call.  The account outlives growth of the clock buffer, whose earlier
-entries do not change.
+call.
 
 ``decide`` consumes a run of p-values at once and equals the fold of
 ``observe`` over them, levels included, bit for bit: one windowed vector
@@ -203,7 +203,7 @@ class _Account:
     ``d < start + x`` of the discoveries ``skip, ..., paid - 1`` (``skip``
     is 1 for LORD++ and SAFFRON, whose first discovery joins the base term).
 
-    The state's own value: a deep copy carries its own, while
+    The state's own value: a deep copy carries its own, while ``copy.copy``,
     ``dataclasses.replace`` and ``rebound_stream`` start without one.
     Discoveries made since it was filled (by ``observe`` steps or a
     ``decide`` chunk) are paid into it when it is next read.
@@ -214,51 +214,43 @@ class _Account:
     sums: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class StreamState:
-    """Sufficient statistics of one running stream; its horizon is its table's."""
+    """Sufficient statistics of one running stream; its horizon is its
+    table's.  Equality is identity, and a copy owns its rejection logs."""
 
     table: SequenceTable
     i: int = 0
     wealth: float | None = None
     wealth_at_discovery: float | None = None
-    discoveries: int = 0
     candidates_total: int = 0
     _harmonic: float = 0.0
-    # parallel buffers: rejection times and the clocks of those rejections
-    # (the time less the candidates through it for SAFFRON, the time else)
-    _tau: np.ndarray | None = None
-    _clock: np.ndarray | None = None
+    # one entry per discovery: its time, and its clock (the time less the
+    # candidates through it for SAFFRON, the time else)
+    _tau: list[int] = field(default_factory=list)
+    _clock: list[int] = field(default_factory=list)
     # LORD2, LORD++, SAFFRON: the payout sums of the clocks ahead
-    _account: _Account | None = field(default=None, init=False, repr=False,
-                                      compare=False)
+    _account: _Account | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # the state owns its buffers, as _push_rejections writes into them:
-        # a state built from another's (dataclasses.replace) gets copies
-        self._tau = np.zeros(16, np.int64) if self._tau is None else self._tau.copy()
-        self._clock = np.zeros(16, np.int64) if self._clock is None \
-            else self._clock.copy()
+        # a state built from another's (dataclasses.replace, copy.copy)
+        # gets copies of its logs
+        self._tau, self._clock = list(self._tau), list(self._clock)
+
+    def __copy__(self) -> StreamState:
+        return replace(self)
 
     @property
     def bound(self) -> int | None:
         return self.table.bound
 
     @property
-    def rejection_times(self) -> list[int]:
-        return self._tau[: self.discoveries].tolist()
+    def discoveries(self) -> int:
+        return len(self._tau)
 
-    def _push_rejections(self, times, clocks) -> None:
-        """Append one rejection (scalars) or several (arrays)."""
-        k = self.discoveries
-        end = k + np.size(times)
-        if end > len(self._tau):
-            grow = np.zeros(max(end, 2 * len(self._tau)) - len(self._tau), np.int64)
-            self._tau = np.concatenate([self._tau, grow])
-            self._clock = np.concatenate([self._clock, grow])
-        self._tau[k:end] = times
-        self._clock[k:end] = clocks
-        self.discoveries = end
+    @property
+    def rejection_times(self) -> list[int]:
+        return self._tau.copy()
 
 
 def _rule_parameters(kind: ProcedureKind, alpha: float,
@@ -362,20 +354,20 @@ def _fill_account(state: StreamState, skip: int, c: int, n: int = 1) -> _Account
     are added in order, one slice add each over the rest of the account.
     Every discovery is before ``c``."""
     acc = state._account
-    k, g = state.discoveries, state.table.coefficients
+    k, g = len(state._clock), state.table.coefficients
     # next_level repeats this test inline for n = 1 and acc.paid == k, the
     # case this call returns ``acc`` unchanged; keep the two in step
     if acc is None or acc.paid > k or \
             not acc.start <= c <= acc.start + len(acc.sums) - n:
-        sums = np.zeros(min(max(n, _ACCOUNT), len(g) + 1 - c))
+        sums = np.zeros(length := min(max(n, _ACCOUNT), len(g) + 1 - c))
         # gamma(c - d) on, from g[c - 1 - d]
-        for o in ((c - 1) - state._clock[skip:k]).tolist():
-            sums += g[o:o + len(sums)]
+        for o in map((c - 1).__sub__, state._clock[skip:]):
+            sums += g[o:o + length]
         acc = state._account = _Account(k, c, sums)
     elif acc.paid < k:
         start, sums = acc.start, acc.sums
         end = start + len(sums)
-        for d in state._clock[max(acc.paid, skip):k].tolist():
+        for d in state._clock[max(acc.paid, skip):]:
             lo = max(d + 1, start)
             sums[lo - start:] += g[lo - d - 1:end - d - 1]
         acc.paid = k
@@ -402,7 +394,7 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
     if table.bound is not None and i > table.bound:
         raise _horizon_error(table.bound)
     kind = config.kind
-    k = state.discoveries
+    k = len(state._clock)
     g = table.coefficients
 
     if kind in _PAYOUT_KINDS:
@@ -411,7 +403,7 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
         c = i - state.candidates_total   # c <= i: the table holds clock c
         level = g.item(c - 1) * config.w0
         if k and skip:
-            level += first * g.item(c - 1 - state._clock.item(0))
+            level += first * g.item(c - 1 - state._clock[0])
         if k > skip:
             acc = state._account
             # _fill_account's own test with n = 1: call it only when it
@@ -423,7 +415,7 @@ def next_level(state: StreamState, config: ProcedureConfig) -> float:
         return min(config.lam, level) if kind is _SAFFRON else level
 
     if kind in _WEALTH_KINDS:
-        last = state._tau.item(k - 1) if k and kind is _LORD3 else 0
+        last = state._tau[-1] if k and kind is _LORD3 else 0
         return g.item(i - last - 1) * state.wealth_at_discovery
 
     if kind in _LOND_KINDS:
@@ -492,7 +484,8 @@ def observe(state: StreamState, p: float, config: ProcedureConfig) -> DecisionRe
     elif kind is _LOND_DEP:
         state._harmonic += 1.0 / i
     if rejected:
-        state._push_rejections(i, i - state.candidates_total)
+        state._tau.append(i)
+        state._clock.append(i - state.candidates_total)
     state.i = i
     table = state.table
     if table.bound is None and i >= len(table.coefficients):
@@ -678,8 +671,7 @@ def decide(config: ProcedureConfig, pvalues,
         lord3 = kind is _LORD3
         # g[i + shift] is the coefficient of hypothesis i; spent the first
         # hypothesis whose wealth is not spent yet
-        shift = i0 - (int(state._tau[state.discoveries - 1])
-                      if lord3 and state.discoveries else 0)
+        shift = i0 - (state._tau[-1] if lord3 and state._tau else 0)
         spent = 0
 
         def spend(end, levels):
@@ -715,7 +707,8 @@ def decide(config: ProcedureConfig, pvalues,
     if kind is _SAFFRON:
         clocks = tau - state.candidates_total - candidates[times]
         state.candidates_total += int(candidates[-1]) if n else 0
-    state._push_rejections(tau, clocks)
+    state._tau += tau.tolist()
+    state._clock += clocks.tolist()
     state.i = i0 + n
     return Decisions(levels, rejected, wealth)
 
@@ -767,7 +760,7 @@ def _payout_levels(config: ProcedureConfig, state: StreamState, p: np.ndarray,
             first = None
 
     if state.discoveries and skip:
-        pay(int(state._clock[0]) - origin)
+        pay(state._clock[0] - origin)
 
     def fill(s, out):
         at = slice(s, s + len(out)) if clock is None else clock[s:s + len(out)]

@@ -43,21 +43,6 @@ class TwoByTwoTable:
                 or self.a + self.c == 0 or self.b + self.d == 0)
 
 
-# log(m!) for m < len(_LOG_FACTORIAL); replaced by a longer list, never
-# changed in place, when a table needs more
-_LOG_FACTORIAL = [math.lgamma(m + 1) for m in range(256)]
-
-
-def _log_factorials(n: int) -> list[float]:
-    """A list of ``log(m!)`` for at least ``m = 0..n``."""
-    global _LOG_FACTORIAL
-    table = _LOG_FACTORIAL
-    if n >= len(table):
-        table = [math.lgamma(m + 1) for m in range(max(n + 1, 2 * len(table)))]
-        _LOG_FACTORIAL = table
-    return table
-
-
 # margins (r1, r2, k) whose masses are kept: one design's tables share
 # n0 + n_arm + 1 of them.  A margin with a wider support is built per call,
 # so the kept masses stay within a few megabytes.
@@ -69,7 +54,7 @@ _MARGIN_CACHE_TERMS = 1024
 def _log_binom_row(r: int) -> np.ndarray:
     """Read-only ``log C(r, x)`` for ``x = 0..r``, each element formed as
     ``(log r! - log x!) - log (r - x)!``."""
-    lf = np.array(_log_factorials(r)[:r + 1])
+    lf = np.array([math.lgamma(m + 1) for m in range(r + 1)])
     row = (lf[r] - lf) - lf[::-1]
     row.setflags(write=False)
     return row
@@ -83,8 +68,7 @@ def _margin_masses(r1: int, r2: int, k: int):
     ``suffix_max[j]``."""
     n = r1 + r2
     lo, hi = max(0, k - r2), min(k, r1)
-    lf = _log_factorials(n)
-    log_total = lf[n] - lf[k] - lf[n - k]
+    log_total = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     # log C(r2, k - x) for x = lo..hi is row(r2) read backwards
     log_masses = (_log_binom_row(r1)[lo:hi + 1]
                   + _log_binom_row(r2)[k - hi:k - lo + 1][::-1])

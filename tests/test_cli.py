@@ -592,6 +592,76 @@ class TestRunBytes:
             (code, 1 + written)
 
 
+# an id whose bytes (ff fe) are not UTF-8, as surrogateescape reads it
+RAW_RECORDS = [("h1", 0.001), ("\udcff\udcfe", 0.0001), ("h3", 0.5)]
+STRICT_STDIO = {"PYTHONIOENCODING": "utf-8:strict"}
+
+
+def raw(text):
+    return text.encode("utf-8", "surrogateescape")
+
+
+def run_process(argv, stdin=b"", env=None):
+    """`onfdr run` in a child process with ``argv`` and ``stdin`` bytes,
+    under this environment updated by ``env``."""
+    return subprocess.run([sys.executable, "-m", "onfdr.cli", "run", *argv],
+                          input=stdin, capture_output=True,
+                          env=cli_env() | (env or {}))
+
+
+def one_error_line(proc, start):
+    err = proc.stderr.decode()
+    assert err.startswith(start) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+class TestUnreadableInput:
+    """Input that is only malformed exits 0 or 2 with at most one line on
+    stderr, whichever way it comes in and goes out."""
+
+    def test_input_file_keeps_an_ids_bytes(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_bytes(raw(csv_text(RAW_RECORDS)))
+        want = raw(expected_run(RAW_RECORDS, LORDPP))
+        for proc in (run_process(["--input", str(src)]),
+                     run_process([], src.read_bytes())):
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, b"")
+
+    def test_output_file_keeps_an_ids_bytes(self, tmp_path):
+        out = tmp_path / "out.csv"
+        proc = run_process(["--output", str(out)], raw(csv_text(RAW_RECORDS)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert out.read_bytes() == raw(expected_run(RAW_RECORDS, LORDPP))
+
+    @pytest.mark.parametrize("route", ["stdin", "input"])
+    def test_a_field_past_csvs_limit_is_a_bad_line(self, tmp_path, route):
+        # the rows before it are decided and written first
+        records = [("h1", 0.001), ("h2", 0.5)]
+        src = tmp_path / "in.csv"
+        src.write_text(csv_text(records) + "x" * 131073 + ",0.5\nh4,0.5\n")
+        proc = run_process(["--input", str(src)]) if route == "input" \
+            else run_process([], src.read_bytes())
+        assert (proc.returncode, proc.stdout) == \
+            (2, expected_run(records, LORDPP).encode())
+        one_error_line(proc, "onfdr: line 4: field larger than field limit")
+
+    def test_strict_stdin_refuses_a_byte_it_cannot_decode(self):
+        # stdin is decoded a block at a time, so the line named is the first
+        # one of the block that holds the byte: here the header's
+        proc = run_process([], raw(csv_text(RAW_RECORDS)), STRICT_STDIO)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        one_error_line(proc, "onfdr: line 1: 'utf-8' codec can't decode byte 0xff")
+
+    def test_strict_stdout_refuses_an_id_it_cannot_encode(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_bytes(raw(csv_text(RAW_RECORDS)))
+        proc = run_process(["--input", str(src)], env=STRICT_STDIO)
+        assert (proc.returncode, proc.stdout) == (2, b",".join(
+            c.encode() for c in RUN_COLUMNS) + b"\n")
+        one_error_line(proc, "onfdr: output cannot hold the input: 'utf-8' "
+                       "codec can't encode")
+
+
 # the per-row reading `_parse_rows` must agree with on every input
 def parse_each(rows, first_line):
     ids, pvalues, lines = [], [], []

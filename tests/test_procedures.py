@@ -521,14 +521,9 @@ class TestProperties:
 
 def with_rejection(state, t, clock):
     """A copy of ``state`` with a rejection at index ``t`` on ``clock``."""
-    k = state.discoveries
-    pairs = sorted(zip(state.rejection_times + [t],
-                       state._clock[:k].tolist() + [clock]))
-    more = dataclasses.replace(state, discoveries=0,
-                               _tau=np.zeros(0, dtype=np.int64),
-                               _clock=np.zeros(0, dtype=np.int64))
-    more._push_rejections(*map(np.array, zip(*pairs)))
-    return more
+    pairs = sorted(zip(state._tau + [t], state._clock + [clock]))
+    times, clocks = (list(column) for column in zip(*pairs))
+    return dataclasses.replace(state, _tau=times, _clock=clocks)
 
 
 class TestLimitLevel:
@@ -657,23 +652,34 @@ class TestStateInvariants:
         assert all(1 <= t <= state.i for t in times)
 
     def test_replaced_state_owns_its_buffers(self):
-        # a dataclasses.replace copy once shared the rejection buffers, so
-        # the original's later rejections overwrote the copy's clocks
+        # a dataclasses.replace copy, and later a copy.copy, once shared the
+        # rejection buffers, so the original's later rejections overwrote
+        # the copy's clocks
         cfg = default_config(ProcedureKind.LORD2, alpha=0.05)
         state = make_stream(cfg)
         for p in (0.0, 0.9, 0.9):
             observe(state, p, cfg)
-        replaced, deep = dataclasses.replace(state), copy.deepcopy(state)
-        for copied in (replaced, deep):
+        copies = (dataclasses.replace(state), copy.copy(state),
+                  copy.deepcopy(state))
+        for copied in copies:
             observe(copied, 0.0, cfg)
         for p in (0.9, 0.0):
             observe(state, p, cfg)
-        assert replaced._clock[:replaced.discoveries].tolist() == \
-            deep._clock[:deep.discoveries].tolist() == [1, 4]
-        assert replaced.rejection_times == deep.rejection_times == [1, 4]
         assert state.rejection_times == [1, 5]
-        assert next_level(replaced, cfg) == next_level(deep, cfg)
-        assert next_level(replaced, cfg) == pytest.approx(0.0017187311670, abs=1e-12)
+        assert [c.rejection_times for c in copies] == [[1, 4]] * 3
+        assert [next_level(c, cfg) for c in copies] == \
+            [pytest.approx(0.0017187311670, abs=1e-12)] * 3
+        assert len({next_level(c, cfg) for c in copies}) == 1
+        assert all(c._clock == [1, 4] for c in copies)
+
+    def test_states_compare_by_identity(self):
+        # two fresh streams of one config hold equal values, but each is
+        # its own stream; comparing them once raised on the clock buffers
+        cfg = default_config(ProcedureKind.LORD2, alpha=0.05)
+        state, other = make_stream(cfg), make_stream(cfg)
+        assert state == state and not state != state
+        assert not state == other and state != other
+        assert state != copy.copy(state) and state != copy.deepcopy(state)
 
 
 # ---------------------------------------------------------------------------
@@ -769,8 +775,7 @@ def assert_same_state(got, want, cfg):
             got.candidates_total, got._harmonic, got.bound) == \
         (want.i, want.rejection_times, want.wealth, want.wealth_at_discovery,
          want.candidates_total, want._harmonic, want.bound)
-    k = want.discoveries
-    assert got._clock[:k].tolist() == want._clock[:k].tolist()
+    assert got._clock == want._clock
     if got.bound is None or got.i < got.bound:   # and the table ahead
         assert next_level(got, cfg) == next_level(want, cfg)
 
@@ -1173,22 +1178,22 @@ class TestAccount:
         # 7-row chunks of a dense stream pay their discoveries into the
         # account that is there: it is replaced only when the clock leaves
         # it (once per block, or sooner where the table ended the block),
-        # not on every call nor when the clock buffer grows
+        # not on every call
         cfg = default_config(kind, alpha=0.05)
         rng = np.random.default_rng(25)
         n = 20000
         p = np.where(rng.random(n) < 0.08, rng.random(n) * 1e-6, rng.random(n))
         state = make_stream(cfg)
-        held = [None, state._clock, state.table]
-        changes = [0, 0, 0]   # accounts, clock buffers, tables
+        held = [None, state.table]
+        changes = [0, 0]   # accounts, tables
         for a in range(0, n, 7):
             decide(cfg, p[a:a + 7], state)
-            for j, now in enumerate((state._account, state._clock, state.table)):
+            for j, now in enumerate((state._account, state.table)):
                 if now is not held[j]:
                     held[j], changes[j] = now, changes[j] + 1
         assert state.discoveries > 1000
         blocks = math.ceil((state.i - state.candidates_total) / procedures._ACCOUNT)
-        assert changes[0] <= blocks + changes[2] + 1, changes
+        assert changes[0] <= blocks + changes[1] + 1, changes
 
     def test_a_copy_with_fewer_discoveries_rebuilds(self):
         # a deep copy set back to one discovery less must not read the
@@ -1201,13 +1206,15 @@ class TestAccount:
         observe(state, 0.0, cfg)
         observe(state, 0.9, cfg)   # pays that discovery from clock 12 on
         back = copy.deepcopy(state)
-        back.i, back.discoveries = before.i, before.discoveries
+        k = before.discoveries
+        back.i = before.i
+        del back._tau[k:], back._clock[k:]
         assert back._account.paid > back.discoveries
         assert next_level(back, cfg) == next_level(before, cfg)
 
     def test_a_copy_on_another_clock_buffer_rebuilds(self):
         # with_rejection's copy (made by dataclasses.replace) holds an
-        # earlier rejection more, on a new clock buffer: neither state may
+        # earlier rejection more, in its own clock log: neither state may
         # read the other's sums.  The reference builds its own account
         cfg = default_config(ProcedureKind.LORD2, alpha=0.05)
         state = make_stream(cfg)
@@ -1219,9 +1226,11 @@ class TestAccount:
         want = next_level(reference, cfg)
         assert next_level(more, cfg) == want > level
         assert next_level(state, cfg) == level
-        # replace starts without an account; a deep copy carries its own
+        # replace and copy.copy start without an account; a deep copy
+        # carries its own
         assert state._account is not None
         assert dataclasses.replace(state)._account is None
+        assert copy.copy(state)._account is None
         twin = copy.deepcopy(more)
         assert twin._account is not more._account
         assert np.array_equal(twin._account.sums, more._account.sums)
