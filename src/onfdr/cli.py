@@ -230,7 +230,7 @@ def cmd_run(args) -> int:
                 first = state.i + 1
                 decisions, failure = _decide_rows(state, config, pvalues, lines)
                 _write_rows(out, ids, first, pvalues, decisions)
-                failure = failure or bad_line or bad_read   # the earlier first
+                failure = failure or bad_line or bad_read   # the earlier line first
                 if failure is not None:
                     return _fail(*failure)
     return EXIT_OK
