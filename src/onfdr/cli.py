@@ -98,35 +98,54 @@ def _procedure_config(args) -> ProcedureConfig:
 CHUNK_ROWS = 8192
 
 
-def _read_rows(reader, size: int, first_line: int):
-    """Up to ``size`` rows of ``reader`` from line ``first_line`` on, and the
+def _read_rows(reader, size: int):
+    """Up to ``size`` rows of ``reader``, the line each starts on, and the
     failure (exit code and message) of a line that cannot be read, or None:
     a field past csv's limit, or a byte that strict stdin cannot decode.
     ``list.extend`` keeps the rows it took before its iterator raised."""
-    rows = []
+    first = reader.line_num + 1
+    rows, failure = [], None
     try:
         rows.extend(itertools.islice(reader, size))
     except (csv.Error, UnicodeDecodeError) as exc:
-        return rows, (EXIT_BAD_INPUT, f"line {first_line + len(rows)}: {exc}")
-    return rows, None
+        failure = exc
+    if reader.line_num == first - 1 + len(rows):   # a line per record
+        lines = range(first, first + len(rows) + 1)
+    else:
+        lines = _start_lines(rows, first)
+    if failure is not None:
+        failure = (EXIT_BAD_INPUT, f"line {lines[-1]}: {failure}")
+    return rows, lines[:-1], failure
 
 
-def _parse_rows(rows, first_line: int):
-    """Ids, p-values and line numbers of ``rows`` up to the first malformed
-    one, and that line's failure (exit code and message) or None."""
+def _start_lines(rows, first: int) -> list[int]:
+    """The line each of ``rows`` starts on, read from line ``first`` on, and
+    the line after them: a record spans one more line for each line break
+    (``\r\n``, ``\r`` or ``\n``) in its quoted fields."""
+    lines = [first]
+    for row in rows:
+        text = "\0".join(row)   # a field's \r and the next one's \n: two breaks
+        lines.append(lines[-1] + 1 + text.count("\n") + text.count("\r")
+                     - text.count("\r\n"))
+    return lines
+
+
+def _parse_rows(rows, starts):
+    """Ids, p-values and start lines of ``rows``, which start on lines
+    ``starts``, up to the first malformed one, and that line's failure
+    (exit code and message) or None."""
     try:
         pvalues = [float(row[1]) for row in rows]
     except (IndexError, ValueError):
         # a blank, short or unparseable row: the loop finds the first one
-        return _parse_each(rows, first_line)
-    return [row[0] for row in rows], pvalues, \
-        range(first_line, first_line + len(rows)), None
+        return _parse_each(rows, starts)
+    return [row[0] for row in rows], pvalues, starts, None
 
 
-def _parse_each(rows, first_line: int):
+def _parse_each(rows, starts):
     """:func:`_parse_rows` one row at a time, skipping blank rows."""
     ids, pvalues, lines = [], [], []
-    for lineno, row in enumerate(rows, start=first_line):
+    for lineno, row in zip(starts, rows):
         if not row:
             continue
         if len(row) < 2:
@@ -166,7 +185,9 @@ def _decide_rows(state, config, pvalues, lines):
 def _write_rows(out, ids, first: int, pvalues, decisions) -> None:
     """One CSV row per decision, indexed from ``first``, in one write to
     ``out``; an id holding a comma, a double quote, a carriage return or a
-    newline is quoted, with its quotes doubled."""
+    newline is quoted, with its quotes doubled.  Where ``out`` cannot
+    encode an id, the rows before it are written and the
+    ``UnicodeEncodeError`` is raised."""
     if any(c in "".join(ids) for c in ',"\r\n'):
         ids = ['"%s"' % i.replace('"', '""') if any(c in i for c in ',"\r\n')
                else i for i in ids]
@@ -178,7 +199,12 @@ def _write_rows(out, ids, first: int, pvalues, decisions) -> None:
     if decisions.wealth is not None:
         columns.append(decisions.wealth.tolist())
         template = "%s,%d,%r,%r,%s,%r\n"
-    out.write("".join([template % row for row in zip(*columns)]))
+    lines = [template % row for row in zip(*columns)]
+    try:
+        out.write("".join(lines))
+    except UnicodeEncodeError:
+        for line in lines:   # up to the row that cannot be encoded
+            out.write(line)
 
 
 def cmd_run(args) -> int:
@@ -207,6 +233,8 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_BAD_CONFIG, f"invalid configuration: {exc}")
 
+    if not args.input:   # split lines as a file opened for csv does
+        sys.stdin.reconfigure(newline="")
     try:
         infile = open(args.input, newline="", encoding="utf-8",   # as --output
                       errors="surrogateescape") if args.input \
@@ -216,17 +244,15 @@ def cmd_run(args) -> int:
     columns = ["id", "index", "pvalue", "alpha_i", "rejected", "wealth"]
     with infile as fh:
         reader = csv.reader(fh)
-        rows, failure = _read_rows(reader, 1, 1)   # the header
+        rows, _, failure = _read_rows(reader, 1)   # the header
         if failure is not None:
             return _fail(*failure)
         if not rows or [h.strip() for h in rows[0][:2]] != ["id", "pvalue"]:
             return _fail(EXIT_BAD_INPUT, "input must start with header 'id,pvalue'")
         with _csv_out(args.output, columns) as (out, _):
-            lineno = 2
             while rows:
-                rows, bad_read = _read_rows(reader, CHUNK_ROWS, lineno)
-                ids, pvalues, lines, bad_line = _parse_rows(rows, lineno)
-                lineno += len(rows)
+                rows, starts, bad_read = _read_rows(reader, CHUNK_ROWS)
+                ids, pvalues, lines, bad_line = _parse_rows(rows, starts)
                 first = state.i + 1
                 decisions, failure = _decide_rows(state, config, pvalues, lines)
                 _write_rows(out, ids, first, pvalues, decisions)

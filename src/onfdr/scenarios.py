@@ -48,7 +48,8 @@ from .procedures import (
     make_stream,
 )
 from .sequences import _is_integer
-from .stattests import _fisher_greater, pvalue_one_sided, pvalue_two_sided
+from .stattests import _fisher_greater, _ndtr, pvalue_one_sided, \
+    pvalue_two_sided
 
 THREADS_ENV = "ONFDR_THREADS"
 
@@ -473,7 +474,10 @@ def _one_blas_thread() -> None:
     child inherits it.  A Monte Carlo call runs up to one process per CPU,
     so BLAS threads would only compete with them.  The count is never
     restored: a fork tears OpenBLAS's thread pool down, and setting a count
-    again rebuilds it, whose threads then spin beside the workers."""
+    again rebuilds it, whose threads then spin beside the workers.  The
+    normal tails' scipy, with its own OpenBLAS, is loaded first, so that its
+    count is set too and no forked child loads it."""
+    _ndtr()
     for lib, name in _loaded_openblas():
         getattr(lib, name)(1)
 

@@ -1,5 +1,6 @@
 """Statistical kernels: normal tail probabilities and the one-sided exact
-test for 2x2 tables."""
+test for 2x2 tables.  scipy is imported at the first normal tail, so a
+process that draws none never loads it."""
 
 from __future__ import annotations
 
@@ -8,18 +9,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
+
+
+@lru_cache(maxsize=None)
+def _ndtr():
+    """``scipy.special.ndtr``, imported on the first call."""
+    from scipy.special import ndtr
+    return ndtr
 
 
 def pvalue_one_sided(z):
     """Upper-tail p-value Phi(-z), clamped to [0, 1]."""
-    out = np.clip(ndtr(np.negative(z)), 0.0, 1.0)
+    out = np.clip(_ndtr()(np.negative(z)), 0.0, 1.0)
     return float(out) if np.isscalar(z) else out
 
 
 def pvalue_two_sided(z):
     """Two-sided p-value 2 * Phi(-|z|), clamped to [0, 1]."""
-    out = np.clip(2.0 * ndtr(-np.abs(z)), 0.0, 1.0)
+    out = np.clip(2.0 * _ndtr()(-np.abs(z)), 0.0, 1.0)
     return float(out) if np.isscalar(z) else out
 
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onfdr import cli
-from onfdr.cli import CHUNK_ROWS, _parse_rows, _write_rows, main
+from onfdr.cli import CHUNK_ROWS, _parse_rows, _read_rows, _write_rows, \
+    main
 from onfdr.procedures import Decisions, ProcedureKind, decide, \
     default_config, make_stream, rebound_stream, run_stream
 from onfdr.scenarios import KIDNEY_REALISATIONS, KidneyTrialScenario, \
@@ -510,6 +512,16 @@ _BYTES_CASES = {
         ["--bound", "10000", "--rebound", "9000:20000"],
         chunked_rows(9500), LORDPP, 10000, (9000, 20000), 2,
         "onfdr: line 9502: p-value must lie in [0, 1], got 1.5\n"),
+    # a record is named by the line it starts on, counted in the file
+    "bad_pvalue_after_a_multi_line_id": (
+        'id,pvalue\n"a\nb",0.1\nc,x\n', [], [("a\nb", 0.1)], LORDPP, None,
+        None, 2, "onfdr: line 4: unparseable p-value 'x'\n"),
+    "multi_line_id_shifts_chunk_2": (
+        'id,pvalue\n"a\r\nb\rc",0.1\n' + csv_text(chunked_rows(CHUNK_ROWS))[
+            len("id,pvalue\n"):] + "hbad,1.5\n", [],
+        [("a\r\nb\rc", 0.1), *chunked_rows(CHUNK_ROWS)], LORDPP, None, None,
+        2, f"onfdr: line {CHUNK_ROWS + 5}: p-value must lie in [0, 1], "
+        "got 1.5\n"),
 }
 
 
@@ -573,7 +585,9 @@ class TestRunBytes:
         (csv_text(chunked_rows(CHUNK_ROWS + 50)), 0, CHUNK_ROWS + 50),
         (csv_text(chunked_rows(CHUNK_ROWS)) + "hbad,1.5\nhnext,0.5\n", 2,
          CHUNK_ROWS),
-    ], ids=["clean", "bad_line"])
+        # csv splits a line at a lone carriage return from either source
+        ('id,pvalue\nh1,0.5\n"q\rr",0.1\nh\rbad,0.5\n', 2, 2),
+    ], ids=["clean", "bad_line", "lone_carriage_return"])
     def test_stdin_equals_input(self, tmp_path, text, code, written):
         src = tmp_path / "in.csv"
         src.write_text(text)
@@ -645,6 +659,12 @@ class TestUnreadableInput:
             (2, expected_run(records, LORDPP).encode())
         one_error_line(proc, "onfdr: line 4: field larger than field limit")
 
+    def test_a_record_over_lines_is_named_by_its_first_line(self):
+        proc = run_process([], b'id,pvalue\n"a\r\nb",0.1\r\nc,x\n')
+        assert (proc.returncode, proc.stdout) == \
+            (2, expected_run([("a\r\nb", 0.1)], LORDPP).encode())
+        one_error_line(proc, "onfdr: line 4: unparseable p-value 'x'")
+
     def test_strict_stdin_refuses_a_byte_it_cannot_decode(self):
         # stdin is decoded a block at a time, so the line named is the first
         # one of the block that holds the byte: here the header's
@@ -653,19 +673,21 @@ class TestUnreadableInput:
         one_error_line(proc, "onfdr: line 1: 'utf-8' codec can't decode byte 0xff")
 
     def test_strict_stdout_refuses_an_id_it_cannot_encode(self, tmp_path):
+        # the rows before it are written first, as before a bad line
         src = tmp_path / "in.csv"
         src.write_bytes(raw(csv_text(RAW_RECORDS)))
         proc = run_process(["--input", str(src)], env=STRICT_STDIO)
-        assert (proc.returncode, proc.stdout) == (2, b",".join(
-            c.encode() for c in RUN_COLUMNS) + b"\n")
+        assert (proc.returncode, proc.stdout) == \
+            (2, expected_run(RAW_RECORDS[:1], LORDPP).encode())
         one_error_line(proc, "onfdr: output cannot hold the input: 'utf-8' "
                        "codec can't encode")
 
 
-# the per-row reading `_parse_rows` must agree with on every input
-def parse_each(rows, first_line):
+# the per-row reading `_parse_rows` must agree with on every input, for
+# rows that start on the lines ``starts``
+def parse_each(rows, starts):
     ids, pvalues, lines = [], [], []
-    for lineno, row in enumerate(rows, start=first_line):
+    for lineno, row in zip(starts, rows):
         if not row:
             continue
         if len(row) < 2:
@@ -701,12 +723,41 @@ class TestChunkHelpers:
     @settings(max_examples=300, deadline=None)
     @given(rows=st.one_of(st.lists(good_row, max_size=30),
                           st.lists(any_row, max_size=30)),
-           first=st.integers(2, 10**6))
-    def test_parse_rows_equals_row_loop(self, rows, first):
-        ids, pvalues, lines, failure = _parse_rows(rows, first)
-        want = parse_each(rows, first)
+           first=st.integers(2, 10**6), spans=st.lists(st.integers(1, 3)))
+    def test_parse_rows_equals_row_loop(self, rows, first, spans):
+        # rows one line each (a range, as the reader hands them over), or
+        # over more lines
+        starts = range(first, first + len(rows)) if len(spans) < len(rows) \
+            else [first + sum(spans[:k]) for k in range(len(rows))]
+        ids, pvalues, lines, failure = _parse_rows(rows, starts)
+        want = parse_each(rows, starts)
         assert (ids, list(lines), failure) == (want[0], want[2], want[3])
         assert [repr(v) for v in pvalues] == [repr(v) for v in want[1]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(st.lists(ids_text, min_size=1, max_size=3),
+                            max_size=12),
+           terminator=st.sampled_from(["\n", "\r\n"]),
+           size=st.integers(1, 5))
+    def test_read_rows_names_the_line_each_record_starts_on(
+            self, records, terminator, size):
+        # against the reader's own line count before each record
+        out = io.StringIO()
+        csv.writer(out, lineterminator=terminator).writerows(records)
+        reader = csv.reader(io.StringIO(out.getvalue(), newline=""))
+        want = []
+        while True:   # not per record written: a lone \r may split one
+            line = reader.line_num + 1
+            if next(reader, None) is None:
+                break
+            want.append(line)
+        reader = csv.reader(io.StringIO(out.getvalue(), newline=""))
+        got, rows = [], [None]
+        while rows:
+            rows, lines, failure = _read_rows(reader, size)
+            assert failure is None and len(lines) == len(rows)
+            got += lines
+        assert got == want
 
     @staticmethod
     def draw_decisions(data):
@@ -1112,3 +1163,77 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "index,coefficient,cumulative"
+
+
+# Run in a fresh interpreter: argv names a case and its arguments; prints
+# whether scipy was loaded after `import onfdr` and after the case, the exit
+# code of a CLI case, and whether scipy.special was loaded at each fork.
+# The crossover is set to 0 so that a small estimate_many call forks.
+COLD_START_PROBE = """
+import json, os, sys
+import onfdr
+report = {"imported": "scipy" in sys.modules, "forks": []}
+from onfdr import cli, scenarios
+fork = os.fork
+def noting_fork():
+    report["forks"].append("scipy.special" in sys.modules)
+    return fork()
+os.fork = noting_fork
+scenarios._FORK_WORK = 0
+if sys.argv[1] == "estimate_many":
+    onfdr.estimate_many(
+        [("lord++", onfdr.default_config(onfdr.ProcedureKind.LORDPP))],
+        onfdr.MixtureScenario(N=20, pi1=0.2), reps=64, seed=1)
+else:
+    report["code"] = cli.main([*sys.argv[1:], "--output", os.devnull])
+report["after"] = "scipy" in sys.modules
+print(json.dumps(report))
+"""
+
+COLD_START_CASES = {
+    "run": ["run", "--input"],   # the three-row CSV's path is appended
+    "kidney": ["kidney", "--scenario", "1"],
+    "sequence": ["sequence", "--kind", "jm", "--n", "5"],
+    "estimate_many": ["estimate_many"],
+}
+
+
+@pytest.fixture(scope="module")
+def cold_starts(tmp_path_factory):
+    """The probe's report of each of ``COLD_START_CASES``, each in its own
+    fresh interpreter, side by side, on two workers."""
+    src = write_pvalues(tmp_path_factory.mktemp("cold"),
+                        [("h1", 0.01), ("h2", 0.5), ("h3", 0.001)])
+    procs = {case: subprocess.Popen(
+        [sys.executable, "-c", COLD_START_PROBE, *argv,
+         *([src] if case == "run" else [])],
+        stdout=subprocess.PIPE, env=cli_env() | {"ONFDR_THREADS": "2"})
+        for case, argv in COLD_START_CASES.items()}
+    reports = {}
+    for case, proc in procs.items():
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0, case
+        reports[case] = json.loads(out)
+    return reports
+
+
+class TestColdStart:
+    """scipy is read only by the normal tails, so a process that draws none
+    never imports it."""
+
+    def test_import_onfdr(self, cold_starts):
+        assert [report["imported"] for report in cold_starts.values()] == \
+            [False] * len(COLD_START_CASES)
+
+    @pytest.mark.parametrize("case", ["run", "kidney", "sequence"])
+    def test_no_scipy(self, cold_starts, case):
+        report = cold_starts[case]
+        assert (report["imported"], report["after"], report["forks"],
+                report["code"]) == (False, False, [], 0)
+
+    def test_estimate_many_loads_it_before_its_first_fork(self, cold_starts):
+        # forked children inherit the module and its OpenBLAS's one-thread
+        # count, and import nothing themselves
+        report = cold_starts["estimate_many"]
+        assert (report["imported"], report["forks"], report["after"]) == \
+            (False, [True], True)
