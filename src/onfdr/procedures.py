@@ -434,6 +434,7 @@ _real_or_nan = np.frompyfunc(
     lambda v: v if isinstance(v, _REAL_TYPES) else math.nan, 1, 1)
 # the shapes of the array entry points' p-values, by number of dimensions
 _SHAPES = {1: "a one-dimensional sequence", 2: "a (streams x N) matrix"}
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 def _as_pvalues(pvalues, ndim: int):
@@ -448,6 +449,9 @@ def _as_pvalues(pvalues, ndim: int):
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != ndim:
         raise ValueError(f"p-values must form {_SHAPES[ndim]}")
+    # a NaN makes the minimum NaN; an empty array has no minimum
+    if p.size and _min(p, None) >= 0.0 and _max(p, None) <= 1.0:
+        return p, pvalues, p.size
     valid = (p >= 0.0) & (p <= 1.0)   # False for NaN
     return p, pvalues, p.size if valid.all() else int(valid.argmin())
 

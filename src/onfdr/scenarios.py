@@ -144,6 +144,10 @@ class KidneyTrialScenario:
     alpha: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("n0", "n_arm"):
+            size = getattr(self, name)
+            if not _is_integer(size) or size < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
 

@@ -10,6 +10,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .sequences import _is_integer
+
 
 @lru_cache(maxsize=None)
 def _ndtr():
@@ -30,19 +32,26 @@ def pvalue_two_sided(z):
     return float(out) if np.isscalar(z) else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TwoByTwoTable:
-    """Success/failure counts for the treatment row (a, b) and control
-    row (c, d)."""
+    """Success/failure counts, integers >= 0, for the treatment row (a, b)
+    and control row (c, d)."""
 
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self) -> None:
-        if min(self.a, self.b, self.c, self.d) < 0:
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        # one dict update, not the generated __init__'s four __setattr__
+        if not type(a) is type(b) is type(c) is type(d) is int:
+            for count in (a, b, c, d):
+                if not _is_integer(count):
+                    raise ValueError(
+                        f"cell counts must be integers, got {count!r}")
+        if a < 0 or b < 0 or c < 0 or d < 0:
             raise ValueError("cell counts must be nonnegative")
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @property
     def degenerate(self) -> bool:
@@ -50,11 +59,12 @@ class TwoByTwoTable:
                 or self.a + self.c == 0 or self.b + self.d == 0)
 
 
-# margins (r1, r2, k) whose masses are kept: one design's tables share
-# n0 + n_arm + 1 of them.  A margin with a wider support is built per call,
-# so the kept masses stay within a few megabytes.
+# margins (r1, r2, k) that are kept: one design's tables share n0 + n_arm + 1
+# of them.  Each keeps at most _MARGIN_CACHE_TERMS floats (its tails' terms,
+# else its log masses); a margin with a wider support is built per call.
 _MARGIN_CACHE_SIZE = 256
 _MARGIN_CACHE_TERMS = 1024
+_sum = np.add.reduce   # what ndarray.sum runs, without its Python wrapper
 
 
 @lru_cache(maxsize=_MARGIN_CACHE_SIZE)
@@ -67,12 +77,24 @@ def _log_binom_row(r: int) -> np.ndarray:
     return row
 
 
+@lru_cache(maxsize=None)
+def _tail_layout(size: int):
+    """For a support of ``size`` points, every tail laid end to end: the
+    tail j and support index x >= j of each term, and each tail's slice.
+    Only supports of 44 or less are laid out, so at most 44 are kept."""
+    tail, point = np.triu_indices(size)
+    starts = [j * size - j * (j - 1) // 2 for j in range(size + 1)]
+    return tail, point, tuple(map(slice, starts, starts[1:]))
+
+
 def _margin_masses(r1: int, r2: int, k: int):
     """For the hypergeometric law of the first cell given row sums r1, r2
-    and column sum k: the read-only log point masses over its support
-    ``max(0, k - r2)..min(k, r1)`` and their suffix maxima (a tuple), so a
-    tail starting at support index j is ``log_masses[j:]`` with maximum
-    ``suffix_max[j]``."""
+    and column sum k, with log point masses ``log_masses`` over its support
+    ``max(0, k - r2)..min(k, r1)``: ``(values, tails, suffix_max)``, where
+    ``suffix_max[j]`` is the maximum of the tail ``log_masses[j:]`` and the
+    read-only ``values[tails[j]]`` is ``exp(log_masses[j:] - suffix_max[j])``
+    if the tails hold at most _MARGIN_CACHE_TERMS terms in all (a support of
+    44 or less); else ``values`` is ``log_masses`` and ``tails`` is None."""
     n = r1 + r2
     lo, hi = max(0, k - r2), min(k, r1)
     log_total = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
@@ -80,9 +102,15 @@ def _margin_masses(r1: int, r2: int, k: int):
     log_masses = (_log_binom_row(r1)[lo:hi + 1]
                   + _log_binom_row(r2)[k - hi:k - lo + 1][::-1])
     log_masses -= log_total
-    log_masses.setflags(write=False)
-    suffix_max = tuple(np.maximum.accumulate(log_masses[::-1]).tolist()[::-1])
-    return log_masses, suffix_max
+    suffix_max = np.maximum.accumulate(log_masses[::-1])[::-1]
+    size = hi - lo + 1
+    values, tails = log_masses, None
+    if size * (size + 1) // 2 <= _MARGIN_CACHE_TERMS:
+        # subtract and exp are elementwise: each term is a per-tail slice's
+        tail, point, tails = _tail_layout(size)
+        values = np.exp(log_masses[point] - suffix_max[tail])
+    values.setflags(write=False)
+    return values, tails, tuple(suffix_max.tolist())
 
 
 _margin = lru_cache(maxsize=_MARGIN_CACHE_SIZE)(_margin_masses)
@@ -94,8 +122,8 @@ def fisher_exact_greater(table: TwoByTwoTable) -> float:
 
     Point masses are accumulated on the log scale with a max-shift (the
     tail's own maximum) before exponentiation; degenerate margins give
-    p = 1 by convention.  The masses of one margin are computed once and
-    shared by every table with that margin.
+    p = 1 by convention.  The shifted terms (or the masses) of one margin
+    are computed once and shared by every table with that margin.
     """
     return _fisher_greater(table.a, table.b, table.c, table.d)
 
@@ -103,16 +131,18 @@ def fisher_exact_greater(table: TwoByTwoTable) -> float:
 def _fisher_greater(a: int, b: int, c: int, d: int) -> float:
     """:func:`fisher_exact_greater` of the table (a, b, c, d), whose counts
     the caller has checked to be nonnegative."""
-    r1, r2 = a + b, c + d
-    k = a + c
-    # the support is lo..hi with lo = max(0, a - d) and hi >= a; a table
-    # with an empty row or column has a == 0 or d == 0, so a == lo
-    lo, hi = max(0, k - r2), min(k, r1)
+    r1, k = a + b, a + c
+    # the support is lo..hi with lo = max(0, a - d) and hi = min(k, r1) >= a;
+    # a table with an empty row or column has a == 0 or d == 0, so a == lo
+    lo = a - d if a > d else 0
     if a <= lo:
         return 1.0
+    hi = k if k < r1 else r1
     margin = _margin if hi - lo < _MARGIN_CACHE_TERMS else _margin_masses
-    log_masses, suffix_max = margin(r1, r2, k)
+    values, tails, suffix_max = margin(r1, c + d, k)
     j = a - lo
     shift = suffix_max[j]
-    p = math.exp(shift) * float(np.exp(log_masses[j:] - shift).sum())
-    return min(max(p, 0.0), 1.0)
+    terms = np.exp(values[j:] - shift) if tails is None else values[tails[j]]
+    # p >= 0: the tail's largest term is exp(0) = 1
+    p = math.exp(shift) * float(_sum(terms))
+    return p if p < 1.0 else 1.0

@@ -368,6 +368,16 @@ class TestDecideRows:
             check_rows([0.1, 0.2])
         assert check_rows([[0, 1]]).dtype == np.float64
 
+    def test_check_rows_names_the_first_bad_value(self):
+        # the first in row order, whichever bound it breaks
+        with pytest.raises(ValueError, match=r"row 0, at stream index 2: "
+                           r"p-value must lie in \[0, 1\], got 1.5"):
+            check_rows([[0.5, 1.5, float("nan"), -1.0]])
+        with pytest.raises(ValueError, match=r"row 1, at stream index 1: "
+                           r"p-value must lie in \[0, 1\], got nan"):
+            check_rows([[0.5, 0.0], [float("nan"), -2.0]])
+        assert check_rows(np.empty((2, 0))).shape == (2, 0)
+
     @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5,
                                      np.nextafter(1.0, 2.0), -5e-324,
                                      float("inf"), float("-inf")])

@@ -415,6 +415,17 @@ class TestKidney:
         with pytest.raises(ValueError, match="alpha"):
             KidneyTrialScenario(alpha=alpha)
 
+    @pytest.mark.parametrize("name", ["n0", "n_arm"])
+    @pytest.mark.parametrize("size", [0, -3, 2.5, 20.0, True, "20", None])
+    def test_invalid_group_size(self, name, size):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            KidneyTrialScenario(**{name: size})
+
+    def test_numpy_integer_group_sizes(self):
+        sc = KidneyTrialScenario(n0=np.int64(32), n_arm=np.int32(20))
+        y0, y = KIDNEY_REALISATIONS[1]
+        assert eval_kidney(sc, y0, y) == eval_kidney(KidneyTrialScenario(), y0, y)
+
     def test_uncorrected_and_bh_cells(self):
         # saturated case: every arm at the maximum, control at zero
         sc = KidneyTrialScenario()

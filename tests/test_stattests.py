@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -69,8 +70,37 @@ class TestFisherExact:
         assert fisher_exact_greater(TwoByTwoTable(0, 4, 0, 5)) == 1.0
 
     def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative"):
             TwoByTwoTable(-1, 2, 3, 4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            TwoByTwoTable(1, 2, 3, np.int64(-4))
+
+    @pytest.mark.parametrize("count", [1.5, 2.0, np.float64(2.0), True,
+                                       np.bool_(True), "2", None])
+    def test_rejects_counts_that_are_not_integers(self, count):
+        with pytest.raises(ValueError, match="integers"):
+            TwoByTwoTable(1, 2, 3, count)
+        with pytest.raises(ValueError, match="integers"):
+            TwoByTwoTable(count, 2, 3, 4)
+
+    def test_table_is_a_frozen_value(self):
+        table = TwoByTwoTable(7, 13, 9, 23)
+        assert table == TwoByTwoTable(7, 13, 9, 23) != TwoByTwoTable(7, 13, 9, 22)
+        assert hash(table) == hash(TwoByTwoTable(7, 13, 9, 23))
+        assert repr(table) == "TwoByTwoTable(a=7, b=13, c=9, d=23)"
+        assert dataclasses.astuple(table) == (7, 13, 9, 23)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.a = 8
+        assert dataclasses.replace(table, a=8) == TwoByTwoTable(8, 13, 9, 23)
+        with pytest.raises(ValueError, match="integers"):
+            dataclasses.replace(table, d=2.5)
+
+    def test_numpy_integer_counts(self):
+        counts = np.array([7, 13, 9, 23])
+        table = TwoByTwoTable(*counts)
+        assert table == TwoByTwoTable(7, 13, 9, 23)
+        assert fisher_exact_greater(table) == \
+            fisher_exact_greater(TwoByTwoTable(7, 13, 9, 23))
 
     def test_monotone_in_successes(self):
         margins = (12, 20)  # row sums
@@ -202,11 +232,44 @@ class TestFisherMarginCache:
 
     def test_cached_values_are_read_only(self):
         fisher_exact_greater(TwoByTwoTable(7, 13, 9, 23))
-        log_masses, suffix_max = stattests._margin(20, 32, 16)
-        assert isinstance(suffix_max, tuple)
-        for array in (log_masses, stattests._log_binom_row(20)):
+        terms, tails, suffix_max = stattests._margin(20, 32, 16)
+        assert isinstance(tails, tuple) and isinstance(suffix_max, tuple)
+        log_masses, tails, _ = stattests._margin(60, 60, 60)
+        assert tails is None
+        for array in (terms, log_masses, stattests._log_binom_row(20)):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    def test_entries_keep_at_most_the_term_budget(self):
+        budget = stattests._MARGIN_CACHE_TERMS
+        for size in (1, 2, 21, 44, 45, 46, 300, budget):
+            values, tails, suffix_max = stattests._margin(size - 1, size - 1,
+                                                          size - 1)
+            assert len(suffix_max) == size
+            assert values.size <= budget
+            # support 44 keeps its 44 * 45 / 2 = 990 terms, 45 its masses
+            assert (tails is None) == (size > 44)
+            assert values.size == (size if tails is None
+                                   else size * (size + 1) // 2)
+
+    def test_kept_terms_equal_each_tail_formed_alone(self, monkeypatch):
+        # with no term budget the entry is the margin's log masses
+        margins = [(size - 1, r2, k)
+                   for size in range(1, 45)
+                   for r2 in (size - 1, size + 20)
+                   for k in (size - 1, (size - 1 + r2) // 2, r2)]
+        margins += [(30, 1000, 500), (40, 3, 20), (43, 900, 43)]
+        for r1, r2, k in margins:
+            terms, tails, suffix_max = stattests._margin_masses(r1, r2, k)
+            with monkeypatch.context() as m:
+                m.setattr(stattests, "_MARGIN_CACHE_TERMS", 0)
+                log_masses, none, suffix_max_alone = \
+                    stattests._margin_masses(r1, r2, k)
+            assert none is None and suffix_max == suffix_max_alone
+            assert len(tails) == len(log_masses) <= 44
+            for j, tail in enumerate(tails):
+                alone = np.exp(log_masses[j:] - suffix_max[j])
+                assert terms[tail].tobytes() == alone.tobytes()
 
     def test_cache_stays_bounded(self):
         info = stattests._margin.cache_info()
